@@ -13,6 +13,10 @@ Vec = tuple
 Mat = tuple
 
 
+class LimitExceeded(RuntimeError):
+    """A search, enumeration or group closure outgrew its documented cap."""
+
+
 def to_mat(rows) -> Mat:
     return tuple(tuple(x for x in row) for row in rows)
 

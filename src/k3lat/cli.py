@@ -11,10 +11,11 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+from . import _exact as ex
 from . import hmdata, k3class
 from .fqf import render_symbol, signature_mod8, symbol_of
 from .intlat import discriminant_group, load_gram_json
-from .prootpair import ClassifyResult, ScopeExceeded, classify, verdict
+from .prootpair import ClassifyResult, classify, verdict
 from .rootsys import Isometry, build
 
 EXIT_OK = 0
@@ -229,7 +230,6 @@ def make_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("proot-classify", help="classify pseudo p-root pairs")
     s.add_argument("--root-lattice", required=True)
     s.add_argument("--p", type=int, required=True)
-    s.add_argument("--threads", type=int, default=1)
     s.set_defaults(func=_cmd_proot_classify)
 
     s = sub.add_parser("wildbound", help="wild-degree upper bound search")
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ScopeExceeded, RuntimeError) as err:
+    except ex.LimitExceeded as err:
         print(f"scope exceeded: {err}", file=sys.stderr)
         return EXIT_SCOPE
     except (ValueError, OSError) as err:

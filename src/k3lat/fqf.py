@@ -653,7 +653,7 @@ def _elementary_subspace_bases(p: int, n: int, dim: int):
             yield [tuple(r) for r in rows]
 
 
-class EnumerationCapExceeded(RuntimeError):
+class EnumerationCapExceeded(ex.LimitExceeded):
     pass
 
 

@@ -12,6 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
+from math import isqrt
 
 from . import _exact as ex
 from .fqf import (
@@ -31,8 +32,12 @@ class SymbolSyntaxError(ValueError):
 _TOKEN = re.compile(r"(\d+)(?:_(II|\d))?\^([+-])(\d+)")
 
 
+_TRIAL_DIVISORS = 10 ** 6
+
+
 def _prime_power(n: int):
-    for p in range(2, n + 1):
+    """(p, k) with n = p^k, or None; trial division below min(sqrt(n), 10^6)."""
+    for p in range(2, min(isqrt(n), _TRIAL_DIVISORS) + 1):
         if n % p == 0:
             k = 0
             while n % p == 0:
@@ -41,7 +46,9 @@ def _prime_power(n: int):
             if n != 1:
                 return None
             return p, k
-    return None
+    if n > _TRIAL_DIVISORS ** 2:
+        raise ValueError(f"no factor of {n} below {_TRIAL_DIVISORS}; too large to decide")
+    return (n, 1) if n > 1 else None
 
 
 def parse_symbol(text: str) -> FiniteQuadraticForm:
@@ -56,14 +63,14 @@ def parse_symbol(text: str) -> FiniteQuadraticForm:
         m = _TOKEN.fullmatch(token)
         if not m:
             raise SymbolSyntaxError(text, pos, f"bad factor {token!r}")
-        pp = _prime_power(int(m.group(1)))
-        if pp is None:
-            raise SymbolSyntaxError(text, pos, f"{m.group(1)} is not a prime power")
-        p, k = pp
         sign = 1 if m.group(3) == "+" else -1
         rank = int(m.group(4))
         odd = m.group(2)
         try:
+            pp = _prime_power(int(m.group(1)))
+            if pp is None:
+                raise SymbolSyntaxError(text, pos, f"{m.group(1)} is not a prime power")
+            p, k = pp
             if p == 2:
                 if odd is None:
                     raise SymbolSyntaxError(text, pos, "2-adic factor needs an oddity")

@@ -25,13 +25,14 @@ from .rootsys import (
     build,
     named_elements,
     parse_label,
+    perm_mul,
 )
 
 FULL_SCOPE_CAP = 110000  # admits Aut(E6), order 103680
 SUBGROUP_ELEMENT_CAP = 10 ** 4
 
 
-class ScopeExceeded(RuntimeError):
+class ScopeExceeded(ex.LimitExceeded):
     pass
 
 
@@ -275,9 +276,27 @@ class _PermUniverse:
         self.elements = sorted(group.closure_perms())
         self.identity = bytes(range(len(datum.roots)))
         self.conj_gens = [datum.perm_of(g) for g in group.generators]
+        # conjugacy classes: orbits under x -> c x c^-1 for the generators c,
+        # each keyed by its least element
+        conj = [(c.ljust(256, b"\0"), self.inv(c)) for c in self.conj_gens]
+        self._class_rep = rep_of = {}
+        for rep in self.elements:
+            if rep in rep_of:
+                continue
+            rep_of[rep] = rep
+            frontier = [rep]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for table, cinv in conj:
+                        # perm_mul(perm_mul(c, x), cinv), c padded once
+                        y = cinv.translate(x.translate(table).ljust(256, b"\0"))
+                        if y not in rep_of:
+                            rep_of[y] = rep
+                            nxt.append(y)
+                frontier = nxt
 
-    def mul(self, a, b):
-        return bytes(a[x] for x in b)
+    mul = staticmethod(perm_mul)
 
     def inv(self, a):
         out = [0] * len(a)
@@ -289,7 +308,7 @@ class _PermUniverse:
         return self.datum.matrix_of_perm(a)
 
     def class_key(self, a):
-        return a  # no class shortcut: scan per element
+        return self._class_rep[a]
 
 
 class _SignedSymUniverse:
@@ -419,6 +438,30 @@ def classify(datum_or_label, p: int, cap: int = FULL_SCOPE_CAP) -> ClassifyResul
                               note="exhaustive over all subgroups")
 
 
+def _rootless(datum, gen_mats, p) -> bool:
+    """Does the sharp span of the generated group mod p miss every root?"""
+    basis, pivots = _sharp_span_modp(datum, gen_mats, p)
+    return not any(_modp_in_span(basis, pivots, r, p) for r in datum.roots)
+
+
+def _good_elements(uni, rootless_span) -> set:
+    """Elements whose cyclic sharp span is rootless.
+
+    Decided once per class_key: an isometry h maps the sharp span of <g>
+    onto that of <h g h^-1> and permutes the roots, so the verdict is a
+    conjugacy invariant.
+    """
+    class_good = {}
+    good = set()
+    for key in uni.elements:
+        ck = uni.class_key(key)
+        if ck not in class_good:
+            class_good[ck] = key == uni.identity or rootless_span([key])
+        if class_good[ck]:
+            good.add(key)
+    return good
+
+
 def _classify_universe(datum, p, uni, partial, note) -> ClassifyResult:
     matrices = {}
 
@@ -428,19 +471,9 @@ def _classify_universe(datum, p, uni, partial, note) -> ClassifyResult:
         return matrices[key]
 
     def rootless_span(gen_keys) -> bool:
-        gens = [matrix_of(k).matrix for k in gen_keys]
-        basis, pivots = _sharp_span_modp(datum, gens, p)
-        return not any(_modp_in_span(basis, pivots, r, p) for r in datum.roots)
+        return _rootless(datum, [matrix_of(k).matrix for k in gen_keys], p)
 
-    # good elements (cyclic sharp rootless), decided once per conjugacy class
-    class_good = {}
-    good = set()
-    for key in uni.elements:
-        ck = uni.class_key(key)
-        if ck not in class_good:
-            class_good[ck] = key == uni.identity or rootless_span([key])
-        if class_good[ck]:
-            good.add(key)
+    good = _good_elements(uni, rootless_span)
 
     # BFS over pseudo subgroups inside the good set
     found = {frozenset([uni.identity]): []}

@@ -20,7 +20,12 @@ from .intlat import IntegralLattice, Sublattice, discriminant_group
 DEFAULT_GROUP_CAP = 10 ** 6
 
 
-class GroupCapExceeded(RuntimeError):
+def perm_mul(a: bytes, b: bytes) -> bytes:
+    """The composite a∘b of root permutations, i.e. bytes(a[x] for x in b)."""
+    return b.translate(a.ljust(256, b"\0"))
+
+
+class GroupCapExceeded(ex.LimitExceeded):
     def __init__(self, cap):
         super().__init__(f"group closure exceeds the cap of {cap} elements")
         self.cap = cap
@@ -50,7 +55,7 @@ class Isometry:
             if m == ident:
                 return k
             m = ex.mat_mul(m, self.matrix)
-        raise RuntimeError("order cap exceeded")
+        raise ex.LimitExceeded("order cap exceeded")
 
     def is_identity(self) -> bool:
         return self.matrix == ex.identity(len(self.matrix))
@@ -106,6 +111,7 @@ class RootDatum:
     # -- permutation representation on the root list --------------------
 
     def perm_of(self, iso: Isometry) -> bytes:
+        # at most 240 roots, so every image index fits in a byte
         img = []
         for r in self.roots:
             img.append(self._root_index[iso.apply(r)])
@@ -299,15 +305,16 @@ class IsometryGroup:
         if self._elements_perm is not None:
             return self._elements_perm
         datum = self.datum
-        gens = [datum.perm_of(g) for g in self.generators]
+        # translate tables: the generators padded once to 256 entries
+        tables = [datum.perm_of(g).ljust(256, b"\0") for g in self.generators]
         ident = bytes(range(len(datum.roots)))
         seen = {ident}
         frontier = [ident]
         while frontier:
             nxt = []
             for p in frontier:
-                for g in gens:
-                    q = bytes(g[x] for x in p)
+                for t in tables:
+                    q = p.translate(t)
                     if q not in seen:
                         if len(seen) >= cap:
                             raise GroupCapExceeded(cap)

@@ -3,6 +3,10 @@ import json
 import pytest
 
 from k3lat import cli
+from k3lat._exact import LimitExceeded
+from k3lat.fqf import EnumerationCapExceeded
+from k3lat.prootpair import ScopeExceeded
+from k3lat.rootsys import GroupCapExceeded
 
 
 @pytest.fixture
@@ -115,6 +119,41 @@ class TestProot:
     def test_classify_empty_partial_scope_is_exit_3(self, capsys):
         code, _ = run(capsys, ["proot-classify", "--root-lattice", "E7", "--p", "3"])
         assert code == 3
+
+
+    def test_classify_has_no_threads_flag(self):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["proot-classify", "--root-lattice", "D4", "--p", "3",
+                      "--threads", "2"])
+        assert err.value.code == 2
+
+
+class TestErrorModel:
+    @pytest.mark.parametrize("limit", [
+        ScopeExceeded("subgroup closure cap hit"),
+        GroupCapExceeded(10),
+        EnumerationCapExceeded("subgroup enumeration cap exceeded"),
+    ])
+    def test_limits_are_exit_3(self, monkeypatch, limit):
+        def hit_limit(args):
+            raise limit
+
+        monkeypatch.setattr(cli, "_cmd_proot_classify", hit_limit)
+        assert cli.main(["proot-classify", "--root-lattice", "D4", "--p", "3"]) == 3
+
+    def test_internal_error_propagates(self, monkeypatch):
+        def bug(args):
+            raise RuntimeError("internal bug")
+
+        monkeypatch.setattr(cli, "_cmd_proot_classify", bug)
+        with pytest.raises(RuntimeError, match="internal bug"):
+            cli.main(["proot-classify", "--root-lattice", "D4", "--p", "3"])
+
+    def test_order_cap_is_a_limit(self):
+        from k3lat.rootsys import build, named_elements
+
+        with pytest.raises(LimitExceeded):
+            named_elements(build("D4"))["gx"].order(cap=2)
 
 
 class TestWildbound:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +33,22 @@ class TestParseSymbol:
     def test_prime_powers(self):
         q = parse_symbol("9^-1 27^+2")
         assert [(c.prime, c.scale) for c in q.components] == [(3, 2), (3, 3)]
+
+    def test_large_prime_parses_at_once(self):
+        start = time.perf_counter()
+        (c,) = parse_symbol("10000019^+1").components
+        assert (c.prime, c.scale) == (10000019, 1)
+        assert time.perf_counter() - start < 0.1
+
+    def test_large_power_of_small_prime(self):
+        (c,) = parse_symbol(f"{3 ** 30}^+1").components
+        assert (c.prime, c.scale) == (3, 30)
+
+    def test_undecidable_size_is_rejected_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(SymbolSyntaxError, match="too large"):
+            parse_symbol(f"{10 ** 39 + 3}^+1")  # a 40-digit prime
+        assert time.perf_counter() - start < 1
 
     def test_errors_carry_position(self):
         with pytest.raises(SymbolSyntaxError):

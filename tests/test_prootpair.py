@@ -1,6 +1,8 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -8,6 +10,9 @@ from k3lat import _exact as ex
 from k3lat.intlat import Sublattice, is_primitive, roots, saturate
 from k3lat.prootpair import (
     IsometryGroup,
+    _PermUniverse,
+    _good_elements,
+    _rootless,
     classify,
     disc_action_nontrivial,
     fixed_sublattice,
@@ -18,6 +23,7 @@ from k3lat.prootpair import (
 from k3lat.rootsys import (
     Isometry,
     acts_trivially_on_disc,
+    aut_group,
     build,
     named_elements,
     t_sublattice,
@@ -212,6 +218,54 @@ class TestClassify:
             classify("D4", 4)
         with pytest.raises(ValueError):
             classify("D4", 2)
+
+
+@lru_cache(maxsize=None)
+def perm_universe(label):
+    datum = build(label)
+    if label == "E8":
+        nm = named_elements(datum)
+        return _PermUniverse(datum, IsometryGroup(datum, (nm["a"], nm["b"])))
+    return _PermUniverse(datum, aut_group(datum))
+
+
+def good_elements(uni, p):
+    def rootless_span(keys):
+        return _rootless(uni.datum, [uni.matrix(k).matrix for k in keys], p)
+
+    return _good_elements(uni, rootless_span)
+
+
+class TestConjugacyClasses:
+    @pytest.mark.parametrize("label,order,count", [
+        ("D4", 1152, 25),    # Aut(D4) = W(F4)
+        ("D5", 3840, 36),    # Aut(D5) = W(B5)
+        ("E6", 103680, 50),  # Aut(E6) = W(E6) x {+-1}
+    ])
+    def test_class_counts(self, label, order, count):
+        uni = perm_universe(label)
+        sizes = Counter(uni.class_key(x) for x in uni.elements)
+        assert len(sizes) == count
+        assert sum(sizes.values()) == len(uni.elements) == order
+        for rep, size in sizes.items():
+            assert uni.class_key(rep) == rep and order % size == 0
+
+    @pytest.mark.parametrize("label,p", [
+        ("D4", 3), ("D4", 5), ("D4", 7), ("D4", 11),
+        ("D5", 3), ("D5", 5), ("D5", 7), ("E8", 5),
+    ])
+    def test_per_class_good_set_matches_per_element_scan(self, monkeypatch, label, p):
+        uni = perm_universe(label)
+        per_class = good_elements(uni, p)
+        monkeypatch.setattr(uni, "class_key", lambda a: a)
+        assert per_class == good_elements(uni, p)
+
+    def test_e6_sample_matches_per_element_verdict(self):
+        uni = perm_universe("E6")
+        good = good_elements(uni, 5)
+        for x in random.Random(5).sample(uni.elements, 300):
+            oracle = x == uni.identity or _rootless(uni.datum, [uni.matrix(x).matrix], 5)
+            assert (x in good) == oracle
 
 
 class TestPaperInvariants:

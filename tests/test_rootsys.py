@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from k3lat import _exact as ex
 from k3lat.fqf import render_symbol, symbol_of
@@ -15,6 +16,7 @@ from k3lat.rootsys import (
     build,
     in_weyl,
     named_elements,
+    perm_mul,
     reflection,
     simple_reflections,
     t_sublattice,
@@ -77,6 +79,14 @@ class TestReflections:
         sm = simple_reflections(e8)
         s_neg = reflection(e8, tuple(-t for t in theta_e8()))
         assert (s_neg * sm[0] * sm[1] * sm[2]).order() == 5
+
+
+class TestPermMul:
+    @given(st.integers(1, 240).flatmap(
+        lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+    def test_matches_composition_by_index(self, pair):
+        a, b = (bytes(x) for x in pair)
+        assert perm_mul(a, b) == bytes(a[x] for x in b)
 
 
 class TestWeylGroups:
