@@ -1,7 +1,9 @@
-"""Exact integer/rational linear algebra: HNF, SNF, kernels, and solvers.
+"""Exact integer/rational linear algebra and elementary number theory.
 
-Everything here works on tuples of tuples with int or Fraction entries.
-No floating point.
+Linear algebra: HNF, SNF, kernels, determinants and Gauss-Jordan solving,
+on tuples of tuples with int or Fraction entries.  Number theory: capped
+trial-division factoring and primality, Legendre/Jacobi symbols and p-adic
+valuations.  No floating point.
 """
 
 from __future__ import annotations
@@ -78,29 +80,14 @@ def det_int(m: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def mat_inv(m: Mat) -> Mat:
-    """Exact inverse over the rationals (raises ZeroDivisionError if singular)."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+def _gauss_jordan(a: Mat, rhs: Mat) -> list:
+    """The rows of X with a*X = rhs for square nonsingular a, exactly.
 
-
-def solve_unique(a: Mat, b: Vec) -> Vec:
-    """Solve a*x = b for square nonsingular a, exactly."""
+    Raises ZeroDivisionError if a is singular.
+    """
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    aug = [[Fraction(x) for x in row] + [Fraction(y) for y in extra]
+           for row, extra in zip(a, rhs)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
@@ -112,7 +99,17 @@ def solve_unique(a: Mat, b: Vec) -> Vec:
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
+    return [row[n:] for row in aug]
+
+
+def mat_inv(m: Mat) -> Mat:
+    """Exact inverse over the rationals (raises ZeroDivisionError if singular)."""
+    return tuple(tuple(row) for row in _gauss_jordan(m, identity(len(m))))
+
+
+def solve_unique(a: Mat, b: Vec) -> Vec:
+    """Solve a*x = b for square nonsingular a, exactly."""
+    return tuple(row[0] for row in _gauss_jordan(a, [(x,) for x in b]))
 
 
 def _swap_rows(a, i, j):
@@ -318,6 +315,39 @@ def rational_diagonal(gram: Mat) -> list[Fraction]:
             a[i][k] = Fraction(0)
         idx = rest
     return out
+
+
+_TRIAL_DIVISION_CAP = 10 ** 6
+
+
+def factor(n: int) -> dict:
+    """{p: k} with |n| the product of the p^k, by trial division.
+
+    Divides by d only below min(isqrt(cofactor), 10^6).  Every |n| <= 10^12
+    is decided exactly, since a composite up to 10^12 has a prime factor
+    below 10^6; a cofactor above 10^12 left undecided raises ValueError.
+    """
+    n = abs(n)
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
+    out = {}
+    for d in range(2, _TRIAL_DIVISION_CAP):
+        if d * d > n:
+            break
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+    if n > _TRIAL_DIVISION_CAP ** 2:
+        raise ValueError(f"no factor below {_TRIAL_DIVISION_CAP} of a "
+                         f"{n.bit_length()}-bit cofactor; too large to decide")
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def is_prime(n: int) -> bool:
+    """Primality, exact up to 10^12; see factor for larger n."""
+    return n >= 2 and factor(n) == {n: 1}
 
 
 def legendre(a: int, p: int) -> int:

@@ -37,9 +37,9 @@ from .intlat import (
 )
 from .prootpair import IsometryGroup, classify, disc_action_nontrivial, p_group_check, verdict
 from .rootsys import (
-    Isometry,
     a4_a4_pieces,
     build,
+    cycle_isometry,
     named_elements,
     reflection,
     simple_reflections,
@@ -66,13 +66,6 @@ def _check(result: CriterionResult, ok: bool, message: str) -> None:
     if not ok:
         result.passed = False
         result.details.append(message)
-
-
-def _cycle_isometry(n: int) -> Isometry:
-    """The (p-cycle) Coxeter-type element of A_n in simple coordinates."""
-    cols = [tuple(1 if i == j + 1 else 0 for i in range(n)) for j in range(n - 1)]
-    cols.append(tuple(-1 for _ in range(n)))
-    return Isometry(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
 
 
 def criterion_1() -> CriterionResult:
@@ -122,7 +115,7 @@ def criterion_2() -> CriterionResult:
 def criterion_3() -> CriterionResult:
     res = CriterionResult(3, "supersingular forms: branch rule, tau = 4, anisotropy", True)
     t0 = time.time()
-    for p in [q for q in range(3, 50) if all(q % d for d in range(2, q))]:
+    for p in k3class.odd_primes_below(50):
         for sigma in range(1, 11):
             form = k3class.n_form(p, sigma)
             comp = form.q.components[0]
@@ -182,7 +175,7 @@ def criterion_4() -> CriterionResult:
     q84 = symbol_of(IntegralLattice(((84,),)))
     _check(res, render_symbol(q84) == "4_5^-1 3^+1 7^-1",
            f"symbol of <84> is {render_symbol(q84)}")
-    for p in [q for q in range(3, 50) if all(q % d for d in range(2, q))]:
+    for p in k3class.odd_primes_below(50):
         m = p - 1
         gram = tuple(tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0)
                            for j in range(m)) for i in range(m))
@@ -295,7 +288,7 @@ def criterion_7() -> CriterionResult:
     t0 = time.time()
     for p in (3, 5, 7, 11):
         n = p - 1
-        g = _cycle_isometry(n)
+        g = cycle_isometry(n)
         sub = t_sublattice(p)
         nontrivial, _, _ = disc_action_nontrivial(sub, g)
         _check(res, nontrivial, f"action on the discriminant is trivial at p={p}")

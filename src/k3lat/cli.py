@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import _exact as ex
 from . import hmdata, k3class
@@ -73,18 +72,7 @@ def _cmd_embeds(args) -> int:
 def _cmd_table(args) -> int:
     records = hmdata.load_table(args.data)
     primes = k3class.odd_primes_below(args.primes_below)
-    if args.threads > 1:
-        def one(rec):
-            return k3class.reproduce_table([rec], primes)["rows"][0]
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(one, records))
-        passed = sum(r["pass"] for r in rows)
-        report = {"rows": rows, "summary": {
-            "rows_total": len(rows), "rows_passed": passed,
-            "primes_checked": len(primes), "sigma": 1}}
-    else:
-        report = k3class.reproduce_table(records, primes)
+    report = k3class.reproduce_table(records, primes)
     if args.report:
         hmdata.write_report(report, args.report)
     s = report["summary"]
@@ -218,7 +206,6 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--data", default=None)
     s.add_argument("--primes-below", type=int, default=200)
     s.add_argument("--report", default=None)
-    s.add_argument("--threads", type=int, default=1)
     s.set_defaults(func=_cmd_table)
 
     s = sub.add_parser("proot-check", help="pseudo p-root pair verdict")

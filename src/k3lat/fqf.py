@@ -9,14 +9,13 @@ Gauss-sum fingerprints.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from . import _exact as ex
-from .intlat import IntegralLattice, Sublattice, discriminant_group
+from .intlat import IntegralLattice, discriminant_group
 
 TWO_EVEN = None  # oddity marker for even-type 2-adic components
 
@@ -168,33 +167,14 @@ def _two_blocks(comp: JordanComponent):
     return [("unit", k, u) for u in units]
 
 
-def _block_values(block) -> list:
-    """q-values (Fractions mod 2) over all elements of one block group."""
+def _block_values(block, t: int | None = None) -> list:
+    """q-values (Fractions mod 2) over the 2^t-torsion subgroup of one block
+    group; the whole group when t is None."""
     kind = block[0]
     k = block[1]
+    tt = k if t is None else min(t, k)
     m = 1 << k
-    if kind == "unit":
-        u = block[2]
-        return [Fraction(u * x * x, m) % 2 for x in range(m)]
-    out = []
-    for x in range(m):
-        for y in range(m):
-            if kind == "U":
-                v = Fraction(2 * x * y, m)
-            else:
-                v = Fraction(2 * x * x + 2 * x * y + 2 * y * y, m)
-            out.append(v % 2)
-    return out
-
-
-def _block_torsion_values(block, t: int) -> list:
-    """q-values over the 2^t-torsion subgroup of one block group."""
-    kind = block[0]
-    k = block[1]
-    tt = min(t, k)
-    step = 1 << (k - tt)
-    m = 1 << k
-    rng = range(0, m, step)
+    rng = range(0, m, 1 << (k - tt))
     if kind == "unit":
         u = block[2]
         return [Fraction(u * x * x, m) % 2 for x in rng]
@@ -345,7 +325,7 @@ def symbol_of(lat: IntegralLattice) -> FiniteQuadraticForm:
     """Conway-Sloane symbol of an even lattice (empty for unimodular)."""
     det = abs(lat.det) if lat.rank else 1
     comps = []
-    for p in sorted(_prime_factors(det)):
+    for p in sorted(ex.factor(det)):
         if p == 2:
             for v, data in sorted(_jordan_two(lat.gram).items()):
                 if v == 0:
@@ -372,20 +352,6 @@ def symbol_of(lat: IntegralLattice) -> FiniteQuadraticForm:
                     sign *= c
                 comps.append(JordanComponent(p, v, len(classes), sign))
     return FiniteQuadraticForm(comps)
-
-
-def _prime_factors(n: int) -> set:
-    n = abs(n)
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +437,8 @@ def brute_force_tau(q: FiniteQuadraticForm, limit: int = 10 ** 5) -> int:
 
     Test oracle: the only floating-point computation in the package.
     """
+    import cmath
+
     order = q.group_order()
     if order > limit:
         raise ValueError(f"group too large for brute force ({order} > {limit})")
@@ -549,7 +517,7 @@ def _two_part_fingerprint(q: FiniteQuadraticForm, dim: int):
         acc = [0] * dim
         acc[0] = 1
         for b in blocks:
-            acc = _zeta_mul(acc, _gauss_vector(_block_torsion_values(b, t), 1, dim))
+            acc = _zeta_mul(acc, _gauss_vector(_block_values(b, t), 1, dim))
         sums.append(tuple(acc))
     return ranks, tuple(sums)
 
@@ -664,7 +632,7 @@ def _subgroups_up_to(moduli, max_order: int, cap: int = 500000):
     zero = tuple(0 for _ in moduli)
     yield frozenset([zero]), []
     count = 0
-    if moduli and all(m == moduli[0] for m in moduli) and _is_prime(moduli[0]):
+    if moduli and all(m == moduli[0] for m in moduli) and ex.is_prime(moduli[0]):
         # elementary abelian: enumerate subspaces via echelon bases
         p = moduli[0]
         n = len(moduli)
@@ -700,10 +668,6 @@ def _subgroups_up_to(moduli, max_order: int, cap: int = 500000):
                     raise EnumerationCapExceeded("subgroup enumeration cap exceeded")
                 yield key, gens + [g]
         frontier = nxt
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
 def _isotropic_subgroups(moduli, coeffs, max_order, s_coords, d_coords,
@@ -957,10 +921,6 @@ def nikulin_exists(sig_plus: int, sig_minus: int, q: FiniteQuadraticForm) -> boo
             if w % 8 not in _two_reachable_det_classes(two):
                 return False
     return True
-
-
-def form_of_sublattice(sub: Sublattice) -> FiniteQuadraticForm:
-    return symbol_of(sub.as_lattice())
 
 
 def discriminant_form_values(lat: IntegralLattice):

@@ -12,7 +12,6 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
-from math import isqrt
 
 from . import _exact as ex
 from .fqf import (
@@ -32,25 +31,6 @@ class SymbolSyntaxError(ValueError):
 _TOKEN = re.compile(r"(\d+)(?:_(II|\d))?\^([+-])(\d+)")
 
 
-_TRIAL_DIVISORS = 10 ** 6
-
-
-def _prime_power(n: int):
-    """(p, k) with n = p^k, or None; trial division below min(sqrt(n), 10^6)."""
-    for p in range(2, min(isqrt(n), _TRIAL_DIVISORS) + 1):
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            if n != 1:
-                return None
-            return p, k
-    if n > _TRIAL_DIVISORS ** 2:
-        raise ValueError(f"no factor of {n} below {_TRIAL_DIVISORS}; too large to decide")
-    return (n, 1) if n > 1 else None
-
-
 def parse_symbol(text: str) -> FiniteQuadraticForm:
     """Parse a Conway-Sloane style symbol string ("1" is the empty form)."""
     s = text.strip()
@@ -67,10 +47,10 @@ def parse_symbol(text: str) -> FiniteQuadraticForm:
         rank = int(m.group(4))
         odd = m.group(2)
         try:
-            pp = _prime_power(int(m.group(1)))
-            if pp is None:
+            factors = ex.factor(int(m.group(1)))
+            if len(factors) != 1:
                 raise SymbolSyntaxError(text, pos, f"{m.group(1)} is not a prime power")
-            p, k = pp
+            ((p, k),) = factors.items()
             if p == 2:
                 if odd is None:
                     raise SymbolSyntaxError(text, pos, "2-adic factor needs an oddity")

@@ -275,10 +275,6 @@ def roots(lat: IntegralLattice) -> list:
     return [v for v in found] + [tuple(-x for x in v) for v in found]
 
 
-def is_rootless(lat: IntegralLattice) -> bool:
-    return not roots(lat)
-
-
 def rank_ell_bound(lat: IntegralLattice, sub: Sublattice) -> bool:
     """Check rank(S) + ell_q(A_S) <= rank(L) + ell_q(A_L) for all primes q,
     and the same with the global ell."""
@@ -289,7 +285,7 @@ def rank_ell_bound(lat: IntegralLattice, sub: Sublattice) -> bool:
     disc_l = discriminant_group(lat)
     primes = set()
     for d in disc_s.cyclic_orders + disc_l.cyclic_orders:
-        primes.update(_prime_factors(d))
+        primes.update(ex.factor(d))
     rs, rl = sub.rank, lat.rank
     if rs + disc_s.ell() > rl + disc_l.ell():
         return False
@@ -297,20 +293,6 @@ def rank_ell_bound(lat: IntegralLattice, sub: Sublattice) -> bool:
         if rs + disc_s.ell_p(q) > rl + disc_l.ell_p(q):
             return False
     return True
-
-
-def _prime_factors(n: int) -> set:
-    n = abs(n)
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def gram_from_json(obj: dict) -> IntegralLattice:

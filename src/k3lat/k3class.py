@@ -28,10 +28,6 @@ from .fqf import (
 SIGNATURE = (1, 21)
 
 
-def _is_odd_prime(p: int) -> bool:
-    return p >= 3 and all(p % d for d in range(2, int(p ** 0.5) + 1))
-
-
 @dataclass(frozen=True)
 class SupersingularForm:
     p: int
@@ -45,7 +41,7 @@ class SupersingularForm:
 
 def n_form(p: int, sigma: int) -> SupersingularForm:
     """Discriminant form of the rank-22 lattice with A = (Z/p)^(2*sigma)."""
-    if not _is_odd_prime(p):
+    if p < 3 or not ex.is_prime(p):
         raise ValueError("p must be an odd prime")
     if not 1 <= sigma <= 10:
         raise ValueError("sigma must be between 1 and 10")
@@ -211,7 +207,7 @@ def primitively_embeds(q_s: FiniteQuadraticForm, rank_s: int, p: int, sigma: int
 
 
 def odd_primes_below(n: int) -> list:
-    return [p for p in range(3, n) if _is_odd_prime(p)]
+    return [p for p in range(3, n) if ex.is_prime(p)]
 
 
 def reproduce_table(records, prime_set=None, sigma: int = 1) -> dict:
@@ -275,17 +271,9 @@ def allowed_components(p: int) -> list:
     }
     if p in table:
         return table[p]
-    if _is_odd_prime(p):
+    if p > 2 and ex.is_prime(p):
         return []  # tame territory: group order is coprime to p
     raise ValueError("p must be an odd prime")
-
-
-def _nu(p: int, n: int) -> int:
-    v = 0
-    while n % p == 0 and n:
-        n //= p
-        v += 1
-    return v
 
 
 def _nu_factorial(p: int, n: int) -> int:
@@ -337,7 +325,7 @@ def wild_degree_bound(p: int, table) -> WildBoundReport:
         g_l, g_l_row = 0, None
         for rec in table:
             if rec.rank <= 24 - rank_r:
-                v = _nu(p, rec.order)
+                v = ex.valuation(rec.order, p)
                 if g_l_row is None or v > g_l:
                     g_l, g_l_row = v, rec.number
         total = g_r + g_l
@@ -358,13 +346,9 @@ def wild_degree_bound(p: int, table) -> WildBoundReport:
 
 def _double_a10_obstruction() -> bool:
     from .prootpair import disc_action_nontrivial
-    from .rootsys import Isometry, t_sublattice
+    from .rootsys import cycle_isometry, t_sublattice
 
-    n = 10
-    cols = [tuple(1 if i == j + 1 else 0 for i in range(n)) for j in range(n - 1)]
-    cols.append(tuple(-1 for _ in range(n)))
-    cycle = Isometry(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
-    nontrivial, _, _ = disc_action_nontrivial(t_sublattice(11), cycle)
+    nontrivial, _, _ = disc_action_nontrivial(t_sublattice(11), cycle_isometry(10))
     return nontrivial
 
 

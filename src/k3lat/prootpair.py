@@ -36,10 +36,6 @@ class ScopeExceeded(ex.LimitExceeded):
     pass
 
 
-def _is_odd_prime(p: int) -> bool:
-    return p >= 3 and all(p % d for d in range(2, int(p ** 0.5) + 1))
-
-
 # ---------------------------------------------------------------------------
 # sharp sublattice and verdicts
 
@@ -55,7 +51,7 @@ def _gen_matrices(group) -> list:
 
 def sharp(datum: RootDatum, group, p: int) -> Sublattice:
     """The sublattice generated by pR and all H-difference vectors, in HNF."""
-    if not _is_odd_prime(p):
+    if p < 3 or not ex.is_prime(p):
         raise ValueError("p must be an odd prime")
     n = datum.rank
     gens = _gen_matrices(group)
@@ -355,7 +351,7 @@ class _SignedSymUniverse:
                 for k in range(y, x):
                     vec[k] = -e
             cols.append(tuple(vec))
-        return Isometry(tuple(tuple(cols[j][i] for j in range(m)) for i in range(m)))
+        return Isometry(ex.transpose(cols))
 
     def class_key(self, a):
         w, e = a
@@ -402,7 +398,7 @@ def classify(datum_or_label, p: int, cap: int = FULL_SCOPE_CAP) -> ClassifyResul
     of elements with rootless cyclic sharp lattice is exhaustive.
     """
     datum = datum_or_label if isinstance(datum_or_label, RootDatum) else build(datum_or_label)
-    if not _is_odd_prime(p):
+    if p < 3 or not ex.is_prime(p):
         raise ValueError("p must be an odd prime")
     kind, m = parse_label(datum.label)
     if datum.label == "E8":

@@ -122,8 +122,7 @@ class RootDatum:
         for i in range(self.rank):
             src = self._root_index[tuple(1 if j == i else 0 for j in range(self.rank))]
             cols.append(self.roots[perm[src]])
-        m = tuple(tuple(cols[j][i] for j in range(self.rank)) for i in range(self.rank))
-        return Isometry(m)
+        return Isometry(ex.transpose(cols))
 
 
 def _check_isometry(datum: RootDatum, m) -> Isometry:
@@ -390,18 +389,15 @@ def theta_e8() -> tuple:
 def named_elements(datum: RootDatum) -> dict:
     """The distinguished isometries: D4 -> x, y, g, gx, gx2; E8 -> a, b."""
     if datum.label == "D4":
-        n = 4
-        cols_x = {0: (0, 0, 1, 0), 1: (0, 1, 0, 0), 2: (0, 0, 0, 1), 3: (1, 0, 0, 0)}
-        x = Isometry(tuple(tuple(cols_x[j][i] for j in range(n)) for i in range(n)))
-        cols_y = {0: (1, 0, 0, 0), 1: (0, 1, 0, 0), 2: (0, 0, 0, 1), 3: (0, 0, 1, 0)}
-        y = Isometry(tuple(tuple(cols_y[j][i] for j in range(n)) for i in range(n)))
-        cols_g = {
-            0: (1, 1, 0, 0),
-            1: (-1, -2, -1, -1),
-            2: (0, 1, 1, 0),
-            3: (0, 1, 0, 1),
-        }
-        g = Isometry(tuple(tuple(cols_g[j][i] for j in range(n)) for i in range(n)))
+        # each matrix is given by its columns, the images of the simple roots
+        x = Isometry(ex.transpose(((0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0))))
+        y = Isometry(ex.transpose(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))))
+        g = Isometry(ex.transpose((
+            (1, 1, 0, 0),
+            (-1, -2, -1, -1),
+            (0, 1, 1, 0),
+            (0, 1, 0, 1),
+        )))
         for iso in (x, y, g):
             _check_isometry(datum, iso.matrix)
         gx = g * x
@@ -415,7 +411,7 @@ def named_elements(datum: RootDatum) -> dict:
         cols_a[3] = tuple(e - t for t, e in zip(theta, (1, 1, 1, 1, 0, 0, 0, 0)))
         for i in range(4, 8):
             cols_a[i] = tuple(1 if j == i else 0 for j in range(8))
-        a = Isometry(tuple(tuple(cols_a[j][i] for j in range(8)) for i in range(8)))
+        a = Isometry(ex.transpose([cols_a[j] for j in range(8)]))
         cols_b = {}
         for i in range(4):
             cols_b[i] = tuple(1 if j == i else 0 for j in range(8))
@@ -424,7 +420,7 @@ def named_elements(datum: RootDatum) -> dict:
         cols_b[4] = (0, 0, 0, 0, 0, 1, 0, 0)  # b(a5) = a6
         cols_b[5] = (0, 0, 0, 0, 0, 0, 1, 0)  # b(a6) = a7
         cols_b[6] = (0, 0, 0, 0, -1, -1, -1, -1)  # b(a7) = -(a5+a6+a7+a8)
-        b = Isometry(tuple(tuple(cols_b[j][i] for j in range(8)) for i in range(8)))
+        b = Isometry(ex.transpose([cols_b[j] for j in range(8)]))
         for iso in (a, b):
             _check_isometry(datum, iso.matrix)
         return {"a": a, "b": b}
@@ -444,9 +440,16 @@ def a4_a4_pieces(datum: RootDatum) -> tuple:
 # special sublattices and weights
 
 
+def cycle_isometry(n: int) -> Isometry:
+    """The (n+1)-cycle Coxeter-type element of A_n in simple coordinates."""
+    cols = [tuple(1 if i == j + 1 else 0 for i in range(n)) for j in range(n - 1)]
+    cols.append(tuple(-1 for _ in range(n)))
+    return Isometry(ex.transpose(cols))
+
+
 def t_sublattice(p: int) -> Sublattice:
     """Index-p sublattice of A_{p-1} cut out by the coefficient-sum congruence."""
-    if p < 3 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if p < 3 or not ex.is_prime(p):
         raise ValueError("p must be an odd prime")
     datum = build(f"A{p - 1}")
     lat = datum.lattice()
@@ -480,22 +483,16 @@ def aut_generators(datum: RootDatum) -> list:
                                        for i in range(m))))
     elif kind == "D":
         # single sign flip v_m -> -v_m swaps the two fork nodes
-        n = m
-        cols = {i: tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
-        cols[n - 2] = tuple(1 if j == n - 1 else 0 for j in range(n))
-        cols[n - 1] = tuple(1 if j == n - 2 else 0 for j in range(n))
-        gens.append(Isometry(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))))
+        cols = list(ex.identity(m))
+        cols[m - 2], cols[m - 1] = cols[m - 1], cols[m - 2]
+        gens.append(Isometry(ex.transpose(cols)))
         if m == 4:
             gens.append(named_elements(datum)["x"])
     elif datum.label == "E6":
         # diagram flip of the chain 1..5 fixing the branch node
-        n = 6
-        cols = {}
-        for i in range(5):
-            cols[i] = tuple(1 if j == 4 - i else 0 for j in range(n))
-        cols[5] = tuple(1 if j == 5 else 0 for j in range(n))
-        gens.append(_check_isometry(datum, tuple(tuple(cols[j][i] for j in range(n))
-                                                 for i in range(n))))
+        e = ex.identity(6)
+        cols = [e[4 - i] for i in range(5)] + [e[5]]
+        gens.append(_check_isometry(datum, ex.transpose(cols)))
     else:
         raise ValueError(f"full automorphism group of {datum.label} is out of scope")
     return gens

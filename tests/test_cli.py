@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,12 +77,10 @@ class TestTable:
         row170 = next(r for r in payload["rows"] if r["no"] == 170)
         assert row170["computed"] == "7"
 
-    def test_threads_output_matches_single(self, capsys, tmp_path):
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        run(capsys, ["table", "--primes-below", "6", "--report", str(p1)])
-        run(capsys, ["table", "--primes-below", "6", "--report", str(p2),
-                     "--threads", "3"])
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_table_has_no_threads_flag(self):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["table", "--primes-below", "6", "--threads", "2"])
+        assert err.value.code == 2
 
 
 class TestProot:
@@ -154,6 +156,45 @@ class TestErrorModel:
 
         with pytest.raises(LimitExceeded):
             named_elements(build("D4"))["gx"].order(cap=2)
+
+
+def run_subprocess(*argv):
+    """The CLI in a fresh interpreter; a hang fails the test after 30 s."""
+    env = dict(os.environ)
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "k3lat.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+
+
+HUGE = str(10 ** 400 + 1)
+EMBEDS_3 = ["embeds", "--qs", "3^+1", "--rank", "1", "--sigma", "1"]
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("argv", [
+        EMBEDS_3 + ["--p", HUGE],
+        ["proot-classify", "--root-lattice", "D4", "--p", HUGE],
+        ["wildbound", "--p", HUGE],
+        EMBEDS_3 + ["--p", "1000000000000000003"],
+    ], ids=["embeds-huge", "proot-classify-huge", "wildbound-huge", "embeds-19-digits"])
+    def test_undecidable_prime_is_usage_error(self, argv):
+        res = run_subprocess(*argv)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_undecidable_determinant_is_usage_error(self, tmp_path):
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps(
+            {"rank": 1, "gram": [[2 * 1000000000000037 * 1000000000000091]]}))
+        res = run_subprocess("symbol", str(path))
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_largest_prime_below_the_cap_is_decided(self):
+        res = run_subprocess("wildbound", "--p", "999999999989")
+        assert res.returncode == 0 and "tame only" in res.stdout
+        assert run_subprocess(*EMBEDS_3, "--p", "999999999989").returncode == 1
 
 
 class TestWildbound:

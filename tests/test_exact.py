@@ -1,6 +1,14 @@
+import ast
 import random
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, strategies as st
 
 from k3lat import _exact as ex
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "k3lat"
 
 
 def test_hnf_transform_is_unimodular():
@@ -79,3 +87,79 @@ def test_floor_sqrt_fraction():
     assert ex.floor_sqrt_fraction(Fraction(8, 2)) == 2
     assert ex.floor_sqrt_fraction(Fraction(35, 4)) == 2
     assert ex.floor_sqrt_fraction(Fraction(36, 4)) == 3
+
+
+def _smallest_prime_factors(limit: int) -> list:
+    spf = list(range(limit + 1))
+    for d in range(2, limit + 1):
+        if spf[d] == d:
+            for m in range(d * d, limit + 1, d):
+                if spf[m] == m:
+                    spf[m] = d
+    return spf
+
+
+def test_factor_matches_a_sieve():
+    spf = _smallest_prime_factors(5000)
+    for n in range(1, 5001):
+        got = ex.factor(n)
+        prod = 1
+        for p, k in got.items():
+            assert spf[p] == p, (n, p)
+            prod *= p ** k
+        assert prod == n
+        want, m = {}, n
+        while m > 1:
+            want[spf[m]] = want.get(spf[m], 0) + 1
+            m //= spf[m]
+        assert got == want
+        assert ex.factor(-n) == got
+        assert ex.is_prime(n) == (n > 1 and spf[n] == n)
+
+
+def test_factor_at_the_cap():
+    assert ex.is_prime(999999999989)  # the largest prime below 10^12
+    assert ex.factor(2 ** 40 * 999999999989) == {2: 40, 999999999989: 1}
+    assert ex.factor(10 ** 400) == {2: 400, 5: 400}
+    with pytest.raises(ValueError, match="too large"):
+        ex.factor(1000000000039)  # a prime above 10^12
+    with pytest.raises(ValueError, match="too large"):
+        ex.is_prime(1000000000039)
+    with pytest.raises(ValueError):
+        ex.factor(0)
+    assert not ex.is_prime(0) and not ex.is_prime(1) and not ex.is_prime(-7)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n))))
+def test_gauss_jordan_inverse_and_solve(data):
+    rows, b = data
+    m, b = ex.to_mat(rows), tuple(b)
+    n = len(m)
+    # the last row replaced by the sum of the others: always singular
+    singular = m[:-1] + (tuple(sum(r[j] for r in m[:-1]) for j in range(n)),)
+    with pytest.raises(ZeroDivisionError):
+        ex.mat_inv(singular)
+    with pytest.raises(ZeroDivisionError):
+        ex.solve_unique(singular, b)
+    assume(ex.det_int(m) != 0)
+    assert ex.mat_mul(m, ex.mat_inv(m)) == ex.identity(n)
+    assert ex.mat_vec(m, ex.solve_unique(m, b)) == b
+
+
+def test_no_float_square_root_in_the_package():
+    """Floating point appears only in the Gauss-sum oracle fqf.brute_force_tau."""
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"\*\*\s*0?\.5", text), f"{path.name}: ** 0.5"
+        if path.name == "fqf.py":
+            oracle = next(node for node in ast.parse(text).body
+                          if isinstance(node, ast.FunctionDef)
+                          and node.name == "brute_force_tau")
+            lines = text.splitlines()
+            text = "\n".join(lines[:oracle.lineno - 1] + lines[oracle.end_lineno:])
+        assert not re.search(r"\bmath\.sqrt\b|\bcmath\b", text), \
+            f"{path.name}: float square root outside fqf.brute_force_tau"

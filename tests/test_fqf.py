@@ -7,6 +7,7 @@ from k3lat import _exact as ex
 from k3lat.fqf import (
     FiniteQuadraticForm,
     JordanComponent,
+    _block_values,
     brute_force_tau,
     direct_sum,
     discriminant_form_values,
@@ -353,3 +354,21 @@ class TestValidation:
             J(2, 1, 1, -1, 1)  # sign inconsistent with oddity at rank 1
         with pytest.raises(ValueError):
             FiniteQuadraticForm((J(3, 1, 1, 1), J(3, 1, 2, 1)))
+
+
+class TestBlockValues:
+    BLOCKS = ([("unit", k, u) for k in range(1, 5) for u in (1, 3, 5, 7)]
+              + [(kind, k) for kind in ("U", "V") for k in range(1, 5)])
+
+    @pytest.mark.parametrize("block", BLOCKS, ids=str)
+    def test_torsion_table_filters_the_full_table(self, block):
+        k = block[1]
+        m = 1 << k
+        full = _block_values(block)
+        elems = ([(x,) for x in range(m)] if block[0] == "unit"
+                 else [(x, y) for x in range(m) for y in range(m)])
+        assert len(full) == len(elems)
+        for t in range(1, k + 1):
+            want = [v for e, v in zip(elems, full)
+                    if all((x << t) % m == 0 for x in e)]
+            assert _block_values(block, t) == want
