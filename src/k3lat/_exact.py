@@ -191,6 +191,24 @@ def kernel_int(m: Mat) -> Mat:
     return ker
 
 
+def modp_echelon(rows, p: int):
+    """Row echelon basis mod p: (pivot rows, their pivot columns)."""
+    mat = [list(r % p for r in row) for row in rows]
+    basis = []
+    pivots = []
+    for row in mat:
+        row = row[:]
+        for prow, pc in zip(basis, pivots):
+            if row[pc]:
+                f = row[pc] * pow(prow[pc], -1, p) % p
+                row = [(a - f * b) % p for a, b in zip(row, prow)]
+        nz = next((i for i, a in enumerate(row) if a), None)
+        if nz is not None:
+            basis.append(row)
+            pivots.append(nz)
+    return basis, pivots
+
+
 def snf_transform(m: Mat) -> tuple[Mat, Mat, Mat]:
     """Smith normal form with transforms: returns (D, U, V) with U*m*V = D.
 

@@ -3,8 +3,9 @@
 A component at an odd prime p is (p^k)^(eps*r).  A component at p = 2 is
 either odd type (2^k)_t^(eps*r) with an oddity t mod 8, or even type
 (2^k)_II^(eps*r).  Forms are computed from integer Gram matrices by exact
-p-adic Gauss elimination, and compared up to isomorphism with exact
-Gauss-sum fingerprints.
+p-adic Gauss elimination.  Two forms are equal exactly when they are
+isomorphic: equality compares the odd-prime components, which are canonical
+as they stand, and the Conway-Sloane canonical symbol of the 2-part.
 """
 
 from __future__ import annotations
@@ -57,9 +58,14 @@ class JordanComponent:
 
 
 class FiniteQuadraticForm:
-    """Ordered collection of Jordan components, one per (prime, scale)."""
+    """Ordered collection of Jordan components, one per (prime, scale).
 
-    __slots__ = ("components",)
+    `components` keeps the data as constructed (and rendered); `==` and
+    `hash` use the canonical key, computed on first use, so they mean
+    isomorphism.
+    """
+
+    __slots__ = ("components", "_key")
 
     def __init__(self, components=()):
         comps = tuple(sorted(components, key=lambda c: (c.prime, c.scale)))
@@ -67,12 +73,20 @@ class FiniteQuadraticForm:
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate (prime, scale) components; use direct_sum")
         self.components = comps
+        self._key = None
+
+    def canonical_key(self) -> tuple:
+        if self._key is None:
+            self._key = (tuple(c for c in self.components if c.prime != 2),
+                         _two_adic_key([c for c in self.components if c.prime == 2]))
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, FiniteQuadraticForm) and self.components == other.components
+        return (isinstance(other, FiniteQuadraticForm)
+                and self.canonical_key() == other.canonical_key())
 
     def __hash__(self):
-        return hash(self.components)
+        return hash(self.canonical_key())
 
     def __repr__(self):
         return f"FiniteQuadraticForm({render_symbol(self)!r})"
@@ -167,26 +181,61 @@ def _two_blocks(comp: JordanComponent):
     return [("unit", k, u) for u in units]
 
 
-def _block_values(block, t: int | None = None) -> list:
-    """q-values (Fractions mod 2) over the 2^t-torsion subgroup of one block
-    group; the whole group when t is None."""
+def _block_values(block) -> list:
+    """q-values (Fractions mod 2) over all elements of one block group."""
     kind = block[0]
-    k = block[1]
-    tt = k if t is None else min(t, k)
-    m = 1 << k
-    rng = range(0, m, 1 << (k - tt))
+    m = 1 << block[1]
     if kind == "unit":
         u = block[2]
-        return [Fraction(u * x * x, m) % 2 for x in rng]
+        return [Fraction(u * x * x, m) % 2 for x in range(m)]
     out = []
-    for x in rng:
-        for y in rng:
+    for x in range(m):
+        for y in range(m):
             if kind == "U":
                 v = Fraction(2 * x * y, m)
             else:
                 v = Fraction(2 * x * x + 2 * x * y + 2 * y * y, m)
             out.append(v % 2)
     return out
+
+
+def _two_adic_key(comps) -> tuple:
+    """Conway-Sloane canonical symbol of a 2-part (SPLAG ch. 15, 7.5-7.6).
+
+    comps are the 2-adic components in increasing scale.  A discriminant
+    form fixes its 2-adic lattice only up to an even unimodular summand, so
+    the symbol is headed by a phantom even scale-2^0 component of free sign.
+    Oddity fusion keeps one total oddity per compartment (a run of odd-type
+    components of consecutive scales).  Sign walking moves every sign of a
+    train to its head; a step joins neighbours 2^a < 2^b when b = a + 1 and
+    one of them is odd, or b = a + 2 and both are odd, and adds 4 to the
+    oddity of each compartment the step touches.  The phantom's sign is
+    dropped, so equal keys mean isomorphic forms.
+    """
+    scales = [0] + [c.scale for c in comps]
+    odd = [False] + [c.oddity is not None for c in comps]
+    signs = [1] + [c.sign for c in comps]
+    compartment = [None] * len(scales)
+    oddities = []
+    for i in range(1, len(scales)):
+        if not odd[i]:
+            continue
+        if odd[i - 1] and scales[i - 1] == scales[i] - 1:
+            compartment[i] = compartment[i - 1]
+            oddities[-1] += comps[i - 1].oddity
+        else:
+            compartment[i] = len(oddities)
+            oddities.append(comps[i - 1].oddity)
+    for i in range(len(scales) - 1, 0, -1):
+        gap = scales[i] - scales[i - 1]
+        if signs[i] == -1 and (gap == 1 and (odd[i] or odd[i - 1])
+                               or gap == 2 and odd[i] and odd[i - 1]):
+            signs[i] = 1
+            signs[i - 1] = -signs[i - 1]
+            for j in {compartment[i], compartment[i - 1]} - {None}:
+                oddities[j] += 4
+    return (tuple((c.scale, c.rank, s, c.oddity is None) for c, s in zip(comps, signs[1:])),
+            tuple(t % 8 for t in oddities))
 
 
 # ---------------------------------------------------------------------------
@@ -454,88 +503,9 @@ def brute_force_tau(q: FiniteQuadraticForm, limit: int = 10 ** 5) -> int:
     raise ArithmeticError("Gauss sum does not line up with any signature class")
 
 
-# ---------------------------------------------------------------------------
-# isomorphism via exact Gauss-sum fingerprints
-
-
-def _zeta_dim(forms) -> int:
-    kmax = 1
-    for q in forms:
-        for c in q.components:
-            if c.prime == 2:
-                kmax = max(kmax, c.scale)
-    return 1 << (kmax + 1)  # dimension of Z[zeta], zeta of order 2*dim
-
-
-def _zeta_add(vec, turns: Fraction, count: int = 1):
-    dim = len(vec)
-    idx = turns * 2 * dim
-    if idx.denominator != 1:
-        raise ValueError("phase outside the cyclotomic grid")
-    idx = int(idx) % (2 * dim)
-    if idx >= dim:
-        vec[idx - dim] -= count
-    else:
-        vec[idx] += count
-
-
-def _zeta_mul(a, b):
-    dim = len(a)
-    out = [0] * dim
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    k = i + j
-                    if k >= dim:
-                        out[k - dim] -= x * y
-                    else:
-                        out[k] += x * y
-    return out
-
-
-def _gauss_vector(values, mult: int, dim: int):
-    vec = [0] * dim
-    for v in values:
-        _zeta_add(vec, (Fraction(mult) * v / 2) % 1)
-    return vec
-
-
-def _two_part_fingerprint(q: FiniteQuadraticForm, dim: int):
-    comps = [c for c in q.components if c.prime == 2]
-    ranks = tuple(sorted((c.scale, c.rank) for c in comps))
-    blocks = [b for c in comps for b in _two_blocks(c)]
-    kmax = max((c.scale for c in comps), default=0)
-    sums = []
-    for j in range(kmax + 2):
-        acc = [0] * dim
-        acc[0] = 1
-        for b in blocks:
-            acc = _zeta_mul(acc, _gauss_vector(_block_values(b), 1 << j, dim))
-        sums.append(tuple(acc))
-    for t in range(1, kmax + 1):
-        acc = [0] * dim
-        acc[0] = 1
-        for b in blocks:
-            acc = _zeta_mul(acc, _gauss_vector(_block_values(b, t), 1, dim))
-        sums.append(tuple(acc))
-    return ranks, tuple(sums)
-
-
 def isomorphic(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) -> bool:
     """Are the two forms isomorphic as finite quadratic forms?"""
-    if q1.components == q2.components:
-        return True
-    odd1 = {(c.prime, c.scale): (c.rank, c.sign) for c in q1.components if c.prime != 2}
-    odd2 = {(c.prime, c.scale): (c.rank, c.sign) for c in q2.components if c.prime != 2}
-    if odd1 != odd2:
-        return False
-    two1 = q1.p_part(2)
-    two2 = q2.p_part(2)
-    if two1.components == two2.components:
-        return True
-    dim = _zeta_dim((two1, two2))
-    return _two_part_fingerprint(two1, dim) == _two_part_fingerprint(two2, dim)
+    return q1 == q2
 
 
 # ---------------------------------------------------------------------------
@@ -625,27 +595,40 @@ class EnumerationCapExceeded(ex.LimitExceeded):
     pass
 
 
-def _subgroups_up_to(moduli, max_order: int, cap: int = 500000):
+ENUMERATION_CAP = 500000  # subgroups, or p-torsion elements, one search may list
+
+
+def _subspace_count(p: int, n: int, dim: int) -> int:
+    """Number of dim-dimensional subspaces of F_p^n (Gaussian binomial)."""
+    num = den = 1
+    for i in range(dim):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def _subgroups_up_to(moduli, max_order: int, cap: int = ENUMERATION_CAP):
     """Subgroups of order <= max_order of the finite abelian group with the
-    given cyclic moduli, yielded lazily as (frozenset of elements, basis),
-    trivial subgroup first, then by increasing dimension."""
-    zero = tuple(0 for _ in moduli)
-    yield frozenset([zero]), []
-    count = 0
+    given cyclic moduli, yielded lazily as (order, basis), trivial subgroup
+    first, then by increasing dimension.
+
+    In the elementary abelian case the subspaces are counted before any is
+    yielded, so an enumeration past the cap raises at once."""
     if moduli and all(m == moduli[0] for m in moduli) and ex.is_prime(moduli[0]):
         # elementary abelian: enumerate subspaces via echelon bases
         p = moduli[0]
         n = len(moduli)
-        dim = 1
-        while dim <= n and p ** dim <= max_order:
+        dims = [d for d in range(1, n + 1) if p ** d <= max_order]
+        if sum(_subspace_count(p, n, d) for d in dims) > cap:
+            raise EnumerationCapExceeded("subgroup enumeration cap exceeded")
+        yield 1, []
+        for dim in dims:
             for basis in _elementary_subspace_bases(p, n, dim):
-                elems = _subgroup_span(moduli, basis)
-                count += 1
-                if count > cap:
-                    raise EnumerationCapExceeded("subgroup enumeration cap exceeded")
-                yield frozenset(elems), basis
-            dim += 1
+                yield p ** dim, basis
         return
+    yield 1, []
+    zero = tuple(0 for _ in moduli)
+    count = 0
     all_elems = [e for e in product(*[range(m) for m in moduli])]
     seen = {frozenset([zero])}
     frontier = [(frozenset([zero]), [])]
@@ -666,7 +649,7 @@ def _subgroups_up_to(moduli, max_order: int, cap: int = 500000):
                 count += 1
                 if count > cap:
                     raise EnumerationCapExceeded("subgroup enumeration cap exceeded")
-                yield key, gens + [g]
+                yield len(key), gens + [g]
         frontier = nxt
 
 
@@ -677,9 +660,9 @@ def _isotropic_subgroups(moduli, coeffs, max_order, s_coords, d_coords,
     An element lies in the S block iff its D coordinates all vanish, and vice
     versa.  Yields (order, generator lifts as coefficient tuples).
     """
-    for elems, gens in _subgroups_up_to(moduli, max_order):
+    for order, gens in _subgroups_up_to(moduli, max_order):
         ok = True
-        for e in elems:
+        for e in _subgroup_span(moduli, gens):
             if any(e):
                 if _qvalue(moduli, coeffs, e) != 0:
                     ok = False
@@ -691,7 +674,7 @@ def _isotropic_subgroups(moduli, coeffs, max_order, s_coords, d_coords,
                     ok = False
                     break
         if ok:
-            yield len(elems), gens
+            yield order, gens
 
 
 def _bvalue(moduli, coeffs, x, y) -> Fraction:
@@ -711,38 +694,28 @@ def _graph_isotropic_subgroups(mod_s, coef_s, mod_d, coef_d, max_order,
     Yields (order, generator tuples in combined coordinates).
     """
     p = mod_d[0] if mod_d else 2
+    subgroups = _subgroups_up_to(mod_d, max_order)
+    yield next(subgroups)  # the trivial subgroup; past the cap this raises
+    if p ** sum(m % p == 0 for m in mod_s) > ENUMERATION_CAP:
+        raise EnumerationCapExceeded("p-torsion enumeration cap exceeded")
     # p-torsion elements of A_S, grouped by q-value
-    tor = []
-    for e in product(*[range(0, m, m // p) if m % p == 0 else (0,)
-                       for m in mod_s]):
-        tor.append(e)
     by_value: dict = {}
-    for s in tor:
+    for s in product(*[range(0, m, m // p) if m % p == 0 else (0,) for m in mod_s]):
         by_value.setdefault(_qvalue(mod_s, coef_s, s) % 2, []).append(s)
-    zero_s = tuple(0 for _ in mod_s)
+    # a p-torsion element s of A_S has F_p coordinates s[j] // steps[j]
+    steps = [m // p if m % p == 0 else 1 for m in mod_s]
 
-    for elems_d, gens_d in _subgroups_up_to(mod_d, max_order):
-        if len(elems_d) == 1:
-            yield 1, []
-            continue
+    for order, gens_d in subgroups:
         targets = [(-_qvalue(mod_d, coef_d, g)) % 2 for g in gens_d]
         if any(t not in by_value for t in targets):
             continue
 
         def backtrack(i, chosen):
             if i == len(gens_d):
-                if require_d_trivial:
-                    # psi injective: no nonzero combination maps to zero
-                    lam_range = range(p)
-                    for lams in product(lam_range, repeat=len(gens_d)):
-                        if not any(lams):
-                            continue
-                        img = zero_s
-                        for lam, s in zip(lams, chosen):
-                            img = _elem_add(mod_s, img,
-                                            _elem_scale(mod_s, s, lam))
-                        if img == zero_s:
-                            return
+                # psi injective iff the images are independent over F_p
+                if require_d_trivial and len(ex.modp_echelon(
+                        [[x // st for x, st in zip(s, steps)] for s in chosen], p)[0]) < i:
+                    return
                 yield [s + d for s, d in zip(chosen, gens_d)]
                 return
             for s in by_value[targets[i]]:
@@ -756,7 +729,21 @@ def _graph_isotropic_subgroups(mod_s, coef_s, mod_d, coef_d, max_order,
                     yield from backtrack(i + 1, chosen + [s])
 
         for combined_gens in backtrack(0, []):
-            yield len(elems_d), combined_gens
+            yield order, combined_gens
+
+
+def _overlattice_gram(basis, gram, scale: int):
+    """Gram matrix of the lattice spanned by the rows of basis / scale.
+
+    Built as the integer product basis * gram * basis^T, each entry then
+    divided exactly by scale^2; raises ArithmeticError when one does not
+    divide, i.e. when the span is not integral.
+    """
+    prod = ex.mat_mul(ex.mat_mul(basis, gram), ex.transpose(basis))
+    s2 = scale * scale
+    if any(x % s2 for row in prod for x in row):
+        raise ArithmeticError("overlattice Gram not integral")
+    return tuple(tuple(x // s2 for x in row) for row in prod)
 
 
 def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
@@ -799,32 +786,19 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
             moduli, coeffs, max_order, s_coords, d_coords,
             enforce_s and bool(s_coords or d_coords),
             enforce_d and bool(s_coords or d_coords))
+    scale = 1
+    for m in moduli:
+        scale = scale * m // math.gcd(scale, m)
+    scaled_lattice = [tuple(scale if i == j else 0 for j in range(len(moduli)))
+                      for i in range(len(moduli))]
     for order, gens in subgroup_iter:
         if order == 1:
             yield 1, q
             continue
-        lifts = []
-        for g in gens:
-            lifts.append(tuple(Fraction(x, m) for x, m in zip(g, moduli)))
-        scale = 1
-        for m in moduli:
-            scale = scale * m // math.gcd(scale, m)
-        rows = [tuple(scale if i == j else 0 for j in range(len(moduli)))
-                for i in range(len(moduli))]
-        for lift in lifts:
-            rows.append(tuple(int(x * scale) for x in lift))
+        rows = scaled_lattice + [tuple(x * (scale // m) for x, m in zip(g, moduli))
+                                 for g in gens]
         basis = ex.row_hnf(ex.to_mat(rows))
-        bfrac = tuple(tuple(Fraction(x, scale) for x in row) for row in basis)
-        gram = ex.mat_mul(ex.mat_mul(bfrac, lat.gram), ex.transpose(bfrac))
-        gint = []
-        for row in gram:
-            r = []
-            for x in row:
-                if Fraction(x).denominator != 1:
-                    raise ArithmeticError("overlattice Gram not integral")
-                r.append(int(x))
-            gint.append(tuple(r))
-        over = IntegralLattice(ex.to_mat(gint))
+        over = IntegralLattice(_overlattice_gram(basis, lat.gram, scale))
         induced = symbol_of(over).p_part(p)
         yield order, direct_sum(away, induced)
 
@@ -833,13 +807,11 @@ def overlattice_forms(q: FiniteQuadraticForm, p: int, max_order: int,
                       s_form: FiniteQuadraticForm | None = None,
                       d_form: FiniteQuadraticForm | None = None,
                       enforce_s: bool = True, enforce_d: bool = True) -> list:
-    """Deduplicated forms from overlattice_candidates."""
-    out = []
-    for _, form in overlattice_candidates(q, p, max_order, s_form, d_form,
-                                          enforce_s, enforce_d):
-        if not any(isomorphic(form, f) for f in out):
-            out.append(form)
-    return out
+    """Forms from overlattice_candidates, one per isomorphism class, in the
+    order first seen."""
+    return list(dict.fromkeys(
+        form for _, form in overlattice_candidates(q, p, max_order, s_form, d_form,
+                                                   enforce_s, enforce_d)))
 
 
 # ---------------------------------------------------------------------------
@@ -865,8 +837,6 @@ def _two_reachable_det_classes(q2: FiniteQuadraticForm) -> set:
     comps = list(q2.components)
     if not comps:
         return {1}
-    dim = _zeta_dim((q2,))
-    base_fp = _two_part_fingerprint(q2, dim)
     classes = set()
     for flips in product((0, 1), repeat=len(comps)):
         variant = []
@@ -879,7 +849,7 @@ def _two_reachable_det_classes(q2: FiniteQuadraticForm) -> set:
                 variant.append(JordanComponent(2, c.scale, c.rank, -c.sign,
                                                (c.oddity + 4) % 8))
         vform = FiniteQuadraticForm(tuple(variant))
-        if _two_part_fingerprint(vform, dim) == base_fp:
+        if vform == q2:
             classes.add(_det_unit_class_two(vform))
     return classes
 

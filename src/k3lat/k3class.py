@@ -105,9 +105,7 @@ def _witt_index_gram(p: int, gram) -> int:
         u = tuple((e[k] - lam * iso[k] - mu * w[k]) % p for k in range(d))
         basis.append(u)
     # pick d-2 independent rows of the projected vectors
-    from .prootpair import _modp_echelon
-
-    ech, pivots = _modp_echelon(basis, p)
+    ech, pivots = ex.modp_echelon(basis, p)
     sub = ech[: d - 2]
     sub_gram = [[b(u, v) for v in sub] for u in sub]
     return 1 + _witt_index_gram(p, sub_gram)

@@ -76,24 +76,6 @@ def sharp(datum: RootDatum, group, p: int) -> Sublattice:
     return Sublattice(datum.lattice(), basis)
 
 
-def _modp_echelon(rows, p):
-    """Row echelon basis mod p; returns list of pivot rows."""
-    mat = [list(r % p for r in row) for row in rows]
-    basis = []
-    pivots = []
-    for row in mat:
-        row = row[:]
-        for prow, pc in zip(basis, pivots):
-            if row[pc]:
-                f = row[pc] * pow(prow[pc], -1, p) % p
-                row = [(a - f * b) % p for a, b in zip(row, prow)]
-        nz = next((i for i, a in enumerate(row) if a), None)
-        if nz is not None:
-            basis.append(row)
-            pivots.append(nz)
-    return basis, pivots
-
-
 def _modp_in_span(basis, pivots, vec, p):
     row = [x % p for x in vec]
     for prow, pc in zip(basis, pivots):
@@ -111,7 +93,7 @@ def _sharp_span_modp(datum: RootDatum, gen_mats, p):
         mt = ex.transpose(m)
         for j in range(n):
             rows.append(tuple(mt[j][i] - (1 if i == j else 0) for i in range(n)))
-    basis, pivots = _modp_echelon(rows, p)
+    basis, pivots = ex.modp_echelon(rows, p)
     if len(gen_mats) <= 1:
         # (g^k - 1)R = (g - 1)(1 + g + ... + g^(k-1))R lies in (g - 1)R,
         # so cyclic groups need no closure pass
@@ -122,7 +104,7 @@ def _sharp_span_modp(datum: RootDatum, gen_mats, p):
             mt = ex.transpose(m)
             for row in basis:
                 extra.append(ex.vec_mat(tuple(row), mt))
-        nb, np_ = _modp_echelon(extra, p)
+        nb, np_ = ex.modp_echelon(extra, p)
         if len(nb) == len(basis):
             return nb, np_
         basis, pivots = nb, np_

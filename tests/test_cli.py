@@ -191,6 +191,18 @@ class TestHostileInput:
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("p,rank,code", [("10007", 1, 1), ("1000003", 1, 3),
+                                             ("10007", 3, 3)])
+    def test_large_elementary_block_ends(self, p, rank, code):
+        """(Z/p)^2 has p + 1 lines: p = 10007 is decided without spanning each
+        line element by element, and p = 1000003 is past the subgroup cap
+        before any line is built.  At rank 3 the p-torsion of A_S, which the
+        lines are matched against, has p^3 elements: past the cap too."""
+        res = run_subprocess("embeds", "--qs", f"{p}^+{rank}", "--rank", str(rank),
+                             "--p", p, "--sigma", "1")
+        assert res.returncode == code, res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_largest_prime_below_the_cap_is_decided(self):
         res = run_subprocess("wildbound", "--p", "999999999989")
         assert res.returncode == 0 and "tame only" in res.stdout
@@ -232,3 +244,25 @@ def test_verify_wiring(monkeypatch, capsys):
     Fake.passed = False
     monkeypatch.setattr(acceptance, "run_all", lambda: [Fake()])
     assert cli.main(["verify"]) == 1
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
+
+
+class TestGoldenOutput:
+    """Byte-for-byte CLI output recorded in tests/data/golden_cli.json before
+    form equality became isomorphism of canonical symbols; reports and
+    certificates render the components as constructed, so none may move."""
+
+    def test_table_stdout_and_report(self, capsys, tmp_path):
+        want = GOLDEN["table"]
+        report = tmp_path / "r.json"
+        code, out = run(capsys, want["argv"] + ["--report", str(report)])
+        assert (code, out) == (want["exit"], want["stdout"])
+        assert report.read_text(encoding="utf-8") == want["report"]
+
+    def test_embeds_every_row_at_p3(self, capsys):
+        assert len(GOLDEN["embeds"]) == 67
+        for want in GOLDEN["embeds"]:
+            code, out = run(capsys, want["argv"])
+            assert (code, out) == (want["exit"], want["stdout"]), want["argv"]

@@ -1,13 +1,23 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from k3lat import _exact as ex
 from k3lat.fqf import (
     FiniteQuadraticForm,
     JordanComponent,
     _block_values,
+    _det_unit_class_two,
+    _graph_isotropic_subgroups,
+    _overlattice_gram,
+    _realize_p_part,
+    _two_blocks,
+    _two_reachable_det_classes,
     brute_force_tau,
     direct_sum,
     discriminant_form_values,
@@ -151,6 +161,126 @@ class TestIsomorphic:
                 assert got == want, (l1.gram, l2.gram)
 
 
+def _two_parts(budget, first_scale=1):
+    """Every valid tuple of 2-adic components with group order <= 2^budget."""
+    yield ()
+    for k in range(first_scale, budget + 1):
+        for r in range(1, budget // k + 1):
+            for sign, t in product((1, -1), list(range(8)) + [None]):
+                try:
+                    c = J(2, k, r, sign, t)
+                except ValueError:
+                    continue
+                for rest in _two_parts(budget - k * r, k + 1):
+                    yield (c,) + rest
+
+
+def _block_disc_data(q):
+    """(orders, q-values, bilinear matrix) of q on its unit/U/V block
+    generators, the input format of forms_isomorphic_bruteforce."""
+    orders, qv, pairs = [], [], []
+    for c in q.components:
+        for b in _two_blocks(c):
+            m = 1 << b[1]
+            if b[0] == "unit":
+                orders.append(m)
+                qv.append(Fraction(b[2], m))
+            else:
+                d = Fraction(0) if b[0] == "U" else Fraction(2, m)
+                pairs.append((len(orders), Fraction(1, m)))
+                orders += [m, m]
+                qv += [d, d]
+    bm = [[qv[i] % 1 if i == j else Fraction(0) for j in range(len(orders))]
+          for i in range(len(orders))]
+    for i, v in pairs:
+        bm[i][i + 1] = bm[i + 1][i] = v
+    return tuple(orders), tuple(qv), tuple(tuple(r) for r in bm)
+
+
+def _disc_values(data):
+    """(element, q-value) over the group of (orders, q-values, bilinear
+    matrix) data, elements as coefficient tuples."""
+    orders, qv, bm = data
+    n = len(orders)
+    for a in product(*[range(m) for m in orders]):
+        v = sum(x * x * qv[i] for i, x in enumerate(a))
+        v += sum(2 * a[i] * a[j] * bm[i][j] for i in range(n) for j in range(i + 1, n))
+        yield a, v % 2
+
+
+def _order_value_counts(data):
+    """Counts of (element order, q-value) over the group: an isomorphism
+    invariant, so forms that differ in it are not isomorphic."""
+    return frozenset(Counter(
+        (max((m // math.gcd(x, m) for x, m in zip(a, data[0])), default=1), v)
+        for a, v in _disc_values(data)).items())
+
+
+class TestCanonicalSymbol:
+    def test_exhaustive_against_bruteforce_oracle(self):
+        """All valid 2-parts of order <= 2^6: equal canonical keys <=> the
+        brute-force oracle finds the forms isomorphic, and the reachable det
+        classes are those of the sign-flip variants isomorphic to the form."""
+        forms = [F(*comps) for comps in _two_parts(6)]
+        assert len(forms) == 549
+        data = {q.components: _block_disc_data(q) for q in forms}
+        counts = {c: _order_value_counts(d) for c, d in data.items()}
+        reps: dict = {}
+        oracle_class = {}
+        for q in forms:
+            d = data[q.components]
+            bucket = reps.setdefault(tuple(sorted(d[0])), [])
+            for r in bucket:
+                if counts[q.components] != counts[r.components]:
+                    assert q != r, (render_symbol(q), render_symbol(r))
+                    continue
+                iso = forms_isomorphic_bruteforce(d, data[r.components])
+                assert (q == r) == iso, (render_symbol(q), render_symbol(r))
+                if iso:
+                    oracle_class[q.components] = oracle_class[r.components]
+                    break
+            else:
+                bucket.append(q)
+                oracle_class[q.components] = len(oracle_class)
+                assert hash(q) == hash(F(*q.components))
+        keys = [r.canonical_key() for bucket in reps.values() for r in bucket]
+        assert len(keys) == len(set(keys)) == 201
+        for q in forms:
+            want = set()
+            for flips in product((0, 1), repeat=len(q.components)):
+                v = F(*(J(2, c.scale, c.rank, -c.sign,
+                          None if c.oddity is None else c.oddity + 4) if f else c
+                        for c, f in zip(q.components, flips)))
+                if oracle_class[v.components] == oracle_class[q.components]:
+                    want.add(_det_unit_class_two(v))
+            assert _two_reachable_det_classes(q) == want, render_symbol(q)
+
+    def test_components_and_rendering_kept_as_constructed(self):
+        q1 = F(J(2, 1, 1, 1, 1))
+        q2 = F(J(2, 1, 1, -1, 5))
+        assert q1 == q2 and hash(q1) == hash(q2)
+        assert render_symbol(q2) == "2_5^-1"
+        assert q2.components == (J(2, 1, 1, -1, 5),)
+        assert len({q1, q2, F(J(2, 1, 1, -1, 3))}) == 2
+        assert F(J(2, 1, 2, 1, None)) != F(J(2, 1, 2, -1, None))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=1, max_size=n + 2),
+    st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.integers(1, 6))))
+def test_integer_overlattice_gram_matches_fraction_product(data):
+    basis, g, scale = data
+    gram = ex.to_mat([[g[i][j] + g[j][i] for j in range(len(g))] for i in range(len(g))])
+    bfrac = tuple(tuple(Fraction(x, scale) for x in row) for row in basis)
+    want = ex.mat_mul(ex.mat_mul(bfrac, gram), ex.transpose(bfrac))
+    if all(x.denominator == 1 for row in want for x in row):
+        assert _overlattice_gram(ex.to_mat(basis), gram, scale) == want
+    else:
+        with pytest.raises(ArithmeticError):
+            _overlattice_gram(ex.to_mat(basis), gram, scale)
+
+
 def _direct_overlattice_forms(lat, p, max_order):
     """Oracle: every even p-overlattice by explicit integral span search."""
     disc = discriminant_group(lat)
@@ -272,6 +402,27 @@ class TestOverlattices:
                 assert any(isomorphic(f, g) for f in oracle), render_symbol(g)
 
 
+@pytest.mark.parametrize("p,text", [(3, "3^+2"), (3, "3^+1 9^-1"), (5, "5^+2")])
+def test_graph_injectivity_matches_combination_search(p, text):
+    """psi is injective iff no nonzero combination of the generator images
+    vanishes; the sigma = 2 N-forms are isotropic, so some graphs fail."""
+    from k3lat.k3class import n_form
+
+    _, mod_s, coef_s = _realize_p_part(parse_symbol(text), p)
+    _, mod_d, coef_d = _realize_p_part(negate(n_form(p, 2).q), p)
+
+    def injective(gens):
+        images = [g[:len(mod_s)] for g in gens]
+        return not any(any(lams) and all(sum(x * s[j] for x, s in zip(lams, images)) % m == 0
+                                         for j, m in enumerate(mod_s))
+                       for lams in product(range(p), repeat=len(images)))
+
+    free = list(_graph_isotropic_subgroups(mod_s, coef_s, mod_d, coef_d, p * p, False))
+    injective_only = list(_graph_isotropic_subgroups(mod_s, coef_s, mod_d, coef_d, p * p, True))
+    assert injective_only == [(h, gens) for h, gens in free if injective(gens)]
+    assert len(injective_only) < len(free)
+
+
 class TestNikulin:
     def test_pinned(self):
         assert nikulin_exists(1, 0, parse_symbol("4_5^-1 3^+1 7^-1"))
@@ -362,13 +513,23 @@ class TestBlockValues:
 
     @pytest.mark.parametrize("block", BLOCKS, ids=str)
     def test_torsion_table_filters_the_full_table(self, block):
+        """The table lists q over the block group element by element; on each
+        2^t-torsion subgroup its filter has the value distribution of the
+        discriminant form of the block's lattice (<m u>, m U or m V)."""
         k = block[1]
         m = 1 << k
         full = _block_values(block)
         elems = ([(x,) for x in range(m)] if block[0] == "unit"
                  else [(x, y) for x in range(m) for y in range(m)])
         assert len(full) == len(elems)
+        if block[0] == "unit":
+            gram = ((m * block[2],),)
+        else:
+            gram = ((0, m), (m, 0)) if block[0] == "U" else ((2 * m, m), (m, 2 * m))
+        data = discriminant_form_values(IntegralLattice(gram))
         for t in range(1, k + 1):
-            want = [v for e, v in zip(elems, full)
-                    if all((x << t) % m == 0 for x in e)]
-            assert _block_values(block, t) == want
+            got = sorted(v for e, v in zip(elems, full)
+                         if all((x << t) % m == 0 for x in e))
+            want = sorted(v for a, v in _disc_values(data)
+                          if all((x << t) % d == 0 for x, d in zip(a, data[0])))
+            assert got == want
