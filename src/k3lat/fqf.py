@@ -598,37 +598,29 @@ class EnumerationCapExceeded(ex.LimitExceeded):
 ENUMERATION_CAP = 500000  # subgroups, or p-torsion elements, one search may list
 
 
-def _subspace_count(p: int, n: int, dim: int) -> int:
-    """Number of dim-dimensional subspaces of F_p^n (Gaussian binomial)."""
-    num = den = 1
-    for i in range(dim):
-        num *= p ** (n - i) - 1
-        den *= p ** (i + 1) - 1
-    return num // den
-
-
 def _subgroups_up_to(moduli, max_order: int, cap: int = ENUMERATION_CAP):
     """Subgroups of order <= max_order of the finite abelian group with the
-    given cyclic moduli, yielded lazily as (order, basis), trivial subgroup
-    first, then by increasing dimension.
+    given cyclic moduli, yielded lazily as (order, basis, elements), trivial
+    subgroup first, then by increasing dimension.
 
-    In the elementary abelian case the subspaces are counted before any is
-    yielded, so an enumeration past the cap raises at once."""
+    elements is the frozenset the search built, or None in the elementary
+    abelian case, where subspaces are listed by echelon basis unspanned."""
+    zero = tuple(0 for _ in moduli)
+    yield 1, [], frozenset([zero])
+    count = 0
     if moduli and all(m == moduli[0] for m in moduli) and ex.is_prime(moduli[0]):
         # elementary abelian: enumerate subspaces via echelon bases
         p = moduli[0]
         n = len(moduli)
-        dims = [d for d in range(1, n + 1) if p ** d <= max_order]
-        if sum(_subspace_count(p, n, d) for d in dims) > cap:
-            raise EnumerationCapExceeded("subgroup enumeration cap exceeded")
-        yield 1, []
-        for dim in dims:
+        dim = 1
+        while dim <= n and p ** dim <= max_order:
             for basis in _elementary_subspace_bases(p, n, dim):
-                yield p ** dim, basis
+                count += 1
+                if count > cap:
+                    raise EnumerationCapExceeded("subgroup enumeration cap exceeded")
+                yield p ** dim, basis, None
+            dim += 1
         return
-    yield 1, []
-    zero = tuple(0 for _ in moduli)
-    count = 0
     all_elems = [e for e in product(*[range(m) for m in moduli])]
     seen = {frozenset([zero])}
     frontier = [(frozenset([zero]), [])]
@@ -649,7 +641,7 @@ def _subgroups_up_to(moduli, max_order: int, cap: int = ENUMERATION_CAP):
                 count += 1
                 if count > cap:
                     raise EnumerationCapExceeded("subgroup enumeration cap exceeded")
-                yield len(key), gens + [g]
+                yield len(key), gens + [g], key
         frontier = nxt
 
 
@@ -660,9 +652,9 @@ def _isotropic_subgroups(moduli, coeffs, max_order, s_coords, d_coords,
     An element lies in the S block iff its D coordinates all vanish, and vice
     versa.  Yields (order, generator lifts as coefficient tuples).
     """
-    for order, gens in _subgroups_up_to(moduli, max_order):
+    for order, gens, elems in _subgroups_up_to(moduli, max_order):
         ok = True
-        for e in _subgroup_span(moduli, gens):
+        for e in elems if elems is not None else _subgroup_span(moduli, gens):
             if any(e):
                 if _qvalue(moduli, coeffs, e) != 0:
                     ok = False
@@ -695,7 +687,8 @@ def _graph_isotropic_subgroups(mod_s, coef_s, mod_d, coef_d, max_order,
     """
     p = mod_d[0] if mod_d else 2
     subgroups = _subgroups_up_to(mod_d, max_order)
-    yield next(subgroups)  # the trivial subgroup; past the cap this raises
+    order, gens_d, _ = next(subgroups)
+    yield order, gens_d  # the trivial subgroup is tried before any cap applies
     if p ** sum(m % p == 0 for m in mod_s) > ENUMERATION_CAP:
         raise EnumerationCapExceeded("p-torsion enumeration cap exceeded")
     # p-torsion elements of A_S, grouped by q-value
@@ -705,7 +698,7 @@ def _graph_isotropic_subgroups(mod_s, coef_s, mod_d, coef_d, max_order,
     # a p-torsion element s of A_S has F_p coordinates s[j] // steps[j]
     steps = [m // p if m % p == 0 else 1 for m in mod_s]
 
-    for order, gens_d in subgroups:
+    for order, gens_d, _ in subgroups:
         targets = [(-_qvalue(mod_d, coef_d, g)) % 2 for g in gens_d]
         if any(t not in by_value for t in targets):
             continue

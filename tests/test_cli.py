@@ -191,14 +191,16 @@ class TestHostileInput:
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
 
-    @pytest.mark.parametrize("p,rank,code", [("10007", 1, 1), ("1000003", 1, 3),
-                                             ("10007", 3, 3)])
-    def test_large_elementary_block_ends(self, p, rank, code):
+    @pytest.mark.parametrize("p,ell,rank,code", [
+        ("10007", 1, 1, 1), ("1000003", 1, 1, 3), ("1000003", 1, 2, 0), ("10007", 3, 3, 3)])
+    def test_large_elementary_block_ends(self, p, ell, rank, code):
         """(Z/p)^2 has p + 1 lines: p = 10007 is decided without spanning each
-        line element by element, and p = 1000003 is past the subgroup cap
-        before any line is built.  At rank 3 the p-torsion of A_S, which the
-        lines are matched against, has p^3 elements: past the cap too."""
-        res = run_subprocess("embeds", "--qs", f"{p}^+{rank}", "--rank", str(rank),
+        line element by element.  At p = 1000003 the p-torsion of A_S, which
+        the lines are matched against, is past the cap, and so is it for
+        10007^+3 with p^3 elements.  The trivial subgroup is tried first all
+        the same: for 1000003^+1 at rank 2 it is the witness, so that query
+        is decided."""
+        res = run_subprocess("embeds", "--qs", f"{p}^+{ell}", "--rank", str(rank),
                              "--p", p, "--sigma", "1")
         assert res.returncode == code, res.stderr
         assert "Traceback" not in res.stderr

@@ -69,11 +69,12 @@ class TestArithmetic:
 
     def test_direct_sum_identity(self):
         q = parse_symbol("4_3^-1 3^-1 7^-1")
-        assert direct_sum(q, F()) == q
+        assert direct_sum(q, F()).components == q.components
 
     def test_direct_sum_matches_lattice_sum(self):
         a2 = IntegralLattice(((2, -1), (-1, 2)))
-        assert direct_sum(symbol_of(a2), symbol_of(a2)) == symbol_of(a2.direct_sum(a2))
+        assert (direct_sum(symbol_of(a2), symbol_of(a2)).components
+                == symbol_of(a2.direct_sum(a2)).components)
         assert render_symbol(symbol_of(a2.direct_sum(a2))) == "3^+2"
 
     def test_negate_worked_example(self):
@@ -81,12 +82,12 @@ class TestArithmetic:
         assert render_symbol(negate(q)) == "4_5^-1 3^-1 7^+1"
 
     def test_negate_involution_and_fixed_points(self):
-        assert negate(F()) == F()
+        assert negate(F()).components == ()
         q = parse_symbol("3^+2")
-        assert negate(q) == q  # chi(-1)^2 = 1
+        assert negate(q).components == q.components  # chi(-1)^2 = 1
         for text in ("2_II^+8", "4_1^+5", "2_7^-3 8_II^-2", "3^+4 9^-1", "5^+3"):
             q = parse_symbol(text)
-            assert negate(negate(q)) == q
+            assert negate(negate(q)).components == q.components
 
 
 class TestSignature:
