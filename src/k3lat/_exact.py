@@ -3,7 +3,9 @@
 Linear algebra: HNF, SNF, kernels, determinants and Gauss-Jordan solving,
 on tuples of tuples with int or Fraction entries.  Number theory: capped
 trial-division factoring and primality, Legendre/Jacobi symbols and p-adic
-valuations.  No floating point.
+valuations of ints, the pivots of the symbol computation in fqf, which
+eliminates in integers modulo p^(v_p(det)+1), or 2^(v_2(det)+3) at p = 2.
+No floating point.
 """
 
 from __future__ import annotations
@@ -395,25 +397,12 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def valuation(x, p: int) -> int:
-    """p-adic valuation of a nonzero int or Fraction."""
-    if isinstance(x, Fraction):
-        num, den = x.numerator, x.denominator
-    else:
-        num, den = int(x), 1
-    if num == 0:
+def valuation(x: int, p: int) -> int:
+    """p-adic valuation of a nonzero int."""
+    if x == 0:
         raise ValueError("valuation of zero")
     v = 0
-    while num % p == 0:
-        num //= p
+    while x % p == 0:
+        x //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
-
-
-def unit_part(x, p: int):
-    """x / p^v(x) as a Fraction with numerator and denominator prime to p."""
-    v = valuation(x, p)
-    return Fraction(x) / Fraction(p) ** v

@@ -447,14 +447,5 @@ CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_6, criterion_7, criterion_8, criterion_9]
 
 
-def run_all(verbose: bool = False):
-    out = []
-    for fn in CRITERIA:
-        r = fn()
-        if verbose:
-            print(f"{'PASS' if r.passed else 'FAIL'}: criterion {r.number} - "
-                  f"{r.name} ({r.elapsed:.1f}s)")
-            for d in r.details:
-                print(f"    {d}")
-        out.append(r)
-    return out
+def run_all():
+    return [fn() for fn in CRITERIA]

@@ -13,9 +13,9 @@ import sys
 from . import _exact as ex
 from . import hmdata, k3class
 from .fqf import render_symbol, signature_mod8, symbol_of
-from .intlat import discriminant_group, load_gram_json
+from .intlat import discriminant_group, int_matrix, load_gram_json
 from .prootpair import ClassifyResult, classify, verdict
-from .rootsys import Isometry, build
+from .rootsys import _check_isometry, build
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -89,10 +89,12 @@ def _cmd_table(args) -> int:
 def _load_generators(path, datum):
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if obj.get("root_lattice", datum.label).upper() != datum.label:
+    if not isinstance(obj, dict) or not isinstance(obj.get("generators"), list):
+        raise ValueError('a generator file must be an object with a "generators" list')
+    label = obj.get("root_lattice", datum.label)
+    if not isinstance(label, str) or label.upper() != datum.label:
         raise ValueError("generator file targets a different root lattice")
-    return [Isometry(tuple(tuple(int(x) for x in row) for row in m))
-            for m in obj["generators"]]
+    return [_check_isometry(datum, int_matrix(m, "generator")) for m in obj["generators"]]
 
 
 def _cmd_proot_check(args) -> int:

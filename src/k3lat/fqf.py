@@ -2,10 +2,12 @@
 
 A component at an odd prime p is (p^k)^(eps*r).  A component at p = 2 is
 either odd type (2^k)_t^(eps*r) with an oddity t mod 8, or even type
-(2^k)_II^(eps*r).  Forms are computed from integer Gram matrices by exact
-p-adic Gauss elimination.  Two forms are equal exactly when they are
-isomorphic: equality compares the odd-prime components, which are canonical
-as they stand, and the Conway-Sloane canonical symbol of the 2-part.
+(2^k)_II^(eps*r).  Forms are computed from integer Gram matrices by p-adic
+Gauss elimination in integers modulo p^(v_p(det)+1), or 2^(v_2(det)+3) at
+p = 2, which fixes the Jordan decomposition with its units.  Two forms are
+equal exactly when they are isomorphic: equality compares the odd-prime
+components, which are canonical as they stand, and the Conway-Sloane
+canonical symbol of the 2-part.
 """
 
 from __future__ import annotations
@@ -239,124 +241,69 @@ def _two_adic_key(comps) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# symbol computation (p-adic Jordan decomposition by exact elimination)
+# symbol computation (p-adic Jordan decomposition by integer elimination)
 
 
-def _min_valuation_entry(a, idx, p):
-    best = None
-    where = None
-    for pos_i, i in enumerate(idx):
-        for j in idx[pos_i:]:
-            x = a[i][j]
-            if x != 0:
-                v = ex.valuation(x, p)
-                if best is None or v < best:
-                    best, where = v, (i, j)
-    return best, where
+def _jordan(gram, p: int, k: int) -> dict:
+    """scale -> (units, evens) of a p-adic Jordan decomposition of gram.
 
-
-def _unit_mod8(x: Fraction) -> int:
-    num, den = x.numerator, x.denominator
-    return num * pow(den, -1, 8) % 8
-
-
-def _jordan_odd(gram, p: int) -> dict:
-    """scale -> list of Legendre classes of the diagonal units."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    idx = list(range(n))
-    found: dict[int, list] = {}
+    units are the unit parts of the 1x1 pivots, mod p (mod 8 at p = 2);
+    evens are the even 2x2 blocks "U" / "V" at p = 2.  k = v_p(det gram).
+    The elimination runs in integers mod p^N, N = k + 1 (k + 3 at p = 2),
+    which fixes the decomposition with its units.  Each pivot is the first
+    entry of least valuation in the upper triangle, replaced by the first
+    diagonal entry of that valuation if there is one.  With none, at odd p
+    row and column j are added to i; at p = 2 the entries (i, j) span an
+    even block.  Eliminating a pivot block B of valuation v multiplies by
+    adj(B) / det(B): every entry it meets is divisible by p^v, so dividing
+    exactly by p^v (p^2v for a 2x2 block) keeps the precision at N.
+    """
+    mod = p ** (k + (3 if p == 2 else 1))
+    a = [[x % mod for x in row] for row in gram]
+    idx = list(range(len(a)))
+    found: dict[int, tuple] = {}
     while idx:
-        best, where = _min_valuation_entry(a, idx, p)
+        best = where = None
+        for pos, i in enumerate(idx):
+            for j in idx[pos:]:
+                if a[i][j]:
+                    v = ex.valuation(a[i][j], p)
+                    if best is None or v < best:
+                        best, where = v, (i, j)
         i, j = where
-        if i != j:
-            diag = next(
-                (t for t in idx if a[t][t] != 0 and ex.valuation(a[t][t], p) == best),
-                None,
-            )
-            if diag is None:
-                for t in idx:
-                    a[i][t] += a[j][t]
-                for t in idx:
-                    a[t][i] += a[t][j]
-                k = i
-            else:
-                k = diag
+        pv = p ** best
+        units, evens = found.setdefault(best, ([], []))
+        piv = next((t for t in idx if a[t][t] and ex.valuation(a[t][t], p) == best), None)
+        if piv is None and p != 2:
+            for t in idx:
+                a[i][t] = (a[i][t] + a[j][t]) % mod
+            for t in idx:
+                a[t][i] = (a[t][i] + a[t][j]) % mod
+            piv = i
+        if piv is not None:
+            block, div = (piv,), pv
+            u = a[piv][piv] // pv
+            units.append(u % (8 if p == 2 else p))
+            adj = ((pow(u, -1, mod),),)
         else:
-            k = i
-        piv = a[k][k]
-        v = ex.valuation(piv, p)
-        u = ex.unit_part(piv, p)
-        cls = ex.legendre(u.numerator % p, p) * ex.legendre(u.denominator % p, p)
-        found.setdefault(v, []).append(cls)
-        rest = [t for t in idx if t != k]
-        for r in rest:
-            f = a[r][k] / piv
-            if f:
-                for s in rest:
-                    a[r][s] -= f * a[k][s]
-        for r in rest:
-            a[r][k] = Fraction(0)
-            a[k][r] = Fraction(0)
-        idx = rest
-    return found
-
-
-def _jordan_two(gram) -> dict:
-    """scale -> {"units": [u mod 8, ...], "evens": ["U"|"V", ...]}."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    idx = list(range(n))
-    found: dict[int, dict] = {}
-
-    def bucket(v):
-        return found.setdefault(v, {"units": [], "evens": []})
-
-    while idx:
-        best, where = _min_valuation_entry(a, idx, 2)
-        i, j = where
-        diag = next(
-            (t for t in idx if a[t][t] != 0 and ex.valuation(a[t][t], 2) == best),
-            None,
-        )
-        if diag is not None:
-            k = diag
-            piv = a[k][k]
-            bucket(best)["units"].append(_unit_mod8(ex.unit_part(piv, 2)))
-            rest = [t for t in idx if t != k]
-            for r in rest:
-                f = a[r][k] / piv
-                if f:
-                    for s in rest:
-                        a[r][s] -= f * a[k][s]
-            for r in rest:
-                a[r][k] = Fraction(0)
-                a[k][r] = Fraction(0)
-            idx = rest
-            continue
-        # even 2x2 block on (i, j); here i != j and every diagonal is deeper
-        det = a[i][i] * a[j][j] - a[i][j] * a[i][j]
-        dcls = _unit_mod8(ex.unit_part(det, 2))
-        kind = "U" if dcls == 7 else "V"
-        bucket(best)["evens"].append(kind)
-        rest = [t for t in idx if t not in (i, j)]
-        bi = [[a[j][j] / det, -a[i][j] / det], [-a[i][j] / det, a[i][i] / det]]
-        coeffs = {}
-        for t in rest:
-            lam = bi[0][0] * a[t][i] + bi[0][1] * a[t][j]
-            mu = bi[1][0] * a[t][i] + bi[1][1] * a[t][j]
-            coeffs[t] = (lam, mu)
-        for t in rest:
-            lam_t, mu_t = coeffs[t]
-            for s in rest:
-                a[t][s] -= lam_t * a[i][s] + mu_t * a[j][s]
-        for t in rest:
-            a[t][i] = a[t][j] = Fraction(0)
-            a[i][t] = a[j][t] = Fraction(0)
-        idx = rest
-    # fuse mixed scales: an even block next to an odd unit diagonalizes
-    for v, data in found.items():
-        units, evens = data["units"], data["evens"]
+            block, div = (i, j), pv * pv
+            d = (a[i][i] * a[j][j] - a[i][j] * a[i][j]) // div
+            evens.append("U" if d % 8 == 7 else "V")
+            d = pow(d, -1, mod)
+            adj = ((a[j][j] * d, -a[i][j] * d), (-a[i][j] * d, a[i][i] * d))
+        idx = [t for t in idx if t not in block]
+        rows = [a[b] for b in block]
+        coeffs = [[sum(c * r[t] for c, r in zip(col, rows)) // div % mod for col in adj]
+                  for t in idx]
+        for t, lam in zip(idx, coeffs):
+            row = a[t]
+            for c, r in zip(lam, rows):
+                for s in idx:
+                    row[s] -= c * r[s]
+            for s in idx:
+                row[s] %= mod
+    # fuse mixed scales at p = 2: an even block next to an odd unit diagonalizes
+    for units, evens in found.values():
         while evens and units:
             kind = evens.pop()
             u = units.pop()
@@ -374,32 +321,19 @@ def symbol_of(lat: IntegralLattice) -> FiniteQuadraticForm:
     """Conway-Sloane symbol of an even lattice (empty for unimodular)."""
     det = abs(lat.det) if lat.rank else 1
     comps = []
-    for p in sorted(ex.factor(det)):
-        if p == 2:
-            for v, data in sorted(_jordan_two(lat.gram).items()):
-                if v == 0:
-                    continue
-                units, evens = data["units"], data["evens"]
-                if units:
-                    rank = len(units)
-                    t = sum(units) % 8
-                    prod = 1
-                    for u in units:
-                        prod = prod * u % 8
-                    sign = 1 if prod in (1, 7) else -1
-                    comps.append(JordanComponent(2, v, rank, sign, t))
-                elif evens:
-                    rank = 2 * len(evens)
-                    sign = -1 if evens.count("V") % 2 else 1
-                    comps.append(JordanComponent(2, v, rank, sign, TWO_EVEN))
-        else:
-            for v, classes in sorted(_jordan_odd(lat.gram, p).items()):
-                if v == 0:
-                    continue
-                sign = 1
-                for c in classes:
-                    sign *= c
-                comps.append(JordanComponent(p, v, len(classes), sign))
+    for p, k in sorted(ex.factor(det).items()):
+        for v, (units, evens) in sorted(_jordan(lat.gram, p, k).items()):
+            if v == 0:
+                continue
+            if p != 2:
+                sign = ex.legendre(math.prod(units), p)
+                comps.append(JordanComponent(p, v, len(units), sign))
+            elif units:
+                sign = 1 if math.prod(units) % 8 in (1, 7) else -1
+                comps.append(JordanComponent(2, v, len(units), sign, sum(units) % 8))
+            else:
+                sign = -1 if evens.count("V") % 2 else 1
+                comps.append(JordanComponent(2, v, 2 * len(evens), sign, TWO_EVEN))
     return FiniteQuadraticForm(comps)
 
 
@@ -645,27 +579,11 @@ def _subgroups_up_to(moduli, max_order: int, cap: int = ENUMERATION_CAP):
         frontier = nxt
 
 
-def _isotropic_subgroups(moduli, coeffs, max_order, s_coords, d_coords,
-                         enforce_s, enforce_d):
-    """Isotropic subgroups H; optionally H ∩ (S block) = 0, H ∩ (D block) = 0.
-
-    An element lies in the S block iff its D coordinates all vanish, and vice
-    versa.  Yields (order, generator lifts as coefficient tuples).
-    """
+def _isotropic_subgroups(moduli, coeffs, max_order):
+    """Isotropic subgroups H, yielded as (order, generator coefficient tuples)."""
     for order, gens, elems in _subgroups_up_to(moduli, max_order):
-        ok = True
-        for e in elems if elems is not None else _subgroup_span(moduli, gens):
-            if any(e):
-                if _qvalue(moduli, coeffs, e) != 0:
-                    ok = False
-                    break
-                if enforce_s and all(e[i] == 0 for i in d_coords):
-                    ok = False  # nonzero element inside the S block
-                    break
-                if enforce_d and all(e[i] == 0 for i in s_coords):
-                    ok = False
-                    break
-        if ok:
+        if all(_qvalue(moduli, coeffs, e) == 0
+               for e in (elems if elems is not None else _subgroup_span(moduli, gens))):
             yield order, gens
 
 
@@ -742,14 +660,16 @@ def _overlattice_gram(basis, gram, scale: int):
 def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
                            s_form: FiniteQuadraticForm | None = None,
                            d_form: FiniteQuadraticForm | None = None,
-                           enforce_s: bool = True, enforce_d: bool = True):
+                           enforce_d: bool = True):
     """Forms induced on H-perp/H for isotropic H in the p-part of q.
 
-    When s_form/d_form are given (with direct_sum(s,d) == q at p), subgroups
-    meeting an enforced distinguished block are discarded.  Yields (|H|, form).
+    When s_form/d_form are given (with direct_sum(s,d) == q at p), only
+    subgroups with H ∩ (S block) = 0 are taken, and with enforce_d also
+    H ∩ (D block) = 0.  Yields (|H|, form).
     """
     if p == 2:
         raise ValueError("only odd p is supported")
+    away = q.away_part(p)
     if s_form is not None or d_form is not None:
         sp = (s_form or FiniteQuadraticForm()).p_part(p)
         dp = (d_form or FiniteQuadraticForm()).p_part(p)
@@ -759,26 +679,15 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
         lat_d, mod_d, coef_d = _realize_p_part(dp, p)
         lat = lat_s.direct_sum(lat_d)
         moduli = mod_s + mod_d
-        coeffs = coef_s + coef_d
-        s_coords = tuple(range(len(mod_s)))
-        d_coords = tuple(range(len(mod_s), len(moduli)))
-    else:
-        lat, moduli, coeffs = _realize_p_part(q.p_part(p), p)
-        s_coords = d_coords = ()
-        enforce_s = enforce_d = False
-    away = q.away_part(p)
-    if not moduli:
-        yield 1, q
-        return
-    if (s_coords or d_coords) and enforce_s:
         # graph parametrization over the (small, elementary) D block
         subgroup_iter = _graph_isotropic_subgroups(
             mod_s, coef_s, mod_d, coef_d, max_order, enforce_d)
     else:
-        subgroup_iter = _isotropic_subgroups(
-            moduli, coeffs, max_order, s_coords, d_coords,
-            enforce_s and bool(s_coords or d_coords),
-            enforce_d and bool(s_coords or d_coords))
+        lat, moduli, coeffs = _realize_p_part(q.p_part(p), p)
+        subgroup_iter = _isotropic_subgroups(moduli, coeffs, max_order)
+    if not moduli:
+        yield 1, q
+        return
     scale = 1
     for m in moduli:
         scale = scale * m // math.gcd(scale, m)
@@ -799,12 +708,12 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
 def overlattice_forms(q: FiniteQuadraticForm, p: int, max_order: int,
                       s_form: FiniteQuadraticForm | None = None,
                       d_form: FiniteQuadraticForm | None = None,
-                      enforce_s: bool = True, enforce_d: bool = True) -> list:
+                      enforce_d: bool = True) -> list:
     """Forms from overlattice_candidates, one per isomorphism class, in the
     order first seen."""
     return list(dict.fromkeys(
         form for _, form in overlattice_candidates(q, p, max_order, s_form, d_form,
-                                                   enforce_s, enforce_d)))
+                                                   enforce_d)))
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,6 @@ class IntegralLattice:
         pos = sum(1 for d in diag if d > 0)
         return (pos, len(diag) - pos)
 
-    def is_definite(self) -> bool:
-        p, m = self.signature()
-        return p == 0 or m == 0
-
     def negated(self) -> "IntegralLattice":
         """Global sign flip (positive <-> negative definite conventions)."""
         return IntegralLattice(tuple(tuple(-x for x in row) for row in self.gram))
@@ -295,12 +291,28 @@ def rank_ell_bound(lat: IntegralLattice, sub: Sublattice) -> bool:
     return True
 
 
-def gram_from_json(obj: dict) -> IntegralLattice:
+def int_matrix(obj, what: str = "matrix") -> tuple:
+    """A JSON value as a square integer matrix; ValueError for any other shape.
+
+    JSON booleans are refused, though Python loads them as ints.
+    """
+    if not isinstance(obj, list) or any(not isinstance(r, list) or len(r) != len(obj)
+                                        for r in obj):
+        raise ValueError(f"{what} must be a square list of lists")
+    if any(type(x) is not int for r in obj for x in r):
+        raise ValueError(f"{what} entries must be integers")
+    return ex.to_mat(obj)
+
+
+def gram_from_json(obj) -> IntegralLattice:
     """Parse the Gram matrix file format {"rank": n, "gram": [[...]]}."""
-    gram = obj["gram"]
-    if len(gram) != obj.get("rank", len(gram)):
+    if not isinstance(obj, dict) or "gram" not in obj:
+        raise ValueError('a Gram file must be an object with a "gram" key')
+    gram = int_matrix(obj["gram"], "gram")
+    rank = obj.get("rank", len(gram))
+    if type(rank) is not int or rank != len(gram):
         raise ValueError("rank field does not match matrix size")
-    return IntegralLattice(ex.to_mat(gram))
+    return IntegralLattice(gram)
 
 
 def load_gram_json(path) -> IntegralLattice:

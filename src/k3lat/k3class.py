@@ -193,8 +193,7 @@ def primitively_embeds(q_s: FiniteQuadraticForm, rank_s: int, p: int, sigma: int
     tried = 0
     for h, q_tilde in overlattice_candidates(
         q_total, p, hmax,
-        s_form=q_s, d_form=q_d,
-        enforce_s=True, enforce_d=enforce_d_primitive,
+        s_form=q_s, d_form=q_d, enforce_d=enforce_d_primitive,
     ):
         tried += 1
         target = negate(q_tilde)

@@ -145,6 +145,7 @@ def fixed_sublattice(datum: RootDatum, group) -> Sublattice:
 
 def verdict(datum: RootDatum, group, p: int) -> ProotVerdict:
     """Full pseudo/full decision with sharp lattice, witness and fixed rank."""
+    sharp_lat = sharp(datum, group, p)  # first, as it checks p
     gens = _gen_matrices(group)
     basis, pivots = _sharp_span_modp(datum, gens, p)
     witness = None
@@ -152,7 +153,6 @@ def verdict(datum: RootDatum, group, p: int) -> ProotVerdict:
         if _modp_in_span(basis, pivots, r, p):
             witness = r
             break
-    sharp_lat = sharp(datum, group, p)
     fixed = fixed_sublattice(datum, group)
     is_pseudo = witness is None
     return ProotVerdict(

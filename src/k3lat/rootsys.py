@@ -81,22 +81,8 @@ class RootDatum:
     def inner(self, u, v):
         return ex.dot(ex.mat_vec(self.gram, tuple(v)), tuple(u))
 
-    def root_index(self, r) -> int:
-        return self._root_index[tuple(r)]
-
     def is_root(self, v) -> bool:
         return tuple(v) in self._root_index
-
-    def ambient_to_simple(self, vec) -> tuple:
-        """Coordinates of an ambient-span vector in the simple basis."""
-        if self.simple_ambient is None:
-            raise ValueError(f"{self.label} has no ambient realization")
-        pair = tuple(
-            sum(Fraction(a) * Fraction(b) for a, b in zip(vec, s))
-            for s in self.simple_ambient
-        )
-        sol = ex.solve_unique(self.gram, pair)
-        return tuple(sol)
 
     def simple_to_ambient(self, coords) -> tuple:
         if self.simple_ambient is None:
@@ -128,6 +114,8 @@ class RootDatum:
 def _check_isometry(datum: RootDatum, m) -> Isometry:
     iso = Isometry(ex.to_mat(m))
     g = datum.gram
+    if len(iso.matrix) != datum.rank or any(len(r) != datum.rank for r in iso.matrix):
+        raise ValueError(f"{datum.label} isometries are {datum.rank}x{datum.rank} matrices")
     if ex.mat_mul(ex.mat_mul(ex.transpose(iso.matrix), g), iso.matrix) != g:
         raise ValueError("matrix does not preserve the Gram form")
     return iso

@@ -191,6 +191,48 @@ class TestHostileInput:
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("content", [
+        {"gram": 5}, [1, 2], {"rank": 1}, {"gram": [[2, 1]]}, {"gram": [2, 2]},
+        {"gram": [[2.0]]}, {"gram": [[2, True], [True, 2]]}, {"rank": True, "gram": [[2]]},
+        {"rank": 2, "gram": [[2]]},
+    ], ids=["gram-int", "list", "no-gram", "not-square", "flat", "float", "bool-entries",
+            "bool-rank", "wrong-rank"])
+    def test_malformed_gram_file_is_usage_error(self, tmp_path, content):
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps(content))
+        res = run_subprocess("symbol", str(path))
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("content", [
+        {"generators": 5},
+        {"root_lattice": 5, "generators": [[[1, 0], [0, 1]]]},
+        {"root_lattice": "D4", "generators": [[[1, 0], [0, 1]]]},
+        {"root_lattice": "D4", "generators": [[[1, 0, 0, 0], [0, 1, 0, 0],
+                                               [0, 0, 1, 0], [0, 0, 0, 2]]]},
+        {"root_lattice": "D4", "generators": [[[True, 0, 0, 0], [0, 1, 0, 0],
+                                               [0, 0, 1, 0], [0, 0, 0, 1]]]},
+        {"root_lattice": "D4"},
+        [],
+    ], ids=["generators-int", "label-int", "2x2-for-D4", "not-an-isometry", "bool-entry",
+            "no-generators", "list"])
+    def test_malformed_generator_file_is_usage_error(self, tmp_path, content):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(content))
+        res = run_subprocess("proot-check", "--root-lattice", "D4", "--p", "3",
+                             "--generators", str(path))
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
+
+    @pytest.mark.parametrize("p", ["0", "9"])
+    def test_proot_check_needs_an_odd_prime(self, tmp_path, p):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps({"generators": [[[1, 0, 0, 0], [0, 1, 0, 0],
+                                                    [0, 0, 1, 0], [0, 0, 0, 1]]]}))
+        res = run_subprocess("proot-check", "--root-lattice", "D4", "--p", p,
+                             "--generators", str(path))
+        assert res.returncode == 2 and "p must be an odd prime" in res.stderr, res.stderr
+
     @pytest.mark.parametrize("p,ell,rank,code", [
         ("10007", 1, 1, 1), ("1000003", 1, 1, 3), ("1000003", 1, 2, 0), ("10007", 3, 3, 3)])
     def test_large_elementary_block_ends(self, p, ell, rank, code):

@@ -61,6 +61,138 @@ class TestSymbolOf:
             assert isomorphic(symbol_of(lat), symbol_of(other)), (lat.gram, other.gram)
 
 
+def _frac_valuation(x: Fraction, p: int) -> int:
+    return ex.valuation(x.numerator, p) - ex.valuation(x.denominator, p)
+
+
+def _unit_mod8(x: Fraction) -> int:
+    x /= Fraction(2) ** _frac_valuation(x, 2)
+    return x.numerator * pow(x.denominator, -1, 8) % 8
+
+
+def _min_valuation_entry(a, idx, p):
+    best = where = None
+    for pos_i, i in enumerate(idx):
+        for j in idx[pos_i:]:
+            if a[i][j] != 0:
+                v = _frac_valuation(a[i][j], p)
+                if best is None or v < best:
+                    best, where = v, (i, j)
+    return best, where
+
+
+def _eliminate(a, idx, block):
+    """Split the pivot block off the rows and columns idx, over Q."""
+    rest = [t for t in idx if t not in block]
+    b = [[a[x][y] for y in block] for x in block]
+    if len(block) == 1:
+        inv = [[1 / b[0][0]]]
+    else:
+        det = b[0][0] * b[1][1] - b[0][1] * b[1][0]
+        inv = [[b[1][1] / det, -b[0][1] / det], [-b[1][0] / det, b[0][0] / det]]
+    coeffs = {t: [sum(inv[x][y] * a[t][block[y]] for y in range(len(block)))
+                  for x in range(len(block))] for t in rest}
+    for t in rest:
+        for s in rest:
+            a[t][s] -= sum(c * a[x][s] for c, x in zip(coeffs[t], block))
+    return rest
+
+
+def _jordan_odd_oracle(gram, p):
+    """scale -> Legendre classes of the pivots, by Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in gram]
+    idx = list(range(len(gram)))
+    found = {}
+    while idx:
+        best, (i, j) = _min_valuation_entry(a, idx, p)
+        k = next((t for t in idx
+                  if a[t][t] != 0 and _frac_valuation(a[t][t], p) == best), None)
+        if k is None:
+            for t in idx:
+                a[i][t] += a[j][t]
+            for t in idx:
+                a[t][i] += a[t][j]
+            k = i
+        u = a[k][k] / Fraction(p) ** best
+        found.setdefault(best, []).append(
+            ex.legendre(u.numerator, p) * ex.legendre(u.denominator, p))
+        idx = _eliminate(a, idx, [k])
+    return found
+
+
+def _jordan_two_oracle(gram):
+    """scale -> (units mod 8, even blocks), by Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in gram]
+    idx = list(range(len(gram)))
+    found = {}
+    while idx:
+        best, (i, j) = _min_valuation_entry(a, idx, 2)
+        units, evens = found.setdefault(best, ([], []))
+        k = next((t for t in idx
+                  if a[t][t] != 0 and _frac_valuation(a[t][t], 2) == best), None)
+        if k is not None:
+            units.append(_unit_mod8(a[k][k]))
+            idx = _eliminate(a, idx, [k])
+        else:
+            det = a[i][i] * a[j][j] - a[i][j] * a[i][j]
+            evens.append("U" if _unit_mod8(det) == 7 else "V")
+            idx = _eliminate(a, idx, [i, j])
+    for units, evens in found.values():
+        while evens and units:
+            kind, u = evens.pop(), units.pop()
+            if kind == "U":
+                units.extend([u, (-u) % 8, u])
+            else:
+                units.extend([(u + 2) % 8, (2 * u + 3) * pow(u + 2, -1, 8) % 8,
+                              3 * u * pow(2 * u + 3, -1, 8) % 8])
+    return found
+
+
+def symbol_oracle(lat):
+    """The symbol by exact elimination over Q, pivot for pivot as symbol_of."""
+    comps = []
+    for p in sorted(ex.factor(abs(lat.det))):
+        if p == 2:
+            for v, (units, evens) in sorted(_jordan_two_oracle(lat.gram).items()):
+                if v == 0:
+                    continue
+                if units:
+                    sign = 1 if math.prod(units) % 8 in (1, 7) else -1
+                    comps.append(J(2, v, len(units), sign, sum(units) % 8))
+                else:
+                    comps.append(J(2, v, 2 * len(evens),
+                                   -1 if evens.count("V") % 2 else 1, None))
+        else:
+            for v, classes in sorted(_jordan_odd_oracle(lat.gram, p).items()):
+                if v:
+                    comps.append(J(p, v, len(classes), math.prod(classes)))
+    return FiniteQuadraticForm(comps)
+
+
+def _scaled(rng, lat):
+    """D * gram * D for a diagonal D of small products of 2, 3 and 5."""
+    d = [2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 2) * 5 ** rng.randint(0, 1)
+         for _ in range(lat.rank)]
+    return IntegralLattice(tuple(tuple(d[i] * x * d[j] for j, x in enumerate(row))
+                                 for i, row in enumerate(lat.gram)))
+
+
+@pytest.mark.parametrize("variant", ["plain", "skewed", "scaled", "scaled-skewed"])
+def test_symbol_of_matches_fraction_elimination(variant):
+    """Integer elimination mod p^N gives the very components, 2-adic signs
+    and oddities included, that exact elimination over Q gives."""
+    rng = random.Random(f"jordan:{variant}")
+    for _ in range(30):
+        for n in range(1, 9):
+            lat = random_even_gram(rng, n, spread=rng.choice((1, 2, 4)))
+            if "scaled" in variant:
+                lat = _scaled(rng, lat)
+            if "skewed" in variant:
+                lat = unimodular_conjugate(rng, lat)
+            want = symbol_oracle(lat)
+            assert symbol_of(lat).components == want.components, lat.gram
+
+
 class TestArithmetic:
     def test_direct_sum_worked_example(self):
         q = parse_symbol("4_3^-1 3^-1 7^-1")
@@ -215,6 +347,25 @@ def _order_value_counts(data):
     return frozenset(Counter(
         (max((m // math.gcd(x, m) for x, m in zip(a, data[0])), default=1), v)
         for a, v in _disc_values(data)).items())
+
+
+def test_symbol_of_matches_fraction_elimination_on_two_parts():
+    """Every 2-part of order <= 2^6, realized by its unit / U / V blocks in a
+    skewed basis: the oracle's components, and a 2-part isomorphic to it."""
+    rng = random.Random("jordan:two-parts")
+    shapes = {"U": ((0, 1), (1, 0)), "V": ((2, 1), (1, 2))}
+    for comps in _two_parts(6):
+        lat = IntegralLattice(())
+        for c in comps:
+            for b in _two_blocks(c):
+                shape = ((b[2],),) if b[0] == "unit" else shapes[b[0]]
+                lat = lat.direct_sum(IntegralLattice(
+                    tuple(tuple(x << b[1] for x in row) for row in shape)))
+        if comps:
+            lat = unimodular_conjugate(rng, lat)
+        got = symbol_of(lat)
+        assert got.components == symbol_oracle(lat).components, lat.gram
+        assert got.p_part(2) == F(*comps), (render_symbol(got), render_symbol(F(*comps)))
 
 
 class TestCanonicalSymbol:
