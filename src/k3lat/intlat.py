@@ -2,13 +2,16 @@
 
 Lattices are given by integer Gram matrices; all derived data (duals,
 discriminant groups, complements, saturations, short vectors) is computed
-with exact integer/rational arithmetic.
+with exact integer/rational arithmetic.  The short-vector walk is
+integer-only: its rational quadratic completion is scaled to integers once
+per call.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -200,63 +203,81 @@ def membership(sub: Sublattice, v) -> bool:
     return ex.in_row_span_int(sub.hnf_basis(), v)
 
 
+def _quadratic_completion(gram) -> tuple:
+    """(c, w) with norm(x) = sum_i c[i] * (x_i + sum_{j>i} w[i][j-i-1] x_j)^2.
+
+    Exact over the rationals; ValueError unless every pivot c[i] is > 0.
+    """
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    c, w = [], []
+    for i in range(n):
+        piv = a[i][i]
+        if piv <= 0:
+            raise ValueError("positive definite Gram required")
+        wi = [a[i][j] / piv for j in range(i + 1, n)]
+        c.append(piv)
+        w.append(wi)
+        for r in range(i + 1, n):
+            f = wi[r - i - 1]
+            if f:
+                for s in range(r, n):
+                    a[r][s] -= f * a[i][s]
+    return c, w
+
+
 def short_vectors(lat: IntegralLattice, bound: int) -> list:
     """All nonzero v with 0 < norm(v) <= bound, one of each +-pair, exact.
 
-    Requires a positive definite Gram matrix of rank <= MAX_SHORT_VECTOR_RANK.
-    Fincke-Pohst style enumeration over an exact rational quadratic completion.
+    Each v has its first nonzero entry positive; the order of the list is
+    unspecified.  Requires a positive definite Gram matrix of rank <=
+    MAX_SHORT_VECTOR_RANK and bound >= 0.  Integral Fincke-Pohst (Cohen,
+    GTM 138, Alg. 2.7.5): the quadratic completion is scaled once to
+    integers, M * norm(x) = sum_i A_i (D x_i + T_i)^2 with
+    T_i = sum_{j>i} W_ij x_j, so each node costs one isqrt and integer
+    products.  The walk keeps the highest nonzero coordinate positive, so it
+    meets each +-pair once.
     """
     n = lat.rank
     if n == 0:
         return []
     if n > MAX_SHORT_VECTOR_RANK:
         raise ValueError(f"rank cap {MAX_SHORT_VECTOR_RANK} exceeded")
-    # quadratic completion: norm(x) = sum_i c[i] * (x_i + sum_{j>i} w[i][j] x_j)^2
-    a = [[Fraction(x) for x in row] for row in lat.gram]
-    c = [Fraction(0)] * n
-    w = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        if a[i][i] <= 0:
-            raise ValueError("positive definite Gram required")
-        c[i] = a[i][i]
-        for j in range(i + 1, n):
-            w[i][j] = a[i][j] / a[i][i]
-        for r in range(i + 1, n):
-            for s in range(i + 1, n):
-                a[r][s] -= a[r][i] * a[i][s] / a[i][i]
+    c, w = _quadratic_completion(lat.gram)
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    d = math.lcm(*(x.denominator for row in w for x in row))
+    big_w = [[int(x * d) for x in row] for row in w]
+    m = math.lcm(*((ci / (d * d)).denominator for ci in c))
+    a = [int(ci * m / (d * d)) for ci in c]
+    total = m * bound  # M * bound; r below is what is left of it
     out = []
     x = [0] * n
 
-    def walk(i: int, remaining: Fraction):
-        if i < 0:
-            if any(x):
-                out.append((tuple(x), int(bound - remaining)))
-            return
-        t = sum(w[i][j] * x[j] for j in range(i + 1, n))
-        # integer range for x_i: c[i] * (x_i + t)^2 <= remaining.
-        # Pad the isqrt bound by one; the exact check below filters overshoot.
-        s = ex.floor_sqrt_fraction(remaining / c[i]) + 1
-        lo = math.ceil(-t - s)
-        hi = math.floor(-t + s)
-        for val in range(lo, hi + 1):
-            x[i] = val
-            used = c[i] * (val + t) ** 2
-            if used <= remaining:
-                walk(i - 1, remaining - used)
+    def walk(i: int, r: int, top: bool):
+        # top: every coordinate above i is 0, so T_i = 0 and x_i >= 0 (>= 1 at i = 0)
+        t = 0 if top else sum(map(operator.mul, big_w[i], x[i + 1:]))
+        ai = a[i]
+        s = math.isqrt(r // ai)  # A_i y^2 <= r  iff  |y| <= s, for integer y
+        lo = (1 if i == 0 else 0) if top else -((t + s) // d)
+        hi = (s - t) // d
+        if i:
+            for val in range(lo, hi + 1):
+                y = d * val + t
+                x[i] = val
+                walk(i - 1, r - ai * y * y, top and not val)
+        else:
+            for val in range(lo, hi + 1):
+                y = d * val + t
+                x[0] = val
+                v = tuple(x)
+                if next(e for e in v if e) < 0:
+                    v = tuple(-e for e in v)
+                out.append((v, (total - r + ai * y * y) // m))
         x[i] = 0
 
-    walk(n - 1, Fraction(bound))
-    # deduplicate +-v: keep the representative whose first nonzero entry is positive
-    seen = set()
-    uniq = []
-    for v, norm in out:
-        neg = tuple(-y for y in v)
-        if neg in seen:
-            continue
-        seen.add(v)
-        first = next(y for y in v if y != 0)
-        uniq.append((v if first > 0 else neg, norm))
-    return uniq
+    walk(n - 1, total, True)
+    return out
 
 
 def roots(lat: IntegralLattice) -> list:
@@ -268,7 +289,7 @@ def roots(lat: IntegralLattice) -> list:
         raise ValueError("roots undefined for indefinite input")
     work = lat if neg == 0 else lat.negated()
     found = [v for v, norm in short_vectors(work, 2) if norm == 2]
-    return [v for v in found] + [tuple(-x for x in v) for v in found]
+    return found + [tuple(-x for x in v) for v in found]
 
 
 def rank_ell_bound(lat: IntegralLattice, sub: Sublattice) -> bool:

@@ -80,15 +80,6 @@ def test_jacobi_and_legendre():
     assert ex.jacobi(7, 15) == -1
 
 
-def test_floor_sqrt_fraction():
-    from fractions import Fraction
-
-    assert ex.floor_sqrt_fraction(Fraction(0)) == 0
-    assert ex.floor_sqrt_fraction(Fraction(8, 2)) == 2
-    assert ex.floor_sqrt_fraction(Fraction(35, 4)) == 2
-    assert ex.floor_sqrt_fraction(Fraction(36, 4)) == 3
-
-
 def _smallest_prime_factors(limit: int) -> list:
     spf = list(range(limit + 1))
     for d in range(2, limit + 1):
@@ -128,6 +119,41 @@ def test_factor_at_the_cap():
     with pytest.raises(ValueError):
         ex.factor(0)
     assert not ex.is_prime(0) and not ex.is_prime(1) and not ex.is_prime(-7)
+
+
+def factor_by_trial_division(n: int) -> dict:
+    """The factor that stopped only at isqrt(cofactor) or 10^6, with no
+    primality test on the way."""
+    n = abs(n)
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
+    out = {}
+    for d in range(2, 10 ** 6):
+        if d * d > n:
+            break
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+    if n > 10 ** 12:
+        raise ValueError(f"no factor below 1000000 of a {n.bit_length()}-bit "
+                         f"cofactor; too large to decide")
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def test_factor_matches_trial_division_oracle():
+    primes = [4000000007, 4294967291, 4999999937]
+    semiprimes = [999983 * 999979, 999961 * 999983, 999979 ** 2]
+    pseudoprimes = [1373653, 25326001, 3215031751]  # strong to bases 2-3, 2-5, 2-7
+    large = [2 * 3 * p for p in primes] + [4 * 999983 * 999979, 5 * 3215031751]
+    for n in [*range(1, 20001), *primes, *semiprimes, *pseudoprimes, *large]:
+        want = factor_by_trial_division(n)
+        assert ex.factor(n) == want, n
+        assert ex.is_prime(n) == (want == {n: 1}), n
+    assert ex.factor(3215031751) == {151: 1, 751: 1, 28351: 1}
+    for p in primes:
+        assert ex.is_prime(p)
 
 
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(

@@ -1,9 +1,14 @@
+import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from k3lat import _exact as ex
 from k3lat.intlat import (
+    MAX_SHORT_VECTOR_RANK,
     DegenerateLatticeError,
     IntegralLattice,
     Sublattice,
@@ -156,6 +161,160 @@ def test_short_vectors_match_naive():
                 first = next(x for x in vec if x)
                 naive.add(vec if first > 0 else tuple(-x for x in vec))
         assert got == naive
+
+
+def floor_sqrt_fraction(x: Fraction) -> int:
+    """floor(sqrt(x)) for a nonnegative Fraction, exactly."""
+    if x < 0:
+        raise ValueError("negative radicand")
+    n, d = x.numerator, x.denominator
+    return math.isqrt(n * d) // d
+
+
+def test_floor_sqrt_fraction():
+    assert floor_sqrt_fraction(Fraction(0)) == 0
+    assert floor_sqrt_fraction(Fraction(8, 2)) == 2
+    assert floor_sqrt_fraction(Fraction(35, 4)) == 2
+    assert floor_sqrt_fraction(Fraction(36, 4)) == 3
+
+
+def short_vectors_oracle(lat: IntegralLattice, bound: int) -> list:
+    """The Fraction Fincke-Pohst walk that short_vectors replaced.
+
+    It walks v and -v both, with a padded isqrt range and an exact overshoot
+    check at every node, and keeps one of each +-pair afterwards.
+    """
+    n = lat.rank
+    if n == 0:
+        return []
+    if n > MAX_SHORT_VECTOR_RANK:
+        raise ValueError(f"rank cap {MAX_SHORT_VECTOR_RANK} exceeded")
+    # quadratic completion: norm(x) = sum_i c[i] * (x_i + sum_{j>i} w[i][j] x_j)^2
+    a = [[Fraction(x) for x in row] for row in lat.gram]
+    c = [Fraction(0)] * n
+    w = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        if a[i][i] <= 0:
+            raise ValueError("positive definite Gram required")
+        c[i] = a[i][i]
+        for j in range(i + 1, n):
+            w[i][j] = a[i][j] / a[i][i]
+        for r in range(i + 1, n):
+            for s in range(i + 1, n):
+                a[r][s] -= a[r][i] * a[i][s] / a[i][i]
+    out = []
+    x = [0] * n
+
+    def walk(i: int, remaining: Fraction):
+        if i < 0:
+            if any(x):
+                out.append((tuple(x), int(bound - remaining)))
+            return
+        t = sum(w[i][j] * x[j] for j in range(i + 1, n))
+        s = floor_sqrt_fraction(remaining / c[i]) + 1
+        lo = math.ceil(-t - s)
+        hi = math.floor(-t + s)
+        for val in range(lo, hi + 1):
+            x[i] = val
+            used = c[i] * (val + t) ** 2
+            if used <= remaining:
+                walk(i - 1, remaining - used)
+        x[i] = 0
+
+    walk(n - 1, Fraction(bound))
+    seen = set()
+    uniq = []
+    for v, norm in out:
+        neg = tuple(-y for y in v)
+        if neg in seen:
+            continue
+        seen.add(v)
+        first = next(y for y in v if y != 0)
+        uniq.append((v if first > 0 else neg, norm))
+    return uniq
+
+
+def skewed(gram, rng: random.Random, steps: int) -> IntegralLattice:
+    """The same lattice after `steps` basis steps b_i += +-b_j (i != j)."""
+    g = [list(row) for row in gram]
+    n = len(g)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        for row in g:
+            row[i] += s * row[j]
+        g[i] = [a + s * b for a, b in zip(g[i], g[j])]
+    return IntegralLattice(ex.to_mat(g))
+
+
+def assert_short_vectors_exact(lat: IntegralLattice, bound: int) -> list:
+    got = short_vectors(lat, bound)
+    assert set(got) == set(short_vectors_oracle(lat, bound))
+    vecs = [v for v, _ in got]
+    assert len(set(vecs)) == len(vecs)
+    assert not set(vecs) & {tuple(-y for y in v) for v in vecs}
+    for v, norm in got:
+        assert next(y for y in v if y) > 0
+        assert norm == lat.norm(v) and 0 < norm <= bound
+    return got
+
+
+@st.composite
+def definite_even_grams(draw):
+    """A positive definite even Gram of rank 1-10.
+
+    Entries off the diagonal are in {-1, 0, 1}.  A diagonal entry is the
+    least even number >= the absolute sum of its row, plus 0 or 2, so the
+    Gram is diagonally dominant, hence positive semidefinite; a degenerate
+    draw is rejected.
+    """
+    n = draw(st.integers(1, 10))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.sampled_from((0, 0, 0, 1, -1)))
+    for i in range(n):
+        row = sum(abs(e) for e in g[i])
+        g[i][i] = max(2, row + row % 2) + draw(st.sampled_from((0, 0, 2)))
+    assume(ex.det_int(ex.to_mat(g)) != 0)
+    return g
+
+
+@settings(deadline=None, max_examples=200)
+@given(definite_even_grams(), st.integers(0, 10), st.booleans(), st.integers(0, 2 ** 32))
+def test_short_vectors_match_fraction_oracle(gram, bound, skew, seed):
+    n = len(gram)
+    lat = (skewed(gram, random.Random(seed), n // 2) if skew and n > 1
+           else IntegralLattice(ex.to_mat(gram)))
+    assert_short_vectors_exact(lat, bound)
+
+
+def test_e8_theta_series():
+    """E8 has 240, 2160 and 6720 vectors of norm 2, 4 and 6."""
+    got = assert_short_vectors_exact(E8, 6)
+    assert Counter(norm for _, norm in got) == {2: 120, 4: 1080, 6: 3360}
+
+
+def test_skewed_roots():
+    """E8 + A2 in a basis skewed by 60 column steps keeps its 240 + 6 roots."""
+    gram = E8.direct_sum(A2).gram
+    lat = skewed(gram, random.Random(60), 60)
+    found = roots(lat)
+    assert len(found) == 246 and len(set(found)) == 246
+    assert all(lat.norm(v) == 2 for v in found)
+
+
+def test_short_vector_edge_cases():
+    assert short_vectors(IntegralLattice(()), 5) == []
+    assert short_vectors(E8, 0) == []
+    with pytest.raises(ValueError):
+        short_vectors(E8, -1)
+    with pytest.raises(ValueError):
+        short_vectors(IntegralLattice(((2, 3), (3, 2))), 2)
+    n = MAX_SHORT_VECTOR_RANK + 1
+    big = IntegralLattice(tuple(tuple(2 * (i == j) for j in range(n)) for i in range(n)))
+    with pytest.raises(ValueError):
+        short_vectors(big, 2)
 
 
 def test_rank_ell_bound():
