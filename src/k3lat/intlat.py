@@ -284,11 +284,15 @@ def roots(lat: IntegralLattice) -> list:
     """All norm +-2 vectors of a definite lattice (both signs included)."""
     if lat.rank == 0:
         return []
-    pos, neg = lat.signature()
-    if pos and neg:
-        raise ValueError("roots undefined for indefinite input")
-    work = lat if neg == 0 else lat.negated()
-    found = [v for v, norm in short_vectors(work, 2) if norm == 2]
+    # a definite Gram has the sign of its first diagonal entry, and the
+    # quadratic completion in short_vectors refuses every other Gram
+    try:
+        work = lat if lat.gram[0][0] > 0 else lat.negated()
+        found = [v for v, norm in short_vectors(work, 2) if norm == 2]
+    except ValueError as err:
+        if lat.rank > MAX_SHORT_VECTOR_RANK:
+            raise
+        raise ValueError("roots undefined for indefinite input") from err
     return found + [tuple(-x for x in v) for v in found]
 
 

@@ -11,6 +11,7 @@ pseudo.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -377,7 +378,8 @@ def classify(datum_or_label, p: int, cap: int = FULL_SCOPE_CAP) -> ClassifyResul
     Full-subgroup scope: A_m (m+1 <= 8), D_4, D_5, E_6.  E_7/E_8 are searched
     only over the named elements and their products, and flagged partial.
     Subgroups of a pseudo pair are pseudo, so growing subgroups inside the set
-    of elements with rootless cyclic sharp lattice is exhaustive.
+    of elements with rootless cyclic sharp lattice is exhaustive; one subgroup
+    per conjugacy class is grown, by one generator per cyclic subgroup.
     """
     datum = datum_or_label if isinstance(datum_or_label, RootDatum) else build(datum_or_label)
     if p < 3 or not ex.is_prime(p):
@@ -440,6 +442,73 @@ def _good_elements(uni, rootless_span) -> set:
     return good
 
 
+def _subgroup_bfs(uni, elements, allowed, rootless_span) -> dict:
+    """Every subgroup grown from 1 by the given elements, breadth first.
+
+    Each pseudo subgroup found is extended by each element in the order
+    given.  Returns {subgroup: generator keys of its first path}, with None
+    for a subgroup inside `allowed` that is not pseudo (and so not grown).
+    The first path to a subgroup K passes only through subgroups of K and
+    adds only elements of K, so the generators of K depend only on the
+    elements of K and their order.
+    """
+    trivial = frozenset([uni.identity])
+    found = {trivial: []}
+    frontier = [(trivial, [])]
+    while frontier:
+        nxt = []
+        for elems, gens in frontier:
+            for g in elements:
+                if g in elems:
+                    continue
+                new = _closure(uni, gens + [g], allowed=allowed)
+                if new is None or new in found:
+                    continue
+                if not rootless_span(gens + [g]):
+                    found[new] = None
+                    continue
+                found[new] = gens + [g]
+                nxt.append((new, gens + [g]))
+        frontier = nxt
+    return found
+
+
+def _cyclic_generators(uni, elements) -> list:
+    """The least generator of each cyclic subgroup <g>, g in elements.
+
+    <H, g> = <H, g^k> for every k prime to the order of g, so one generator
+    per cyclic subgroup extends H to every subgroup <H, g>.
+    """
+    chosen, covered = [], set()
+    for g in sorted(elements):
+        if g in covered:
+            continue
+        chosen.append(g)
+        powers = [g]  # powers[k - 1] = g^k, up to g^n = 1
+        while powers[-1] != uni.identity:
+            powers.append(uni.mul(powers[-1], g))
+        n = len(powers)
+        covered.update(x for k, x in enumerate(powers, 1) if math.gcd(k, n) == 1)
+    return chosen
+
+
+def _conjugates(uni, sub) -> set:
+    """The orbit of a subgroup under conjugation by Aut(R) (uni.conj_gens)."""
+    conj_pairs = [(c, uni.inv(c)) for c in uni.conj_gens]
+    orbit = {sub}
+    frontier = [sub]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for c, cinv in conj_pairs:
+                img = frozenset(uni.mul(uni.mul(c, x), cinv) for x in s)
+                if img not in orbit:
+                    orbit.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return orbit
+
+
 def _classify_universe(datum, p, uni, partial, note) -> ClassifyResult:
     matrices = {}
 
@@ -453,53 +522,39 @@ def _classify_universe(datum, p, uni, partial, note) -> ClassifyResult:
 
     good = _good_elements(uni, rootless_span)
 
-    # BFS over pseudo subgroups inside the good set
-    found = {frozenset([uni.identity]): []}
-    frontier = [(frozenset([uni.identity]), [])]
-    good_sorted = sorted(good)
+    # Cyclic extension up to conjugacy: only one subgroup per Aut(R)-class is
+    # grown, by one generator per cyclic subgroup of good elements.  This is
+    # exhaustive: if L = <c H c^-1, g> then c^-1 L c = <H, c^-1 g c>, and the
+    # good set is closed under conjugation.
+    steps = _cyclic_generators(uni, good)
+    trivial = frozenset([uni.identity])
+    seen = {trivial}  # whole conjugation orbits, pseudo or not
+    classes = [trivial]  # least subgroup of each pseudo class
+    frontier = [(trivial, [])]
     while frontier:
         nxt = []
         for elems, gens in frontier:
-            for g in good_sorted:
+            for g in steps:
                 if g in elems:
                     continue
                 new = _closure(uni, gens + [g], allowed=good)
-                if new is None or new in found:
+                if new is None or new in seen:
                     continue
-                if not rootless_span(gens + [g]):
-                    found[new] = None
-                    continue
-                found[new] = gens + [g]
-                nxt.append((new, gens + [g]))
+                orbit = _conjugates(uni, new)
+                seen |= orbit
+                if rootless_span(gens + [g]):
+                    classes.append(min(orbit, key=lambda s: tuple(sorted(s))))
+                    nxt.append((new, gens + [g]))
         frontier = nxt
-    pseudo_subgroups = {k: v for k, v in found.items() if v is not None}
-
-    # conjugacy orbits via generator conjugation
-    conj_pairs = [(c, uni.inv(c)) for c in uni.conj_gens]
-    pool = dict(pseudo_subgroups)
-    classes = []
-    while pool:
-        rep = min(pool, key=lambda s: tuple(sorted(s)))
-        gens = pool.pop(rep)
-        orbit = {rep}
-        orb_frontier = [rep]
-        while orb_frontier:
-            nxt = []
-            for sub in orb_frontier:
-                for c, cinv in conj_pairs:
-                    img = frozenset(uni.mul(uni.mul(c, x), cinv) for x in sub)
-                    if img not in orbit:
-                        orbit.add(img)
-                        nxt.append(img)
-                        pool.pop(img, None)
-            orb_frontier = nxt
-        classes.append((rep, gens))
 
     entries = []
-    for rep, genkeys in sorted(classes, key=lambda rg: (len(rg[0]), tuple(sorted(rg[0])))):
-        if not genkeys:
-            genkeys = [uni.identity]
-        gens = tuple(matrix_of(k) for k in genkeys)
+    for rep in sorted(classes, key=lambda s: (len(s), tuple(sorted(s)))):
+        # the generators a breadth-first search over all good elements finds;
+        # a later generator of a cyclic subgroup would only repeat the <H, g>
+        # of its least generator, tried earlier on the same H
+        found = _subgroup_bfs(uni, _cyclic_generators(uni, rep), None, rootless_span)
+        genkeys = found[rep]
+        gens = tuple(matrix_of(k) for k in genkeys or [uni.identity])
         entries.append(ClassifyEntry(generators=gens, order=len(rep),
                                      verdict=verdict(datum, gens, p)))
     return ClassifyResult(datum.label, p, tuple(entries), partial, note)

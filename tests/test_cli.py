@@ -310,3 +310,11 @@ class TestGoldenOutput:
         for want in GOLDEN["embeds"]:
             code, out = run(capsys, want["argv"])
             assert (code, out) == (want["exit"], want["stdout"]), want["argv"]
+
+    def test_proot_classify_generators_and_verdicts(self, capsys):
+        # recorded before the subgroup search ran up to conjugacy: the 30
+        # benchmark cases plus E6 at p = 3, 7 and E8 at p = 3
+        assert len(GOLDEN["proot-classify"]) == 33
+        for want in GOLDEN["proot-classify"]:
+            code, out = run(capsys, want["argv"])
+            assert (code, out) == (want["exit"], want["stdout"]), want["argv"]

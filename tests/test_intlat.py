@@ -100,6 +100,29 @@ def test_roots_counts():
         roots(U)
 
 
+def _unchecked(gram) -> IntegralLattice:
+    """An IntegralLattice that skips the constructor's checks."""
+    lat = object.__new__(IntegralLattice)
+    object.__setattr__(lat, "gram", ex.to_mat(gram))
+    return lat
+
+
+def test_roots_sign_from_first_diagonal_entry():
+    # roots decides definiteness by the quadratic completion alone
+    neg = roots(E8.negated())
+    assert len(neg) == 240 and set(neg) == set(roots(E8))
+    indefinite = ((0, 1), (1, 0)), ((2, 3), (3, 2)), ((-2, 3), (3, -2)), ((2, 0), (0, -2))
+    degenerate = ((2, 2), (2, 2)), ((-2, -2), (-2, -2)), ((2, 0), (0, 0))
+    for gram in indefinite:
+        with pytest.raises(ValueError, match="indefinite"):
+            roots(IntegralLattice(gram))
+    for gram in degenerate:
+        with pytest.raises(DegenerateLatticeError):
+            IntegralLattice(gram)
+        with pytest.raises(ValueError, match="indefinite"):
+            roots(_unchecked(gram))
+
+
 def test_e8_roots_against_family_oracle():
     """Independent oracle: the two explicit coordinate families."""
     from fractions import Fraction

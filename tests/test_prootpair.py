@@ -11,8 +11,12 @@ from k3lat.intlat import Sublattice, is_primitive, roots, saturate
 from k3lat.prootpair import (
     IsometryGroup,
     _PermUniverse,
+    _SignedSymUniverse,
+    _conjugates,
+    _cyclic_generators,
     _good_elements,
     _rootless,
+    _subgroup_bfs,
     classify,
     disc_action_nontrivial,
     fixed_sublattice,
@@ -223,17 +227,86 @@ class TestClassify:
 @lru_cache(maxsize=None)
 def perm_universe(label):
     datum = build(label)
+    if label.startswith("A"):
+        return _SignedSymUniverse(datum)
     if label == "E8":
         nm = named_elements(datum)
         return _PermUniverse(datum, IsometryGroup(datum, (nm["a"], nm["b"])))
     return _PermUniverse(datum, aut_group(datum))
 
 
-def good_elements(uni, p):
+def rootless_span_at(uni, p):
     def rootless_span(keys):
         return _rootless(uni.datum, [uni.matrix(k).matrix for k in keys], p)
 
-    return _good_elements(uni, rootless_span)
+    return rootless_span
+
+
+def good_elements(uni, p):
+    return _good_elements(uni, rootless_span_at(uni, p))
+
+
+def cyclic_subgroup(uni, g):
+    out, x = {uni.identity}, g
+    while x != uni.identity:
+        out.add(x)
+        x = uni.mul(x, g)
+    return frozenset(out)
+
+
+def bfs_classes(uni, p):
+    """Oracle: the breadth-first search over every subgroup in the good set,
+    every good element tried on every pseudo subgroup, then conjugacy classes
+    by generator conjugation, each represented by its least subgroup."""
+    good = good_elements(uni, p)
+    found = _subgroup_bfs(uni, sorted(good), good, rootless_span_at(uni, p))
+    pool = {k: v for k, v in found.items() if v is not None}
+    classes = []
+    while pool:
+        rep = min(pool, key=lambda s: tuple(sorted(s)))
+        classes.append((rep, pool[rep]))
+        for sub in _conjugates(uni, rep):
+            pool.pop(sub, None)
+    return sorted(classes, key=lambda rg: (len(rg[0]), tuple(sorted(rg[0]))))
+
+
+class TestConjugacySearch:
+    """The search up to conjugacy against the search over every subgroup."""
+
+    @pytest.mark.parametrize("label,p", [
+        ("D4", 3), ("D4", 5), ("D4", 7), ("D4", 11), ("D5", 3), ("D5", 5), ("D5", 7),
+        *((f"A{m}", p) for m in range(1, 8) for p in (3, 5, 7)), ("E8", 5),
+    ])
+    def test_matches_whole_good_set_bfs(self, label, p):
+        uni = perm_universe(label)
+        out = classify(uni.datum, p).entries
+        want = bfs_classes(uni, p)
+        assert len(out) == len(want)
+        for entry, (rep, genkeys) in zip(out, want):
+            gens = tuple(uni.matrix(k) for k in genkeys or [uni.identity])
+            assert entry.order == len(rep)
+            assert entry.generators == gens
+            v = verdict(uni.datum, gens, p)
+            assert entry.verdict.as_dict() == v.as_dict()
+            assert entry.verdict.sharp_lattice.hnf_basis() == v.sharp_lattice.hnf_basis()
+
+    def test_e6_at_three(self):
+        out = classify("E6", 3)
+        assert not out.partial
+        assert [e.order for e in out.entries] == [1, 2, 3, 3, 6, 6, 9, 18, 27, 54]
+        assert [e.order for e in out.full_pairs()] == [3, 6, 9, 18, 27, 54]
+
+    @pytest.mark.parametrize("label", ["D4", "A5", "E6"])
+    def test_one_chosen_generator_per_cyclic_subgroup(self, label):
+        # marking every power of g as covered, not only the generators of
+        # <g>, would leave some cyclic subgroups with no chosen generator
+        uni = perm_universe(label)
+        good = good_elements(uni, 3)
+        chosen = _cyclic_generators(uni, good)
+        assert chosen == sorted(chosen) and set(chosen) <= good
+        per_subgroup = Counter(cyclic_subgroup(uni, g) for g in chosen)
+        for g in good:
+            assert per_subgroup[cyclic_subgroup(uni, g)] == 1
 
 
 class TestConjugacyClasses:
