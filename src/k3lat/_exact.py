@@ -1,12 +1,14 @@
 """Exact integer/rational linear algebra and elementary number theory.
 
-Linear algebra: HNF, SNF, kernels, determinants and Gauss-Jordan solving,
-on tuples of tuples with int or Fraction entries.  Number theory: capped
-trial-division factoring and primality (a cofactor in (10^6, 10^12] is
-tested by deterministic Miller-Rabin first), Legendre/Jacobi symbols and
-p-adic valuations of ints, the pivots of the symbol computation in fqf, which
-eliminates in integers modulo p^(v_p(det)+1), or 2^(v_2(det)+3) at p = 2.
-No floating point.
+Linear algebra: HNF, SNF, kernels, determinants, echelon forms mod p, the
+inverse (mat_inv, the only Gauss-Jordan elimination) and the one Lagrange
+diagonalisation of a symmetric form (quadratic_completion, behind both
+signatures and short vectors), on tuples of tuples with int or Fraction
+entries.  Number theory: capped trial-division factoring and primality (a
+cofactor in (10^6, 10^12] is tested by deterministic Miller-Rabin first),
+Legendre/Jacobi symbols and p-adic valuations of ints, the pivots of the
+symbol computation in fqf, which eliminates in integers modulo
+p^(v_p(det)+1), or 2^(v_2(det)+3) at p = 2.  No floating point.
 """
 
 from __future__ import annotations
@@ -82,14 +84,14 @@ def det_int(m: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _gauss_jordan(a: Mat, rhs: Mat) -> list:
-    """The rows of X with a*X = rhs for square nonsingular a, exactly.
+def mat_inv(m: Mat) -> Mat:
+    """Exact inverse over the rationals by Gauss-Jordan elimination.
 
-    Raises ZeroDivisionError if a is singular.
+    Raises ZeroDivisionError if m is singular.
     """
-    n = len(a)
+    n = len(m)
     aug = [[Fraction(x) for x in row] + [Fraction(y) for y in extra]
-           for row, extra in zip(a, rhs)]
+           for row, extra in zip(m, identity(n))]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
@@ -101,17 +103,7 @@ def _gauss_jordan(a: Mat, rhs: Mat) -> list:
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def mat_inv(m: Mat) -> Mat:
-    """Exact inverse over the rationals (raises ZeroDivisionError if singular)."""
-    return tuple(tuple(row) for row in _gauss_jordan(m, identity(len(m))))
-
-
-def solve_unique(a: Mat, b: Vec) -> Vec:
-    """Solve a*x = b for square nonsingular a, exactly."""
-    return tuple(row[0] for row in _gauss_jordan(a, [(x,) for x in b]))
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def _swap_rows(a, i, j):
@@ -193,17 +185,21 @@ def kernel_int(m: Mat) -> Mat:
     return ker
 
 
+def modp_reduce(row, basis, pivots, p: int) -> list:
+    """A row of residues mod p reduced against echelon rows with the given pivots."""
+    for prow, pc in zip(basis, pivots):
+        if row[pc]:
+            f = row[pc] * pow(prow[pc], -1, p) % p
+            row = [(a - f * b) % p for a, b in zip(row, prow)]
+    return row
+
+
 def modp_echelon(rows, p: int):
     """Row echelon basis mod p: (pivot rows, their pivot columns)."""
-    mat = [list(r % p for r in row) for row in rows]
     basis = []
     pivots = []
-    for row in mat:
-        row = row[:]
-        for prow, pc in zip(basis, pivots):
-            if row[pc]:
-                f = row[pc] * pow(prow[pc], -1, p) % p
-                row = [(a - f * b) % p for a, b in zip(row, prow)]
+    for row in rows:
+        row = modp_reduce([x % p for x in row], basis, pivots, p)
         nz = next((i for i, a in enumerate(row) if a), None)
         if nz is not None:
             basis.append(row)
@@ -285,48 +281,41 @@ def snf_transform(m: Mat) -> tuple[Mat, Mat, Mat]:
     return to_mat(a), to_mat(u), to_mat(v)
 
 
-def rational_diagonal(gram: Mat) -> list[Fraction]:
-    """Diagonal entries of a congruent diagonal form over Q (Lagrange method).
+def quadratic_completion(gram: Mat) -> tuple[list, list]:
+    """Lagrange's symmetric elimination over Q (Cohen, GTM 138, §2.7).
 
-    Works for any nondegenerate symmetric matrix; used for signatures.
+    Returns (c, w) with norm(x) = sum_i c[i] * (x_i + sum_{j>i} w[i][j-i-1] x_j)^2;
+    the c[i] are a congruent diagonal form, so their signs give the
+    signature.  Only the upper triangle is read and updated.  A zero pivot
+    a_ii replaces e_i by e_i + s*e_j for the first j with a_ij != 0, whose
+    pivot 2s*a_ij + a_jj is nonzero for s = 1 or s = -1; w then refers to
+    that changed basis.  A positive definite Gram never meets a zero pivot,
+    so when every c[i] > 0, w is the completion in the given coordinates.
+    Raises ValueError for a degenerate form.
     """
     n = len(gram)
     a = [[Fraction(x) for x in row] for row in gram]
-    out = []
-    idx = list(range(n))
-    while idx:
-        k = idx[0]
-        if a[k][k] == 0:
-            fixed = False
-            for j in idx[1:]:
-                if a[k][j] == 0:
-                    continue
-                for s in (1, -1):
-                    if 2 * s * a[k][j] + a[j][j] != 0:
-                        for t in idx:
-                            a[k][t] += s * a[j][t]
-                        for t in idx:
-                            a[t][k] += s * a[t][j]
-                        fixed = True
-                        break
-                if fixed:
-                    break
-            if not fixed:
+    c, w = [], []
+    for i in range(n):
+        piv = a[i][i]
+        if piv == 0:
+            j = next((j for j in range(i + 1, n) if a[i][j]), None)
+            if j is None:
                 raise ValueError("degenerate form")
-        pivot = a[k][k]
-        out.append(pivot)
-        rest = idx[1:]
-        for i in rest:
-            f = a[i][k] / pivot
+            s = 1 if 2 * a[i][j] + a[j][j] else -1
+            piv = a[i][i] = 2 * s * a[i][j] + a[j][j]
+            # row i for the basis vector e_i + s*e_j, each a_jt read above the diagonal
+            for t in range(i + 1, n):
+                a[i][t] += s * (a[t][j] if t < j else a[j][t])
+        wi = [a[i][j] / piv for j in range(i + 1, n)]
+        c.append(piv)
+        w.append(wi)
+        for r in range(i + 1, n):
+            f = wi[r - i - 1]
             if f:
-                for j in rest:
-                    a[i][j] -= f * a[k][j]
-        # re-symmetrize bookkeeping: copy mirrored entries
-        for i in rest:
-            a[k][i] = Fraction(0)
-            a[i][k] = Fraction(0)
-        idx = rest
-    return out
+                for k in range(r, n):
+                    a[r][k] -= f * a[i][k]
+    return c, w
 
 
 _TRIAL_DIVISION_CAP = 10 ** 6
@@ -391,6 +380,12 @@ def factor(n: int) -> dict:
 def is_prime(n: int) -> bool:
     """Primality, exact up to 10^12; see factor for larger n."""
     return n >= 2 and factor(n) == {n: 1}
+
+
+def require_odd_prime(p: int) -> None:
+    """ValueError unless p is an odd prime."""
+    if p < 3 or not is_prime(p):
+        raise ValueError("p must be an odd prime")
 
 
 def legendre(a: int, p: int) -> int:

@@ -62,9 +62,9 @@ class IntegralLattice:
         """(positive, negative) inertia indices."""
         if self.rank == 0:
             return (0, 0)
-        diag = ex.rational_diagonal(self.gram)
-        pos = sum(1 for d in diag if d > 0)
-        return (pos, len(diag) - pos)
+        c, _ = ex.quadratic_completion(self.gram)
+        pos = sum(1 for d in c if d > 0)
+        return (pos, len(c) - pos)
 
     def negated(self) -> "IntegralLattice":
         """Global sign flip (positive <-> negative definite conventions)."""
@@ -203,29 +203,6 @@ def membership(sub: Sublattice, v) -> bool:
     return ex.in_row_span_int(sub.hnf_basis(), v)
 
 
-def _quadratic_completion(gram) -> tuple:
-    """(c, w) with norm(x) = sum_i c[i] * (x_i + sum_{j>i} w[i][j-i-1] x_j)^2.
-
-    Exact over the rationals; ValueError unless every pivot c[i] is > 0.
-    """
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    c, w = [], []
-    for i in range(n):
-        piv = a[i][i]
-        if piv <= 0:
-            raise ValueError("positive definite Gram required")
-        wi = [a[i][j] / piv for j in range(i + 1, n)]
-        c.append(piv)
-        w.append(wi)
-        for r in range(i + 1, n):
-            f = wi[r - i - 1]
-            if f:
-                for s in range(r, n):
-                    a[r][s] -= f * a[i][s]
-    return c, w
-
-
 def short_vectors(lat: IntegralLattice, bound: int) -> list:
     """All nonzero v with 0 < norm(v) <= bound, one of each +-pair, exact.
 
@@ -243,7 +220,10 @@ def short_vectors(lat: IntegralLattice, bound: int) -> list:
         return []
     if n > MAX_SHORT_VECTOR_RANK:
         raise ValueError(f"rank cap {MAX_SHORT_VECTOR_RANK} exceeded")
-    c, w = _quadratic_completion(lat.gram)
+    c, w = ex.quadratic_completion(lat.gram)
+    if any(ci <= 0 for ci in c):
+        # a zero pivot makes the form isotropic, so it too leaves a negative c_i
+        raise ValueError("positive definite Gram required")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     d = math.lcm(*(x.denominator for row in w for x in row))

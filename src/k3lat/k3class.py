@@ -26,6 +26,7 @@ from .fqf import (
 )
 
 SIGNATURE = (1, 21)
+EXHAUSTIVE_WITT_LIMIT = 10 ** 5  # |A| up to which anisotropy_check also searches
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,7 @@ class SupersingularForm:
 
 def n_form(p: int, sigma: int) -> SupersingularForm:
     """Discriminant form of the rank-22 lattice with A = (Z/p)^(2*sigma)."""
-    if p < 3 or not ex.is_prime(p):
-        raise ValueError("p must be an odd prime")
+    ex.require_odd_prime(p)
     if not 1 <= sigma <= 10:
         raise ValueError("sigma must be between 1 and 10")
     if p % 4 == 3:
@@ -111,17 +111,17 @@ def _witt_index_gram(p: int, gram) -> int:
     return 1 + _witt_index_gram(p, sub_gram)
 
 
-def anisotropy_check(p: int, sigma: int, exhaustive_limit: int = 10 ** 5) -> bool:
+def anisotropy_check(p: int, sigma: int) -> bool:
     """True iff the N-form has no totally isotropic subgroup of order p^sigma.
 
     Uses the discriminant-class criterion, and additionally an exhaustive
-    hyperbolic-splitting search when |A| fits under the limit.
+    hyperbolic-splitting search when |A| <= EXHAUSTIVE_WITT_LIMIT.
     """
     form = n_form(p, sigma)
     sign = form.q.components[0].sign
     hyperbolic_sign = ex.legendre(-1, p) ** sigma
     symbol_ok = sign != hyperbolic_sign
-    if p ** (2 * sigma) <= exhaustive_limit:
+    if p ** (2 * sigma) <= EXHAUSTIVE_WITT_LIMIT:
         coeffs = _odd_unit_numerators(p, 2 * sigma, sign)
         witt = _witt_index_diag(p, coeffs)
         exhaustive_ok = witt < sigma

@@ -13,23 +13,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 
 from . import _exact as ex
-from .intlat import Sublattice
+from .intlat import Sublattice, discriminant_group, membership
 from .rootsys import (
     Isometry,
     IsometryGroup,
     RootDatum,
     acts_trivially_on_disc,
+    aut_group,
     build,
     named_elements,
     parse_label,
     perm_mul,
 )
 
-FULL_SCOPE_CAP = 110000  # admits Aut(E6), order 103680
 SUBGROUP_ELEMENT_CAP = 10 ** 4
 
 
@@ -50,65 +49,40 @@ def _gen_matrices(group) -> list:
     return out
 
 
-def sharp(datum: RootDatum, group, p: int) -> Sublattice:
-    """The sublattice generated by pR and all H-difference vectors, in HNF."""
-    if p < 3 or not ex.is_prime(p):
-        raise ValueError("p must be an odd prime")
-    n = datum.rank
-    gens = _gen_matrices(group)
-    rows = [tuple(p if j == i else 0 for j in range(n)) for i in range(n)]
-    for m in gens:
-        mt = ex.transpose(m)
-        for j in range(n):
-            row = tuple(mt[j][i] - (1 if i == j else 0) for i in range(n))
-            rows.append(row)
-    basis = ex.row_hnf(ex.to_mat(rows))
-    # close under the group action
-    while True:
-        extra = list(basis)
-        for m in gens:
-            mt = ex.transpose(m)
-            for row in basis:
-                extra.append(ex.vec_mat(row, mt))
-        new_basis = ex.row_hnf(ex.to_mat(extra))
-        if new_basis == basis:
-            break
-        basis = new_basis
-    return Sublattice(datum.lattice(), basis)
-
-
-def _modp_in_span(basis, pivots, vec, p):
-    row = [x % p for x in vec]
-    for prow, pc in zip(basis, pivots):
-        if row[pc]:
-            f = row[pc] * pow(prow[pc], -1, p) % p
-            row = [(a - f * b) % p for a, b in zip(row, prow)]
-    return not any(row)
-
-
 def _sharp_span_modp(datum: RootDatum, gen_mats, p):
-    """Echelonized spanning set of sharp/pR inside R/pR."""
+    """Echelon basis mod p of sharp/pR inside R/pR, from the generators alone.
+
+    The rows (g - 1)e_j of the generators g span the whole sharp lattice
+    modulo pR, since (gh - 1)x = (g - 1)(hx) + (h - 1)x: every element of the
+    finite group is a product of generators and adds no new vector.
+    """
     n = datum.rank
     rows = []
     for m in gen_mats:
         mt = ex.transpose(m)
         for j in range(n):
             rows.append(tuple(mt[j][i] - (1 if i == j else 0) for i in range(n)))
-    basis, pivots = ex.modp_echelon(rows, p)
-    if len(gen_mats) <= 1:
-        # (g^k - 1)R = (g - 1)(1 + g + ... + g^(k-1))R lies in (g - 1)R,
-        # so cyclic groups need no closure pass
-        return basis, pivots
-    while True:
-        extra = [tuple(r) for r in basis]
-        for m in gen_mats:
-            mt = ex.transpose(m)
-            for row in basis:
-                extra.append(ex.vec_mat(tuple(row), mt))
-        nb, np_ = ex.modp_echelon(extra, p)
-        if len(nb) == len(basis):
-            return nb, np_
-        basis, pivots = nb, np_
+    return ex.modp_echelon(rows, p)
+
+
+def _sharp_lattice(datum: RootDatum, span_basis, p: int) -> Sublattice:
+    """The sharp lattice in HNF: pR together with the lifted rows of its span mod p."""
+    n = datum.rank
+    rows = [tuple(p if j == i else 0 for j in range(n)) for i in range(n)]
+    return Sublattice(datum.lattice(), ex.row_hnf(ex.to_mat(rows + span_basis)))
+
+
+def sharp(datum: RootDatum, group, p: int) -> Sublattice:
+    """The sublattice generated by pR and all H-difference vectors, in HNF."""
+    ex.require_odd_prime(p)
+    basis, _ = _sharp_span_modp(datum, _gen_matrices(group), p)
+    return _sharp_lattice(datum, basis, p)
+
+
+def _root_in_span(datum: RootDatum, basis, pivots, p):
+    """The first root of the datum inside the span mod p, or None."""
+    return next((r for r in datum.roots
+                 if not any(ex.modp_reduce([x % p for x in r], basis, pivots, p))), None)
 
 
 @dataclass(frozen=True)
@@ -146,20 +120,15 @@ def fixed_sublattice(datum: RootDatum, group) -> Sublattice:
 
 def verdict(datum: RootDatum, group, p: int) -> ProotVerdict:
     """Full pseudo/full decision with sharp lattice, witness and fixed rank."""
-    sharp_lat = sharp(datum, group, p)  # first, as it checks p
-    gens = _gen_matrices(group)
-    basis, pivots = _sharp_span_modp(datum, gens, p)
-    witness = None
-    for r in datum.roots:
-        if _modp_in_span(basis, pivots, r, p):
-            witness = r
-            break
+    ex.require_odd_prime(p)
+    basis, pivots = _sharp_span_modp(datum, _gen_matrices(group), p)
+    witness = _root_in_span(datum, basis, pivots, p)
     fixed = fixed_sublattice(datum, group)
     is_pseudo = witness is None
     return ProotVerdict(
         is_pseudo=is_pseudo,
         is_full=is_pseudo and fixed.rank == 0,
-        sharp_lattice=sharp_lat,
+        sharp_lattice=_sharp_lattice(datum, basis, p),
         witness_root=witness,
         fixed_rank=fixed.rank,
         sharp_index=p ** (datum.rank - len(basis)),
@@ -172,48 +141,27 @@ def disc_action_nontrivial(sub: Sublattice, iso: Isometry):
     Returns (nontrivial, witness_lift, difference) with vectors in ambient
     coordinates; raises if the isometry does not preserve the sublattice.
     """
-    amb = sub.ambient
-    m = iso.matrix
     for row in sub.basis_matrix:
-        img = ex.mat_vec(m, row)
-        if not _rational_in_sublattice(sub, img):
+        if not membership(sub, iso.apply(row)):
             raise ValueError("isometry does not preserve the sublattice")
-    lat = sub.as_lattice()
-    from .intlat import discriminant_group
-
-    disc = discriminant_group(lat)
-    for lift in disc.generator_lifts:
+    for lift in discriminant_group(sub.as_lattice()).generator_lifts:
         x = ex.vec_mat(lift, sub.basis_matrix)  # ambient coordinates
         diff = tuple(a - b for a, b in zip(iso.apply(x), x))
-        if not _rational_in_sublattice(sub, diff):
+        if not _in_sublattice(sub, diff):
             return True, x, diff
     return False, None, None
 
 
-def _rational_in_sublattice(sub: Sublattice, vec) -> bool:
-    """Is a rational ambient vector an integer combination of the basis rows?"""
-    b = sub.basis_matrix
-    if not b:
-        return all(x == 0 for x in vec)
-    bt = ex.transpose(b)
-    gram = ex.mat_mul(b, bt)
-    rhs = tuple(sum(Fraction(x) * Fraction(y) for x, y in zip(vec, col))
-                for col in b)
-    try:
-        coeffs = ex.solve_unique(gram, rhs)
-    except ZeroDivisionError:
-        return False
-    recon = ex.vec_mat(coeffs, b)
-    if tuple(recon) != tuple(Fraction(x) for x in vec):
-        return False
-    return all(c.denominator == 1 for c in coeffs)
+def _in_sublattice(sub: Sublattice, vec) -> bool:
+    """Is a rational ambient vector in sub: integral, and in the integer span?"""
+    return all(x.denominator == 1 for x in vec) and membership(sub, map(int, vec))
 
 
-def p_group_check(datum: RootDatum, group, p: int,
-                  cap: int = SUBGROUP_ELEMENT_CAP) -> bool:
-    """Is H intersect W(R) a p-group?  (H given by generators.)"""
+def p_group_check(datum: RootDatum, group, p: int) -> bool:
+    """Is H intersect W(R) a p-group?  (H given by generators, at most
+    SUBGROUP_ELEMENT_CAP elements.)"""
     grp = group if isinstance(group, IsometryGroup) else IsometryGroup(datum, group)
-    perms = grp.closure_perms(cap)
+    perms = grp.closure_perms(SUBGROUP_ELEMENT_CAP)
     w_order = 0
     for perm in perms:
         iso = datum.matrix_of_perm(perm)
@@ -372,19 +320,25 @@ def _closure(universe, gens, allowed=None, cap=SUBGROUP_ELEMENT_CAP):
     return frozenset(seen)
 
 
-def classify(datum_or_label, p: int, cap: int = FULL_SCOPE_CAP) -> ClassifyResult:
+def classify(datum_or_label, p: int) -> ClassifyResult:
     """All pseudo p-root pairs (H, R) up to Aut(R)-conjugacy, within scope.
 
     Full-subgroup scope: A_m (m+1 <= 8), D_4, D_5, E_6.  E_7/E_8 are searched
     only over the named elements and their products, and flagged partial.
-    Subgroups of a pseudo pair are pseudo, so growing subgroups inside the set
-    of elements with rootless cyclic sharp lattice is exhaustive; one subgroup
-    per conjugacy class is grown, by one generator per cyclic subgroup.
+    The scope is read from the label, so an A_m or D_m beyond it is never
+    built.  Subgroups of a pseudo pair are pseudo, so growing subgroups
+    inside the set of elements with rootless cyclic sharp lattice is
+    exhaustive; one subgroup per conjugacy class is grown, by one generator
+    per cyclic subgroup.
     """
-    datum = datum_or_label if isinstance(datum_or_label, RootDatum) else build(datum_or_label)
-    if p < 3 or not ex.is_prime(p):
-        raise ValueError("p must be an odd prime")
-    kind, m = parse_label(datum.label)
+    is_datum = isinstance(datum_or_label, RootDatum)
+    kind, m = parse_label(datum_or_label.label if is_datum else datum_or_label)
+    ex.require_odd_prime(p)
+    if kind == "A" and m + 1 > 8:
+        return ClassifyResult(f"A{m}", p, (), True, "full search limited to A_m with m+1 <= 8")
+    if kind == "D" and m > 5:
+        return ClassifyResult(f"D{m}", p, (), True, f"full search limited to D4/D5, got D{m}")
+    datum = datum_or_label if is_datum else build(datum_or_label)
     if datum.label == "E8":
         nm = named_elements(datum)
         grp = IsometryGroup(datum, (nm["a"], nm["b"]))
@@ -396,32 +350,19 @@ def classify(datum_or_label, p: int, cap: int = FULL_SCOPE_CAP) -> ClassifyResul
     if datum.label == "E7":
         return ClassifyResult(datum.label, p, (), True,
                               "no enumerable scope for E7; no named elements")
-    from .rootsys import aut_group
-
     if kind == "A":
-        if m + 1 > 8:
-            return ClassifyResult(datum.label, p, (), True,
-                                  "full search limited to A_m with m+1 <= 8")
         uni = _SignedSymUniverse(datum)
-    elif kind == "D":
-        if m > 5:
-            return ClassifyResult(datum.label, p, (), True,
-                                  f"full search limited to D4/D5, got {datum.label}")
-        uni = _PermUniverse(datum, aut_group(datum))
-    elif datum.label == "E6":
+    elif kind == "D" or datum.label == "E6":
         uni = _PermUniverse(datum, aut_group(datum))
     else:
         raise ValueError(f"unsupported label {datum.label}")
-    if len(uni.elements) > cap:
-        raise ScopeExceeded(f"|Aut| = {len(uni.elements)} exceeds cap {cap}")
     return _classify_universe(datum, p, uni, partial=False,
                               note="exhaustive over all subgroups")
 
 
 def _rootless(datum, gen_mats, p) -> bool:
     """Does the sharp span of the generated group mod p miss every root?"""
-    basis, pivots = _sharp_span_modp(datum, gen_mats, p)
-    return not any(_modp_in_span(basis, pivots, r, p) for r in datum.roots)
+    return _root_in_span(datum, *_sharp_span_modp(datum, gen_mats, p), p) is None
 
 
 def _good_elements(uni, rootless_span) -> set:

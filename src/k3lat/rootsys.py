@@ -18,11 +18,17 @@ from . import _exact as ex
 from .intlat import IntegralLattice, Sublattice, discriminant_group
 
 DEFAULT_GROUP_CAP = 10 ** 6
+AUT_GROUP_CAP = 2 * 10 ** 5  # admits Aut(E6), order 103680
+MAX_BUILD_RANK = 24  # above every K3 root part (rank <= 21) and A24 (600 roots)
 
 
 def perm_mul(a: bytes, b: bytes) -> bytes:
     """The composite a∘b of root permutations, i.e. bytes(a[x] for x in b)."""
     return b.translate(a.ljust(256, b"\0"))
+
+
+class RankCapExceeded(ex.LimitExceeded):
+    pass
 
 
 class GroupCapExceeded(ex.LimitExceeded):
@@ -131,9 +137,16 @@ def parse_label(label: str) -> tuple:
 
 @lru_cache(maxsize=None)
 def build(label: str) -> RootDatum:
-    """Construct a root datum: A(m>=1), D(m>=4), E6/E7/E8."""
+    """Construct a root datum: A(m>=1), D(m>=4), E6/E7/E8.
+
+    Every root is listed, so a rank above MAX_BUILD_RANK raises
+    RankCapExceeded before any work; t_sublattice(p) is thereby refused for
+    p > 25.
+    """
     kind, m = parse_label(label)
     name = f"{kind}{m}"
+    if kind != "E" and m > MAX_BUILD_RANK:
+        raise RankCapExceeded(f"{name} has rank above the cap of {MAX_BUILD_RANK}")
     if kind == "A":
         if m < 1:
             raise ValueError("A(m) needs m >= 1")
@@ -437,8 +450,7 @@ def cycle_isometry(n: int) -> Isometry:
 
 def t_sublattice(p: int) -> Sublattice:
     """Index-p sublattice of A_{p-1} cut out by the coefficient-sum congruence."""
-    if p < 3 or not ex.is_prime(p):
-        raise ValueError("p must be an odd prime")
+    ex.require_odd_prime(p)
     datum = build(f"A{p - 1}")
     lat = datum.lattice()
     n = p - 1
@@ -486,7 +498,7 @@ def aut_generators(datum: RootDatum) -> list:
     return gens
 
 
-def aut_group(datum: RootDatum, cap: int = 2 * 10 ** 5) -> IsometryGroup:
+def aut_group(datum: RootDatum) -> IsometryGroup:
     grp = IsometryGroup(datum, aut_generators(datum))
-    grp.closure_perms(cap)
+    grp.closure_perms(AUT_GROUP_CAP)
     return grp

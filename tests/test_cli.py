@@ -1,7 +1,9 @@
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -158,13 +160,25 @@ class TestErrorModel:
             named_elements(build("D4"))["gx"].order(cap=2)
 
 
+CHILD_ADDRESS_SPACE = 2 << 30  # bytes
+
+
+def _cap_child_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
 def run_subprocess(*argv):
-    """The CLI in a fresh interpreter; a hang fails the test after 30 s."""
+    """The CLI in a fresh interpreter; a hang fails the test after 30 s.
+
+    The child's address space is capped at 2 GiB, so a runaway allocation
+    fails that child with MemoryError instead of exhausting the machine.
+    """
     env = dict(os.environ)
     package_root = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "k3lat.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=30)
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=_cap_child_memory)
 
 
 HUGE = str(10 ** 400 + 1)
@@ -245,6 +259,20 @@ class TestHostileInput:
         res = run_subprocess("embeds", "--qs", f"{p}^+{ell}", "--rank", str(rank),
                              "--p", p, "--sigma", "1")
         assert res.returncode == code, res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("command,label", [
+        ("proot-classify", "A99"), ("proot-classify", "D99999"), ("proot-check", "D99999")])
+    def test_oversized_root_lattice_ends_quickly(self, tmp_path, command, label):
+        """A99 is out of the classify scope and is never built; D99999 would
+        list 2 * 10^10 roots, and build refuses any rank above 24 first."""
+        argv = ["proot-classify"] if command == "proot-classify" else [
+            "proot-check", "--generators", str(tmp_path / "gens.json")]
+        (tmp_path / "gens.json").write_text(json.dumps({"generators": []}))
+        start = time.perf_counter()
+        res = run_subprocess(*argv, "--root-lattice", label, "--p", "3")
+        assert res.returncode == 3, res.stderr
+        assert time.perf_counter() - start < 5
         assert "Traceback" not in res.stderr
 
     def test_largest_prime_below_the_cap_is_decided(self):

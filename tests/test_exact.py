@@ -156,22 +156,17 @@ def test_factor_matches_trial_division_oracle():
         assert ex.is_prime(p)
 
 
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-    st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n),
-    st.lists(st.integers(-9, 9), min_size=n, max_size=n))))
-def test_gauss_jordan_inverse_and_solve(data):
-    rows, b = data
-    m, b = ex.to_mat(rows), tuple(b)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_gauss_jordan_inverse(rows):
+    m = ex.to_mat(rows)
     n = len(m)
     # the last row replaced by the sum of the others: always singular
     singular = m[:-1] + (tuple(sum(r[j] for r in m[:-1]) for j in range(n)),)
     with pytest.raises(ZeroDivisionError):
         ex.mat_inv(singular)
-    with pytest.raises(ZeroDivisionError):
-        ex.solve_unique(singular, b)
     assume(ex.det_int(m) != 0)
     assert ex.mat_mul(m, ex.mat_inv(m)) == ex.identity(n)
-    assert ex.mat_vec(m, ex.solve_unique(m, b)) == b
 
 
 def test_no_float_square_root_in_the_package():

@@ -340,6 +340,80 @@ def test_short_vector_edge_cases():
         short_vectors(big, 2)
 
 
+def charpoly_faddeev_leverrier(m) -> list:
+    """Integer coefficients c_0, ..., c_n of det(x I - m), Faddeev-LeVerrier.
+
+    M_k = m M_{k-1} + c_{n-k+1} I and c_{n-k} = -tr(m M_k) / k, each division
+    exact for an integer matrix.
+    """
+    n = len(m)
+    c = [0] * n + [1]
+    mk = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        mk = [[sum(m[i][t] * mk[t][j] for t in range(n)) + (c[n - k + 1] if i == j else 0)
+               for j in range(n)] for i in range(n)]
+        trace = sum(sum(m[i][t] * mk[t][i] for t in range(n)) for i in range(n))
+        assert trace % k == 0
+        c[n - k] = -trace // k
+    return c
+
+
+def sign_changes(coeffs) -> int:
+    signs = [x > 0 for x in coeffs if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def signature_by_descartes(gram) -> tuple:
+    """Every root of a symmetric matrix's characteristic polynomial is real,
+    so Descartes' rule counts the positive roots exactly, and the sign
+    changes of c(-x) count the negative ones."""
+    c = charpoly_faddeev_leverrier(gram)
+    assert c[0] != 0
+    return sign_changes(c), sign_changes([x * (-1) ** i for i, x in enumerate(c)])
+
+
+@st.composite
+def grams_with_zero_diagonal_entries(draw):
+    """A nondegenerate symmetric even Gram of rank 1-6 with a zero diagonal entry."""
+    n = draw(st.integers(1, 6))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = draw(st.sampled_from((0, 0, 2, -2, 4, -4)))
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    zero = draw(st.integers(0, n - 1))
+    g[zero][zero] = 0
+    assume(ex.det_int(ex.to_mat(g)) != 0)
+    return ex.to_mat(g)
+
+
+@settings(deadline=None, max_examples=300)
+@given(grams_with_zero_diagonal_entries())
+def test_signature_against_descartes(gram):
+    lat = IntegralLattice(gram)
+    assert lat.signature() == signature_by_descartes(gram)
+    c, _ = ex.quadratic_completion(gram)
+    assert math.prod(c) == lat.det
+    # a zero diagonal entry makes the form isotropic, never definite
+    with pytest.raises(ValueError):
+        short_vectors(lat, 2)
+
+
+def test_signature_of_named_indefinite_lattices():
+    two = IntegralLattice(((2,),))
+    # the zero pivot of ((0, 1), (1, -2)) takes e_1 - e_2: 2 * 1 + (-2) = 0 rules out s = 1
+    for lat, sig in ((U, (1, 1)), (U.direct_sum(two), (2, 1)), (E8.direct_sum(U), (9, 1)),
+                     (E8.negated().direct_sum(U), (1, 9)),
+                     (IntegralLattice(((0, 1), (1, -2))), (1, 1))):
+        assert lat.signature() == sig == signature_by_descartes(lat.gram)
+        with pytest.raises(ValueError):
+            short_vectors(lat, 2)
+    degenerate = ((0, 0), (0, 2)), ((0, 1, 1), (1, 0, 1), (1, 1, 2)), ((2, 2), (2, 2))
+    for gram in degenerate:
+        with pytest.raises(ValueError):
+            short_vectors(_unchecked(gram), 2)
+
+
 def test_rank_ell_bound():
     four = A2.direct_sum(A2)
     first = Sublattice(four, ((1, 0, 0, 0), (0, 1, 0, 0)))

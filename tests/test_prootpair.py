@@ -7,7 +7,14 @@ from functools import lru_cache
 import pytest
 
 from k3lat import _exact as ex
-from k3lat.intlat import Sublattice, is_primitive, roots, saturate
+from k3lat.intlat import (
+    IntegralLattice,
+    Sublattice,
+    discriminant_group,
+    is_primitive,
+    roots,
+    saturate,
+)
 from k3lat.prootpair import (
     IsometryGroup,
     _PermUniverse,
@@ -15,6 +22,7 @@ from k3lat.prootpair import (
     _conjugates,
     _cyclic_generators,
     _good_elements,
+    _in_sublattice,
     _rootless,
     _subgroup_bfs,
     classify,
@@ -76,6 +84,56 @@ class TestSharp:
                     assert ex.in_row_span_int(s.hnf_basis(), v)
                 idx = s.index()
                 assert p ** 4 % idx == 0
+
+
+def sharp_by_closure(datum, gens, p):
+    """Oracle: the integer HNF of pR and the rows (g - 1)e_j of the
+    generators, closed under the generators until it stops growing (the
+    construction sharp replaced)."""
+    n = datum.rank
+    mats = [g.matrix for g in gens]
+    rows = [tuple(p if j == i else 0 for j in range(n)) for i in range(n)]
+    for m in mats:
+        for j in range(n):
+            rows.append(tuple(m[i][j] - (i == j) for i in range(n)))
+    basis = ex.row_hnf(ex.to_mat(rows))
+    while True:
+        images = [ex.vec_mat(row, ex.transpose(m)) for m in mats for row in basis]
+        closed = ex.row_hnf(ex.to_mat(list(basis) + images))
+        if closed == basis:
+            return basis
+        basis = closed
+
+
+def assert_sharp_matches_closure(datum, gens, p):
+    want = sharp_by_closure(datum, gens, p)
+    assert sharp(datum, gens, p).hnf_basis() == want
+    v = verdict(datum, gens, p)
+    assert v.sharp_lattice.hnf_basis() == want
+    assert v.sharp_index == abs(ex.det_int(want))
+
+
+class TestSharpAgainstClosure:
+    """The generators' rows already span the sharp lattice mod pR."""
+
+    @pytest.mark.parametrize("label,p", [
+        ("D4", 3), ("D4", 5), ("D4", 7), ("D4", 11), ("D5", 3), ("D5", 5), ("D5", 7),
+        *((f"A{m}", p) for m in range(1, 8) for p in (3, 5, 7)), ("E8", 5), ("E6", 5),
+    ])
+    def test_classify_entries(self, label, p):
+        datum = build(label)
+        for e in classify(datum, p).entries:
+            assert_sharp_matches_closure(datum, e.generators, p)
+
+    @pytest.mark.parametrize("label", ["D4", "E6"])
+    def test_random_generator_sets(self, label):
+        uni = perm_universe(label)
+        rng = random.Random(label)
+        for k in (2, 3):
+            for _ in range(8):
+                gens = [uni.matrix(x) for x in rng.sample(uni.elements, k)]
+                for p in (3, 5):
+                    assert_sharp_matches_closure(uni.datum, gens, p)
 
 
 class TestVerdict:
@@ -154,6 +212,70 @@ class TestDiscAction:
         line = Sublattice(a2.lattice(), ((1, 0),))
         with pytest.raises(ValueError):
             disc_action_nontrivial(line, cycle_isometry(2))
+
+
+def in_sublattice_by_normal_equations(sub, vec):
+    """Oracle: solve (B B^T) c = B v over Q for the basis rows B, and ask
+    for c integral with c B = v (the membership disc_action_nontrivial
+    replaced)."""
+    b = sub.basis_matrix
+    if not b:
+        return all(x == 0 for x in vec)
+    rhs = tuple(sum(Fraction(x) * y for x, y in zip(vec, row)) for row in b)
+    coeffs = ex.mat_vec(ex.mat_inv(ex.mat_mul(b, ex.transpose(b))), rhs)
+    return (ex.vec_mat(coeffs, b) == tuple(Fraction(x) for x in vec)
+            and all(c.denominator == 1 for c in coeffs))
+
+
+def disc_action_by_normal_equations(sub, iso):
+    for row in sub.basis_matrix:
+        if not in_sublattice_by_normal_equations(sub, iso.apply(row)):
+            raise ValueError("isometry does not preserve the sublattice")
+    for lift in discriminant_group(sub.as_lattice()).generator_lifts:
+        x = ex.vec_mat(lift, sub.basis_matrix)
+        diff = tuple(a - b for a, b in zip(iso.apply(x), x))
+        if not in_sublattice_by_normal_equations(sub, diff):
+            return True, x, diff
+    return False, None, None
+
+
+class TestMembershipAgainstNormalEquations:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_disc_action_on_t_sublattices(self, p):
+        sub = t_sublattice(p)
+        n = p - 1
+        cyc = cycle_isometry(n)
+        isos = [Isometry(ex.identity(n)), Isometry(tuple(tuple(-x for x in r)
+                                                         for r in ex.identity(n)))]
+        for _ in range(n):
+            isos.append(isos[-1] * cyc)
+        if p <= 7:
+            uni = perm_universe(f"A{n}")
+            sample = random.Random(p).sample(uni.elements, min(20, len(uni.elements)))
+            isos += [uni.matrix(x) for x in sample]
+        for iso in isos:
+            try:
+                want = disc_action_by_normal_equations(sub, iso)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    disc_action_nontrivial(sub, iso)
+            else:
+                assert disc_action_nontrivial(sub, iso) == want
+
+    def test_random_rational_vectors(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            amb = IntegralLattice(tuple(tuple(2 * x for x in r) for r in ex.identity(n)))
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            basis = ex.row_hnf(ex.to_mat(rows)) if rows else ()
+            sub = Sublattice(amb, basis)
+            for _ in range(10):
+                d = rng.choice((1, 1, 2, 3))
+                coeffs = [rng.randint(-3, 3) for _ in basis]
+                vec = ex.vec_mat(coeffs, basis) if basis else (0,) * n
+                vec = tuple(Fraction(x + rng.choice((0, 0, 0, 1)), d) for x in vec)
+                assert _in_sublattice(sub, vec) == in_sublattice_by_normal_equations(sub, vec)
 
 
 class TestClassify:
