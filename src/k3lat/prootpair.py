@@ -350,12 +350,8 @@ def classify(datum_or_label, p: int) -> ClassifyResult:
     if datum.label == "E7":
         return ClassifyResult(datum.label, p, (), True,
                               "no enumerable scope for E7; no named elements")
-    if kind == "A":
-        uni = _SignedSymUniverse(datum)
-    elif kind == "D" or datum.label == "E6":
-        uni = _PermUniverse(datum, aut_group(datum))
-    else:
-        raise ValueError(f"unsupported label {datum.label}")
+    # build admits no other label: A_m with m <= 7, D4, D5 or E6 is left
+    uni = _SignedSymUniverse(datum) if kind == "A" else _PermUniverse(datum, aut_group(datum))
     return _classify_universe(datum, p, uni, partial=False,
                               note="exhaustive over all subgroups")
 
