@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 from . import _exact as ex
 from .intlat import Sublattice, discriminant_group, membership
@@ -200,17 +199,21 @@ class _PermUniverse:
 
     def __init__(self, datum, group: IsometryGroup):
         self.datum = datum
-        self.elements = sorted(group.closure_perms())
         self.identity = bytes(range(len(datum.roots)))
         self.conj_gens = [datum.perm_of(g) for g in group.generators]
         # conjugacy classes: orbits under x -> c x c^-1 for the generators c,
-        # each keyed by its least element
+        # each stored once under the member it was found from
         conj = [(c.ljust(256, b"\0"), self.inv(c)) for c in self.conj_gens]
-        self._class_rep = rep_of = {}
-        for rep in self.elements:
-            if rep in rep_of:
-                continue
-            rep_of[rep] = rep
+        elements = group.closure_perms()
+        # the root negation, when in the group, is central: class(-x) = -class(x)
+        minus = datum.perm_of(Isometry(tuple(tuple(-x for x in row)
+                                             for row in ex.identity(datum.rank))))
+        negate = minus.ljust(256, b"\0") if minus in elements else None
+        remaining = set(elements)
+        self._classes = classes = {}
+        while remaining:
+            rep = remaining.pop()
+            cls = {rep}
             frontier = [rep]
             while frontier:
                 nxt = []
@@ -218,10 +221,16 @@ class _PermUniverse:
                     for table, cinv in conj:
                         # perm_mul(perm_mul(c, x), cinv), c padded once
                         y = cinv.translate(x.translate(table).ljust(256, b"\0"))
-                        if y not in rep_of:
-                            rep_of[y] = rep
+                        if y not in cls:
+                            cls.add(y)
                             nxt.append(y)
                 frontier = nxt
+            remaining -= cls
+            classes[rep] = tuple(cls)
+            if negate is not None and rep.translate(negate) not in cls:
+                neg = tuple(x.translate(negate) for x in cls)
+                remaining.difference_update(neg)
+                classes[neg[0]] = neg
 
     mul = staticmethod(perm_mul)
 
@@ -234,8 +243,11 @@ class _PermUniverse:
     def matrix(self, a) -> Isometry:
         return self.datum.matrix_of_perm(a)
 
-    def class_key(self, a):
-        return self._class_rep[a]
+    def class_reps(self):
+        return self._classes.keys()
+
+    def conjugacy_class(self, rep) -> tuple:
+        return self._classes[rep]
 
 
 class _SignedSymUniverse:
@@ -246,9 +258,6 @@ class _SignedSymUniverse:
         _, m = parse_label(datum.label)
         self.n = m + 1
         self.identity = (tuple(range(self.n)), 1)
-        pts = tuple(range(self.n))
-        self.elements = [(w, e) for w in permutations(pts)
-                         for e in ((1, -1) if m >= 2 else (1,))]
         gens = [(tuple([1, 0] + list(range(2, self.n))), 1)]
         if self.n > 2:
             gens.append((tuple(list(range(1, self.n)) + [0]), 1))
@@ -284,20 +293,32 @@ class _SignedSymUniverse:
             cols.append(tuple(vec))
         return Isometry(ex.transpose(cols))
 
-    def class_key(self, a):
-        w, e = a
-        seen = [False] * self.n
-        lens = []
-        for i in range(self.n):
-            if not seen[i]:
-                ln = 0
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = w[j]
-                    ln += 1
-                lens.append(ln)
-        return (tuple(sorted(lens)), e)
+    def class_reps(self):
+        """One element per class: consecutive cycles of each cycle type, each
+        sign.  The sign -1 is central, so the classes of S_{m+1} x {+-1} are
+        exactly the pairs (cycle type, sign)."""
+        for lengths in _partitions(self.n, self.n):
+            w, start = [], 0
+            for ln in lengths:
+                w += range(start + 1, start + ln)
+                w.append(start)
+                start += ln
+            for e in ((1, -1) if self.n > 2 else (1,)):
+                yield (tuple(w), e)
+
+    def conjugacy_class(self, rep) -> set:
+        """The orbit of rep under conjugation by the generators."""
+        return {x for (x,) in _conjugates(self, frozenset([rep]))}
+
+
+def _partitions(n, largest):
+    """The partitions of n into parts of at most `largest`, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
 
 
 def _closure(universe, gens, allowed=None, cap=SUBGROUP_ELEMENT_CAP):
@@ -364,18 +385,16 @@ def _rootless(datum, gen_mats, p) -> bool:
 def _good_elements(uni, rootless_span) -> set:
     """Elements whose cyclic sharp span is rootless.
 
-    Decided once per class_key: an isometry h maps the sharp span of <g>
-    onto that of <h g h^-1> and permutes the roots, so the verdict is a
-    conjugacy invariant.
+    Decided once per conjugacy class, from its representative: an isometry h
+    maps the sharp span of <g> onto that of <h g h^-1> and permutes the
+    roots, so the verdict is a class invariant.  Only the good classes are
+    expanded.  The identity needs no exception: its sharp span is zero mod p,
+    and no root is zero mod p.
     """
-    class_good = {}
     good = set()
-    for key in uni.elements:
-        ck = uni.class_key(key)
-        if ck not in class_good:
-            class_good[ck] = key == uni.identity or rootless_span([key])
-        if class_good[ck]:
-            good.add(key)
+    for rep in uni.class_reps():
+        if rootless_span([rep]):
+            good.update(uni.conjugacy_class(rep))
     return good
 
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from . import _exact as ex
 from .intlat import IntegralLattice, Sublattice, discriminant_group
@@ -50,7 +51,10 @@ class Isometry:
         return ex.mat_vec(self.matrix, tuple(v))
 
     def inverse(self) -> "Isometry":
+        """The inverse; raises ArithmeticError when it is not integral."""
         inv = ex.mat_inv(self.matrix)
+        if any(x.denominator != 1 for row in inv for x in row):
+            raise ArithmeticError("the inverse matrix is not integral")
         return Isometry(tuple(tuple(int(x) for x in row) for row in inv))
 
     def order(self, cap: int = 10 ** 4) -> int:
@@ -147,6 +151,13 @@ def build(label: str) -> RootDatum:
     name = f"{kind}{m}"
     if kind != "E" and m > MAX_BUILD_RANK:
         raise RankCapExceeded(f"{name} has rank above the cap of {MAX_BUILD_RANK}")
+    if kind == "E" and m in (6, 7):
+        return _datum_from_cartan(name, _cartan_e(m))
+    return _datum_from_ambient(name, *_ambient_system(kind, m))
+
+
+def _ambient_system(kind: str, m: int) -> tuple:
+    """Simple roots and every root as ambient vectors, for A_m, D_m and E8."""
     if kind == "A":
         if m < 1:
             raise ValueError("A(m) needs m >= 1")
@@ -163,7 +174,7 @@ def build(label: str) -> RootDatum:
                     v = [0] * dim
                     v[i], v[j] = 1, -1
                     amb_roots.append(tuple(v))
-        return _datum_from_ambient(name, simples, amb_roots)
+        return simples, amb_roots
     if kind == "D":
         if m < 4:
             raise ValueError("D(m) needs m >= 4")
@@ -183,37 +194,24 @@ def build(label: str) -> RootDatum:
                         v = [0] * m
                         v[i], v[j] = si, sj
                         amb_roots.append(tuple(v))
-        return _datum_from_ambient(name, simples, amb_roots)
-    if kind == "E":
-        if m == 8:
-            half = Fraction(1, 2)
-            simples = []
-            for i in range(6):
-                v = [Fraction(0)] * 8
-                v[i + 1], v[i + 2] = Fraction(1), Fraction(-1)
-                simples.append(tuple(v))
-            a7 = [half, -half, -half, -half, -half, -half, -half, half]
-            simples.append(tuple(a7))
-            v = [Fraction(0)] * 8
-            v[6], v[7] = Fraction(1), Fraction(1)
-            simples.append(tuple(v))
-            amb_roots = []
-            for i in range(8):
-                for j in range(i + 1, 8):
-                    for si in (1, -1):
-                        for sj in (1, -1):
-                            v = [Fraction(0)] * 8
-                            v[i], v[j] = Fraction(si), Fraction(sj)
-                            amb_roots.append(tuple(v))
-            from itertools import product as iproduct
-            for signs in iproduct((1, -1), repeat=8):
-                if signs.count(-1) % 2 == 0:
-                    amb_roots.append(tuple(Fraction(s, 2) for s in signs))
-            return _datum_from_ambient("E8", simples, amb_roots)
-        if m in (6, 7):
-            return _datum_from_cartan(name, _cartan_e(m))
+        return simples, amb_roots
+    if m != 8:
         raise ValueError("E(m) needs m in {6, 7, 8}")
-    raise ValueError(f"unsupported label {label!r}")
+    half = Fraction(1, 2)
+    simples = []
+    for i in range(6):
+        v = [Fraction(0)] * 8
+        v[i + 1], v[i + 2] = Fraction(1), Fraction(-1)
+        simples.append(tuple(v))
+    simples.append((half, -half, -half, -half, -half, -half, -half, half))
+    v = [Fraction(0)] * 8
+    v[6], v[7] = Fraction(1), Fraction(1)
+    simples.append(tuple(v))
+    _, amb_roots = _ambient_system("D", 8)  # the 112 integral roots +-e_i +-e_j
+    for signs in product((1, -1), repeat=8):
+        if signs.count(-1) % 2 == 0:
+            amb_roots.append(tuple(Fraction(s, 2) for s in signs))
+    return simples, amb_roots
 
 
 def _cartan_e(m: int) -> tuple:
@@ -228,20 +226,43 @@ def _cartan_e(m: int) -> tuple:
     return ex.to_mat(c)
 
 
+def _doubled(vec) -> tuple:
+    """2 * vec as integers; raises ArithmeticError outside (1/2)Z."""
+    out = []
+    for x in vec:
+        y = 2 * x
+        if y != int(y):
+            raise ArithmeticError(f"ambient coordinate {x} is not in (1/2)Z")
+        out.append(int(y))
+    return tuple(out)
+
+
+def _exact_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"{a} is not divisible by {b}")
+    return q
+
+
 def _datum_from_ambient(name, simples, amb_roots) -> RootDatum:
+    """Gram matrix and simple coordinates of every root, in integers.
+
+    With S_i = 2 s_i and R = 2 r integral, G_ij = S_i . S_j / 4, and the
+    coordinates of r are G^-1 (r . s_i) = adj(G) (R . S_i) / (4 det G); every
+    division must be exact, or ArithmeticError is raised.
+    """
     n = len(simples)
-    gram = tuple(
-        tuple(int(sum(Fraction(a) * Fraction(b) for a, b in zip(simples[i], simples[j])))
-              for j in range(n))
-        for i in range(n)
-    )
-    ginv = ex.mat_inv(gram)
+    dsimples = [_doubled(s) for s in simples]
+    gram = tuple(tuple(_exact_div(ex.dot(u, v), 4) for v in dsimples) for u in dsimples)
+    det = ex.det_int(gram)
+    # Cramer's rule: det * G^-1 is the integer adjugate
+    adj = tuple(tuple(int(det * x) for x in row) for row in ex.mat_inv(gram))
+    scale = 4 * det
     roots = []
     for r in amb_roots:
-        pair = tuple(sum(Fraction(a) * Fraction(b) for a, b in zip(r, s)) for s in simples)
-        sol = ex.mat_vec(ginv, pair)
-        coords = tuple(int(x) for x in sol)
-        roots.append(coords)
+        dr = _doubled(r)
+        pair = tuple(ex.dot(dr, s) for s in dsimples)
+        roots.append(tuple(_exact_div(ex.dot(row, pair), scale) for row in adj))
     return RootDatum(name, tuple(tuple(s) for s in simples), gram, tuple(roots))
 
 

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
@@ -38,6 +39,7 @@ from k3lat.rootsys import (
     aut_group,
     build,
     named_elements,
+    perm_mul,
     t_sublattice,
     weights,
 )
@@ -131,7 +133,7 @@ class TestSharpAgainstClosure:
         rng = random.Random(label)
         for k in (2, 3):
             for _ in range(8):
-                gens = [uni.matrix(x) for x in rng.sample(uni.elements, k)]
+                gens = [uni.matrix(x) for x in rng.sample(group_elements(label), k)]
                 for p in (3, 5):
                     assert_sharp_matches_closure(uni.datum, gens, p)
 
@@ -251,7 +253,8 @@ class TestMembershipAgainstNormalEquations:
             isos.append(isos[-1] * cyc)
         if p <= 7:
             uni = perm_universe(f"A{n}")
-            sample = random.Random(p).sample(uni.elements, min(20, len(uni.elements)))
+            elements = group_elements(f"A{n}")
+            sample = random.Random(p).sample(elements, min(20, len(elements)))
             isos += [uni.matrix(x) for x in sample]
         for iso in isos:
             try:
@@ -347,14 +350,30 @@ class TestClassify:
 
 
 @lru_cache(maxsize=None)
-def perm_universe(label):
+def universe_group(label):
     datum = build(label)
-    if label.startswith("A"):
-        return _SignedSymUniverse(datum)
     if label == "E8":
         nm = named_elements(datum)
-        return _PermUniverse(datum, IsometryGroup(datum, (nm["a"], nm["b"])))
-    return _PermUniverse(datum, aut_group(datum))
+        return IsometryGroup(datum, (nm["a"], nm["b"]))
+    return aut_group(datum)
+
+
+@lru_cache(maxsize=None)
+def perm_universe(label):
+    if label.startswith("A"):
+        return _SignedSymUniverse(build(label))
+    return _PermUniverse(build(label), universe_group(label))
+
+
+@lru_cache(maxsize=None)
+def group_elements(label):
+    """The whole group of perm_universe(label) in a fixed order: every
+    permutation times every sign for A_m, the sorted closure otherwise."""
+    if label.startswith("A"):
+        m = int(label[1:])
+        return [(w, e) for w in permutations(range(m + 1))
+                for e in ((1, -1) if m >= 2 else (1,))]
+    return sorted(universe_group(label).closure_perms())
 
 
 def rootless_span_at(uni, p):
@@ -431,36 +450,125 @@ class TestConjugacySearch:
             assert per_subgroup[cyclic_subgroup(uni, g)] == 1
 
 
+def bfs_class_sweep(uni, elements):
+    """Oracle: every conjugacy class by its own breadth-first orbit under the
+    generators, without the +-x pairing."""
+    conj = [(c, uni.inv(c)) for c in uni.conj_gens]
+    classes, seen = [], set()
+    for rep in elements:
+        if rep in seen:
+            continue
+        cls, frontier = {rep}, [rep]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for c, cinv in conj:
+                    y = uni.mul(uni.mul(c, x), cinv)
+                    if y not in cls:
+                        cls.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        seen |= cls
+        classes.append(frozenset(cls))
+    return classes
+
+
+def root_negation(datum):
+    return datum.perm_of(Isometry(tuple(tuple(-x for x in r) for r in ex.identity(datum.rank))))
+
+
 class TestConjugacyClasses:
     @pytest.mark.parametrize("label,order,count", [
         ("D4", 1152, 25),    # Aut(D4) = W(F4)
         ("D5", 3840, 36),    # Aut(D5) = W(B5)
         ("E6", 103680, 50),  # Aut(E6) = W(E6) x {+-1}
+        # Aut(A_m) = S_{m+1} x {+-1}: partitions of m+1 times two signs
+        ("A1", 2, 2), ("A2", 12, 6), ("A3", 48, 10), ("A4", 240, 14),
+        ("A5", 1440, 22), ("A6", 10080, 30), ("A7", 80640, 44),
     ])
     def test_class_counts(self, label, order, count):
         uni = perm_universe(label)
-        sizes = Counter(uni.class_key(x) for x in uni.elements)
-        assert len(sizes) == count
-        assert sum(sizes.values()) == len(uni.elements) == order
-        for rep, size in sizes.items():
-            assert uni.class_key(rep) == rep and order % size == 0
+        reps = list(uni.class_reps())
+        classes = [set(uni.conjugacy_class(r)) for r in reps]
+        assert len(reps) == count
+        # the classes cover the group, and their sizes add up to its order,
+        # so they are disjoint
+        assert set().union(*classes) == set(group_elements(label))
+        assert sum(map(len, classes)) == len(group_elements(label)) == order
+        conj = [(c, uni.inv(c)) for c in uni.conj_gens]
+        for rep, cls in zip(reps, classes):
+            assert rep in cls and order % len(cls) == 0
+            # closed under conjugation: with `count` classes each one is a
+            # single conjugacy class
+            for c, cinv in conj:
+                assert {uni.mul(uni.mul(c, x), cinv) for x in cls} == cls
 
     @pytest.mark.parametrize("label,p", [
         ("D4", 3), ("D4", 5), ("D4", 7), ("D4", 11),
         ("D5", 3), ("D5", 5), ("D5", 7), ("E8", 5),
+        *((f"A{m}", p) for m in range(1, 7) for p in (3, 5, 7)),
     ])
-    def test_per_class_good_set_matches_per_element_scan(self, monkeypatch, label, p):
+    def test_per_class_good_set_matches_per_element_scan(self, label, p):
         uni = perm_universe(label)
-        per_class = good_elements(uni, p)
-        monkeypatch.setattr(uni, "class_key", lambda a: a)
-        assert per_class == good_elements(uni, p)
+        rootless_span = rootless_span_at(uni, p)
+        oracle = {x for x in group_elements(label)
+                  if x == uni.identity or rootless_span([x])}
+        assert good_elements(uni, p) == oracle
+
+    @staticmethod
+    def assert_sample_matches_per_element_verdict(label, p):
+        uni = perm_universe(label)
+        good = good_elements(uni, p)
+        for x in random.Random(p).sample(group_elements(label), 300):
+            oracle = x == uni.identity or _rootless(uni.datum, [uni.matrix(x).matrix], p)
+            assert (x in good) == oracle
 
     def test_e6_sample_matches_per_element_verdict(self):
+        self.assert_sample_matches_per_element_verdict("E6", 5)
+
+    def test_a7_sample_matches_per_element_verdict(self):
+        self.assert_sample_matches_per_element_verdict("A7", 3)
+
+    @pytest.mark.parametrize("label", ["D4", "D5", "E6"])
+    def test_paired_classes_match_bfs_sweep(self, label):
+        uni = perm_universe(label)
+        # -1 is in the group and some class is not its own negative, so the
+        # sweep takes the pairing class(-x) = -class(x)
+        minus = root_negation(uni.datum)
+        assert minus in set(group_elements(label))
+        paired = {frozenset(uni.conjugacy_class(r)) for r in uni.class_reps()}
+        assert any(perm_mul(minus, next(iter(cls))) not in cls for cls in paired)
+        assert paired == set(bfs_class_sweep(uni, group_elements(label)))
+
+    def test_e8_scope_has_no_negation(self):
+        uni = perm_universe("E8")
+        assert root_negation(uni.datum) not in set(group_elements("E8"))
+        assert ({frozenset(uni.conjugacy_class(r)) for r in uni.class_reps()}
+                == set(bfs_class_sweep(uni, group_elements("E8"))))
+
+
+class TestGoodSetWorkCounts:
+    """Counts, not times: the good set is decided on class representatives
+    and only good classes are expanded, never the whole group."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_a7_decides_44_classes(self, monkeypatch, p):
+        uni = _SignedSymUniverse(build("A7"))
+        rootless_span = rootless_span_at(uni, p)
+        calls, muls = [], []
+        mul = uni.mul
+        monkeypatch.setattr(uni, "mul", lambda a, b: muls.append(a) or mul(a, b))
+        good = _good_elements(uni, lambda keys: calls.append(keys) or rootless_span(keys))
+        assert len(calls) == 44 and len(good) == 106
+        # each good element is conjugated once by each generator
+        assert len(muls) <= 2 * len(uni.conj_gens) * len(good)
+
+    def test_e6_decides_50_classes(self):
         uni = perm_universe("E6")
-        good = good_elements(uni, 5)
-        for x in random.Random(5).sample(uni.elements, 300):
-            oracle = x == uni.identity or _rootless(uni.datum, [uni.matrix(x).matrix], 5)
-            assert (x in good) == oracle
+        rootless_span = rootless_span_at(uni, 5)
+        calls = []
+        good = _good_elements(uni, lambda keys: calls.append(keys) or rootless_span(keys))
+        assert len(calls) == 50 and len(good) == 46
 
 
 class TestPaperInvariants:

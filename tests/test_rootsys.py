@@ -8,6 +8,8 @@ from k3lat.fqf import render_symbol, symbol_of
 from k3lat.intlat import roots
 from k3lat.rootsys import (
     GroupCapExceeded,
+    _ambient_system,
+    _datum_from_ambient,
     Isometry,
     IsometryGroup,
     a4_a4_pieces,
@@ -63,12 +65,61 @@ class TestBuild:
                 build(label)
 
 
+def datum_by_fractions(simples, amb_roots):
+    """Oracle: the Gram matrix and simple coordinates by Fraction products
+    with the inverse Gram (the solve _datum_from_ambient replaced)."""
+    n = len(simples)
+    gram = ex.to_mat([[sum(Fraction(a) * Fraction(b) for a, b in zip(simples[i], simples[j]))
+                       for j in range(n)] for i in range(n)])
+    ginv = ex.mat_inv(gram)
+    roots = []
+    for r in amb_roots:
+        pair = tuple(sum(Fraction(a) * Fraction(b) for a, b in zip(r, s)) for s in simples)
+        roots.append(ex.mat_vec(ginv, pair))
+    return gram, tuple(roots)
+
+
+class TestIntegerRootData:
+    @pytest.mark.parametrize("kind,m", [
+        *(("A", m) for m in range(1, 9)), *(("D", m) for m in range(4, 9)), ("E", 8),
+    ])
+    def test_matches_fraction_solve(self, kind, m):
+        simples, amb_roots = _ambient_system(kind, m)
+        gram, roots = datum_by_fractions(simples, amb_roots)
+        datum = build(f"{kind}{m}")
+        assert datum.gram == gram and datum.roots == roots
+        assert datum.simple_ambient == tuple(tuple(s) for s in simples)
+        assert all(isinstance(x, int) for r in datum.roots for x in r)
+
+    def test_vector_outside_root_lattice_raises(self):
+        # (1, 0, 0) pairs to (1, 0) with the simple roots of A2, which puts it
+        # at (2/3, 1/3) in simple coordinates; truncation would give (0, 0)
+        simples, amb_roots = _ambient_system("A", 2)
+        assert datum_by_fractions(simples, [(1, 0, 0)])[1] == ((Fraction(2, 3), Fraction(1, 3)),)
+        with pytest.raises(ArithmeticError):
+            _datum_from_ambient("A2", simples, amb_roots + [(1, 0, 0)])
+
+    def test_coordinate_outside_half_integers_raises(self):
+        simples, amb_roots = _ambient_system("A", 2)
+        with pytest.raises(ArithmeticError):
+            _datum_from_ambient("A2", simples, [(Fraction(1, 4), Fraction(-1, 4), 0)])
+
+
 class TestReflections:
     def test_involution_and_negation(self):
         a2 = build("A2")
         s = reflection(a2, (1, 0))
         assert s.apply((1, 0)) == (-1, 0)
         assert (s * s).is_identity()
+
+    def test_inverse_of_reflection_is_itself(self):
+        s = reflection(build("A2"), (1, 0))
+        assert s.inverse() == s
+
+    def test_non_integral_inverse_raises(self):
+        # the inverse diag(1, 1/2) used to come back truncated as diag(1, 0)
+        with pytest.raises(ArithmeticError):
+            Isometry(((1, 0), (0, 2))).inverse()
 
     def test_rejects_non_roots(self):
         with pytest.raises(ValueError):
