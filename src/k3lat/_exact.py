@@ -1,14 +1,15 @@
 """Exact integer/rational linear algebra and elementary number theory.
 
 Linear algebra: HNF, SNF, kernels, determinants, echelon forms mod p, the
-inverse (mat_inv, the only Gauss-Jordan elimination) and the one Lagrange
-diagonalisation of a symmetric form (quadratic_completion, behind both
-signatures and short vectors), on tuples of tuples with int or Fraction
-entries.  Number theory: capped trial-division factoring and primality (a
-cofactor in (10^6, 10^12] is tested by deterministic Miller-Rabin first),
-Legendre/Jacobi symbols and p-adic valuations of ints, the pivots of the
-symbol computation in fqf, which eliminates in integers modulo
-p^(v_p(det)+1), or 2^(v_2(det)+3) at p = 2.  No floating point.
+inverse (mat_inv, the only Gauss-Jordan elimination), the one Lagrange
+diagonalisation of a symmetric form (quadratic_completion, behind
+signatures) and the integral LLL reduction of a positive definite Gram
+matrix (lll_reduce, behind short vectors), on tuples of tuples with int or
+Fraction entries.  Number theory: capped trial-division factoring and
+primality (a cofactor in (10^6, 10^12] is tested by deterministic
+Miller-Rabin first), Legendre/Jacobi symbols and p-adic valuations of ints,
+the pivots of the symbol computation in fqf, which eliminates in integers
+modulo p^(v_p(det)+1), or 2^(v_2(det)+3) at p = 2.  No floating point.
 """
 
 from __future__ import annotations
@@ -316,6 +317,93 @@ def quadratic_completion(gram: Mat) -> tuple[list, list]:
                 for k in range(r, n):
                     a[r][k] -= f * a[i][k]
     return c, w
+
+
+LLL_DELTA = (99, 100)  # the Lovasz constant delta = 99/100 as (numerator, denominator)
+
+
+def lll_reduce(gram: Mat) -> tuple[list, list, list]:
+    """Integral LLL reduction of a positive definite Gram matrix.
+
+    Cohen, GTM 138, Alg. 2.6.7 (Lenstra-Lenstra-Lovasz 1982) with
+    delta = 99/100, in integers only.  Returns (d, lam, h): the rows of h
+    are the reduced basis in the given coordinates (h is unimodular), d[k]
+    is the k-th leading minor of the reduced Gram h*gram*h^T (d[0] = 1),
+    and lam[k][l] = d[l+1] * mu_kl for l < k, mu the Gram-Schmidt
+    coefficients, so the k-th Gram-Schmidt norm is d[k+1] / d[k].  The
+    reduced basis satisfies |2 lam[k][l]| <= d[l+1] and the Lovasz
+    condition 100 d[k+1] d[k-1] >= 99 d[k]^2 - 100 lam[k][k-1]^2.
+
+    Every division is exact: each quotient is a d or a lam of the current
+    basis, and these are minors of its Gram matrix (Sylvester's identity),
+    so // loses nothing.  When vector k is first met, d[k+1] is the
+    (k+1)-th leading minor of the input Gram, since the vectors before it
+    have only been changed unimodularly among themselves.  ValueError as
+    soon as one is <= 0, which by Sylvester's criterion happens exactly for
+    a Gram that is not positive definite.
+    """
+    num, den = LLL_DELTA
+    n = len(gram)
+    h = list(identity(n))  # rows are replaced, never changed in place
+    d = [1] * (n + 1)
+    lam = [[0] * k for k in range(n)]
+
+    def reduce(k: int, j: int) -> None:
+        # size reduction of vector k against vector j < k
+        dj = d[j + 1]
+        lkj = lam[k][j]
+        if 2 * abs(lkj) <= dj:
+            return
+        q = (2 * lkj + dj) // (2 * dj)  # nearest integer to lkj / dj
+        h[k] = [a - q * b for a, b in zip(h[k], h[j])]
+        lam[k][j] = lkj - q * dj
+        lk, lj = lam[k], lam[j]
+        for i in range(j):
+            lk[i] -= q * lj[i]
+
+    def swap(k: int, kmax: int) -> None:
+        h[k - 1], h[k] = h[k], h[k - 1]
+        lk, lk1 = lam[k], lam[k - 1]
+        lk[:k - 1], lk1[:] = lk1[:], lk[:k - 1]
+        lkk = lk[k - 1]
+        b = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lkk * t) // d[k]
+            li[k - 1] = (b * t + lkk * li[k]) // d[k + 1]
+        d[k] = b
+
+    kmax = -1
+    k = 0
+    while k < n:
+        if k > kmax:
+            # incremental Gram-Schmidt: vector k is still e_k of the input
+            kmax = k
+            col = [row[k] for row in gram]
+            for j in range(k + 1):
+                u = sum(a * b for a, b in zip(h[j], col) if a)
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise ValueError("positive definite Gram required")
+                else:
+                    d[k + 1] = u
+        if k == 0:
+            k = 1
+            continue
+        reduce(k, k - 1)
+        lkk = lam[k][k - 1]
+        if den * d[k + 1] * d[k - 1] < num * d[k] * d[k] - den * lkk * lkk:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                reduce(k, j)
+            k += 1
+    return d, lam, h
 
 
 _TRIAL_DIVISION_CAP = 10 ** 6

@@ -317,11 +317,20 @@ def _jordan(gram, p: int, k: int) -> dict:
     return found
 
 
-def symbol_of(lat: IntegralLattice) -> FiniteQuadraticForm:
-    """Conway-Sloane symbol of an even lattice (empty for unimodular)."""
-    det = abs(lat.det) if lat.rank else 1
+def symbol_of(lat: IntegralLattice, primes=None) -> FiniteQuadraticForm:
+    """Conway-Sloane symbol of an even lattice (empty for unimodular).
+
+    With `primes`, only the components at those primes: the p-parts of the
+    full symbol, without factoring the determinant or eliminating at any
+    other prime.
+    """
+    det = abs(lat.det)
+    if primes is None:
+        exponents = ex.factor(det)
+    else:
+        exponents = {p: ex.valuation(det, p) for p in primes if det % p == 0}
     comps = []
-    for p, k in sorted(ex.factor(det).items()):
+    for p, k in sorted(exponents.items()):
         for v, (units, evens) in sorted(_jordan(lat.gram, p, k).items()):
             if v == 0:
                 continue
@@ -701,7 +710,7 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
                                  for g in gens]
         basis = ex.row_hnf(ex.to_mat(rows))
         over = IntegralLattice(_overlattice_gram(basis, lat.gram, scale))
-        induced = symbol_of(over).p_part(p)
+        induced = symbol_of(over, (p,))
         yield order, direct_sum(away, induced)
 
 

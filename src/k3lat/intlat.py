@@ -2,9 +2,10 @@
 
 Lattices are given by integer Gram matrices; all derived data (duals,
 discriminant groups, complements, saturations, short vectors) is computed
-with exact integer/rational arithmetic.  The short-vector walk is
-integer-only: its rational quadratic completion is scaled to integers once
-per call.
+with exact integer/rational arithmetic.  Short vectors are integer-only: an
+integral LLL reduction comes first, and the Fincke-Pohst walk reads its
+completion from the leading minors and scaled Gram-Schmidt coefficients
+that the reduction already holds as integers.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -31,6 +32,8 @@ class IntegralLattice:
     """An even lattice given by its integer Gram matrix."""
 
     gram: tuple
+    # computed once by the constructor; equality and hashing read gram alone
+    det: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = ex.to_mat(self.gram)
@@ -41,16 +44,14 @@ class IntegralLattice:
             raise ValueError("Gram entries must be integers")
         if any(g[i][i] % 2 != 0 for i in range(len(g))):
             raise ValueError("lattice must be even (even diagonal)")
-        if len(g) > 0 and ex.det_int(g) == 0:
+        det = ex.det_int(g)
+        if det == 0:
             raise DegenerateLatticeError("degenerate lattice")
+        object.__setattr__(self, "det", det)
 
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    @property
-    def det(self) -> int:
-        return ex.det_int(self.gram)
 
     def inner(self, u, v):
         return ex.dot(ex.mat_vec(self.gram, tuple(v)), tuple(u))
@@ -209,27 +210,26 @@ def short_vectors(lat: IntegralLattice, bound: int) -> list:
     Each v has its first nonzero entry positive; the order of the list is
     unspecified.  Requires a positive definite Gram matrix of rank <=
     MAX_SHORT_VECTOR_RANK and bound >= 0.  Integral Fincke-Pohst (Cohen,
-    GTM 138, Alg. 2.7.5): the quadratic completion is scaled once to
-    integers, M * norm(x) = sum_i A_i (D x_i + T_i)^2 with
-    T_i = sum_{j>i} W_ij x_j, so each node costs one isqrt and integer
-    products.  The walk keeps the highest nonzero coordinate positive, so it
-    meets each +-pair once.
+    GTM 138, Alg. 2.7.5) in the basis of an integral LLL reduction
+    (ex.lll_reduce), whose integers give the completion directly: with d
+    the leading minors and lam the scaled Gram-Schmidt coefficients,
+    norm(x) = sum_i Y_i^2 / (d_i d_{i+1}) with Y_i = d_{i+1} x_i + T_i and
+    T_i = sum_{j>i} lam_ji x_j.  Scaled by M = lcm(d_i d_{i+1}), each node
+    costs one isqrt and integer products.  The walk keeps the highest
+    nonzero coordinate positive, so it meets each +-pair once; each leaf x
+    is mapped back as sum_{x_i != 0} x_i H_i over the rows of the transform.
     """
     n = lat.rank
     if n == 0:
         return []
     if n > MAX_SHORT_VECTOR_RANK:
         raise ValueError(f"rank cap {MAX_SHORT_VECTOR_RANK} exceeded")
-    c, w = ex.quadratic_completion(lat.gram)
-    if any(ci <= 0 for ci in c):
-        # a zero pivot makes the form isotropic, so it too leaves a negative c_i
-        raise ValueError("positive definite Gram required")
+    d, lam, h = ex.lll_reduce(lat.gram)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    d = math.lcm(*(x.denominator for row in w for x in row))
-    big_w = [[int(x * d) for x in row] for row in w]
-    m = math.lcm(*((ci / (d * d)).denominator for ci in c))
-    a = [int(ci * m / (d * d)) for ci in c]
+    m = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
+    a = [m // (d[i] * d[i + 1]) for i in range(n)]  # exact: M is their lcm
+    big_w = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
     total = m * bound  # M * bound; r below is what is left of it
     out = []
     x = [0] * n
@@ -237,23 +237,27 @@ def short_vectors(lat: IntegralLattice, bound: int) -> list:
     def walk(i: int, r: int, top: bool):
         # top: every coordinate above i is 0, so T_i = 0 and x_i >= 0 (>= 1 at i = 0)
         t = 0 if top else sum(map(operator.mul, big_w[i], x[i + 1:]))
-        ai = a[i]
+        ai, di = a[i], d[i + 1]
         s = math.isqrt(r // ai)  # A_i y^2 <= r  iff  |y| <= s, for integer y
-        lo = (1 if i == 0 else 0) if top else -((t + s) // d)
-        hi = (s - t) // d
+        lo = (1 if i == 0 else 0) if top else -((t + s) // di)
+        hi = (s - t) // di
         if i:
             for val in range(lo, hi + 1):
-                y = d * val + t
+                y = di * val + t
                 x[i] = val
                 walk(i - 1, r - ai * y * y, top and not val)
-        else:
+        elif lo <= hi:
+            base = [0] * n
+            for j in range(1, n):
+                if x[j]:
+                    base = [b + x[j] * e for b, e in zip(base, h[j])]
+            h0 = h[0]
             for val in range(lo, hi + 1):
-                y = d * val + t
-                x[0] = val
-                v = tuple(x)
+                y = di * val + t
+                v = [b + val * e for b, e in zip(base, h0)]
                 if next(e for e in v if e) < 0:
-                    v = tuple(-e for e in v)
-                out.append((v, (total - r + ai * y * y) // m))
+                    v = [-e for e in v]
+                out.append((tuple(v), (total - r + ai * y * y) // m))
         x[i] = 0
 
     walk(n - 1, total, True)
@@ -265,7 +269,7 @@ def roots(lat: IntegralLattice) -> list:
     if lat.rank == 0:
         return []
     # a definite Gram has the sign of its first diagonal entry, and the
-    # quadratic completion in short_vectors refuses every other Gram
+    # LLL reduction in short_vectors refuses every other Gram
     try:
         work = lat if lat.gram[0][0] > 0 else lat.negated()
         found = [v for v, norm in short_vectors(work, 2) if norm == 2]

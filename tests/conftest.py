@@ -1,16 +1,36 @@
-"""Shared helpers: random even Gram matrices and a brute-force
-finite-quadratic-form isomorphism oracle used to cross-check the fast paths."""
+"""Shared helpers: random even Gram matrices, a memory cap for child
+processes and a brute-force finite-quadratic-form isomorphism oracle used
+to cross-check the fast paths."""
 
 from __future__ import annotations
 
+import os
 import random
+import resource
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from k3lat import _exact as ex
 from k3lat.intlat import IntegralLattice
+
+
+CHILD_ADDRESS_SPACE = 2 << 30  # bytes
+
+
+def cap_child_memory():
+    """preexec_fn for a test's child process: cap its address space at 2 GiB."""
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+def child_env() -> dict:
+    """The environment for a child interpreter that imports this k3lat."""
+    env = dict(os.environ)
+    package_root = str(Path(ex.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_even_gram(rng: random.Random, n: int, spread: int = 2) -> IntegralLattice:

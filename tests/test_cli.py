@@ -1,6 +1,4 @@
 import json
-import os
-import resource
 import subprocess
 import sys
 import time
@@ -13,6 +11,8 @@ from k3lat._exact import LimitExceeded
 from k3lat.fqf import EnumerationCapExceeded
 from k3lat.prootpair import ScopeExceeded
 from k3lat.rootsys import GroupCapExceeded
+
+from conftest import cap_child_memory, child_env
 
 
 @pytest.fixture
@@ -160,25 +160,15 @@ class TestErrorModel:
             named_elements(build("D4"))["gx"].order(cap=2)
 
 
-CHILD_ADDRESS_SPACE = 2 << 30  # bytes
-
-
-def _cap_child_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
-
-
 def run_subprocess(*argv):
     """The CLI in a fresh interpreter; a hang fails the test after 30 s.
 
     The child's address space is capped at 2 GiB, so a runaway allocation
     fails that child with MemoryError instead of exhausting the machine.
     """
-    env = dict(os.environ)
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "k3lat.cli", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "k3lat.cli", *argv], env=child_env(),
                           capture_output=True, text=True, timeout=30,
-                          preexec_fn=_cap_child_memory)
+                          preexec_fn=cap_child_memory)
 
 
 HUGE = str(10 ** 400 + 1)

@@ -193,6 +193,20 @@ def test_symbol_of_matches_fraction_elimination(variant):
             assert symbol_of(lat).components == want.components, lat.gram
 
 
+def test_symbol_of_at_given_primes():
+    """symbol_of(lat, primes) is the full symbol's part at those primes."""
+    rng = random.Random("jordan:primes")
+    for _ in range(20):
+        for n in range(1, 9):
+            lat = unimodular_conjugate(rng, _scaled(rng, random_even_gram(rng, n)))
+            full = symbol_of(lat)
+            for p in (2, 3, 5, 7, 11):
+                assert symbol_of(lat, (p,)).components == full.p_part(p).components
+            primes = full.primes()
+            assert symbol_of(lat, primes).components == full.components
+            assert symbol_of(lat, ()).is_trivial()
+
+
 class TestArithmetic:
     def test_direct_sum_worked_example(self):
         q = parse_symbol("4_3^-1 3^-1 7^-1")

@@ -1,6 +1,10 @@
+import json
 import math
 import random
+import subprocess
+import sys
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -24,7 +28,7 @@ from k3lat.intlat import (
 )
 from k3lat.rootsys import build
 
-from conftest import random_even_gram
+from conftest import cap_child_memory, child_env, random_even_gram
 
 U = IntegralLattice(((0, 1), (1, 0)))
 A2 = IntegralLattice(((2, -1), (-1, 2)))
@@ -46,6 +50,13 @@ def test_rejects_degenerate_and_odd():
         IntegralLattice(((1,),))
     with pytest.raises(ValueError):
         IntegralLattice(((2, 1), (0, 2)))
+
+
+def test_det_is_stored_but_not_compared():
+    lat = IntegralLattice(((2, -1), (-1, 2)))
+    assert lat.det == 3 == ex.det_int(lat.gram)
+    assert lat == A2 and hash(lat) == hash(A2)
+    assert [f.name for f in fields(IntegralLattice) if f.compare or f.init] == ["gram"]
 
 
 def test_discriminant_groups():
@@ -312,6 +323,37 @@ def test_short_vectors_match_fraction_oracle(gram, bound, skew, seed):
     assert_short_vectors_exact(lat, bound)
 
 
+def assert_lll_reduced(gram) -> None:
+    """lll_reduce's data checked against the reduced Gram it claims."""
+    n = len(gram)
+    d, lam, h = ex.lll_reduce(gram)
+    assert abs(ex.det_int(ex.to_mat(h))) == 1
+    reduced = ex.mat_mul(ex.mat_mul(ex.to_mat(h), gram), ex.transpose(ex.to_mat(h)))
+    assert d[0] == 1
+    for k in range(1, n + 1):
+        assert d[k] == ex.det_int(tuple(row[:k] for row in reduced[:k]))
+    # the Fraction completion of the reduced Gram is its Gram-Schmidt data
+    c, w = ex.quadratic_completion(reduced)
+    for i in range(n):
+        assert c[i] == Fraction(d[i + 1], d[i])
+        assert w[i] == [Fraction(lam[j][i], d[i + 1]) for j in range(i + 1, n)]
+    for k in range(n):
+        assert all(2 * abs(lam[k][l]) <= d[l + 1] for l in range(k))
+        if k:
+            # Lovasz at delta = 99/100
+            assert 100 * d[k + 1] * d[k - 1] >= 99 * d[k] ** 2 - 100 * lam[k][k - 1] ** 2
+
+
+@settings(deadline=None, max_examples=150)
+@given(definite_even_grams(), st.data())
+def test_lll_reduction_and_short_vectors(gram, data):
+    n = len(gram)
+    steps = data.draw(st.integers(0, 6 * n)) if n > 1 else 0
+    lat = skewed(gram, random.Random(data.draw(st.integers(0, 2 ** 32))), steps)
+    assert_lll_reduced(lat.gram)
+    assert_short_vectors_exact(lat, data.draw(st.integers(0, 4)))
+
+
 def test_e8_theta_series():
     """E8 has 240, 2160 and 6720 vectors of norm 2, 4 and 6."""
     got = assert_short_vectors_exact(E8, 6)
@@ -319,12 +361,47 @@ def test_e8_theta_series():
 
 
 def test_skewed_roots():
-    """E8 + A2 in a basis skewed by 60 column steps keeps its 240 + 6 roots."""
+    """E8 + A2 in a basis skewed by 60, 100 or 200 column steps keeps its
+    240 + 6 roots."""
     gram = E8.direct_sum(A2).gram
-    lat = skewed(gram, random.Random(60), 60)
-    found = roots(lat)
-    assert len(found) == 246 and len(set(found)) == 246
+    for seed, steps in (60, 60), (1, 100), (2, 100), (3, 100), (1, 200):
+        lat = skewed(gram, random.Random(seed), steps)
+        found = roots(lat)
+        assert len(found) == 246 and len(set(found)) == 246, (seed, steps)
+        assert all(lat.norm(v) == 2 for v in found)
+
+
+ROOTS_OF_STDIN = """
+import json, sys
+from k3lat.intlat import IntegralLattice, roots
+print(json.dumps(roots(IntegralLattice(json.load(sys.stdin)))))
+"""
+
+
+def test_hostile_skew_ends_quickly():
+    """E8 + E8 skewed until its Gram entries exceed 10^40: all 480 roots,
+    in a child process that fails the test after 30 s."""
+    rng = random.Random(16)
+    lat = E8.direct_sum(E8)
+    while max(abs(x) for row in lat.gram for x in row) <= 10 ** 40:
+        lat = skewed(lat.gram, rng, 16)
+    res = subprocess.run([sys.executable, "-c", ROOTS_OF_STDIN], input=json.dumps(lat.gram),
+                         env=child_env(), capture_output=True, text=True, timeout=30,
+                         preexec_fn=cap_child_memory)
+    assert res.returncode == 0, res.stderr
+    found = {tuple(v) for v in json.loads(res.stdout)}
+    assert len(found) == 480
     assert all(lat.norm(v) == 2 for v in found)
+
+
+def test_lll_refuses_non_definite_grams():
+    indefinite = ((0, 1), (1, 0)), ((2, 3), (3, 2)), E8.direct_sum(U).gram, E8.negated().gram
+    degenerate = ((2, 2), (2, 2)), ((2, 0), (0, 0)), ((0, 1, 1), (1, 0, 1), (1, 1, 2))
+    for gram in indefinite + degenerate:
+        with pytest.raises(ValueError, match="positive definite"):
+            ex.lll_reduce(gram)
+        with pytest.raises(ValueError, match="positive definite"):
+            short_vectors(_unchecked(gram), 2)
 
 
 def test_short_vector_edge_cases():
