@@ -652,14 +652,16 @@ def _graph_isotropic_subgroups(mod_s, coef_s, mod_d, coef_d, max_order,
             yield order, combined_gens
 
 
-def _overlattice_gram(basis, gram, scale: int):
-    """Gram matrix of the lattice spanned by the rows of basis / scale.
+def _overlattice_gram(basis, diag, scale: int):
+    """Gram matrix of the lattice spanned by the rows of basis / scale, in the
+    lattice with diagonal Gram matrix diag(diag).
 
-    Built as the integer product basis * gram * basis^T, each entry then
+    Built as one integer product (basis * diag) * basis^T, each entry then
     divided exactly by scale^2; raises ArithmeticError when one does not
     divide, i.e. when the span is not integral.
     """
-    prod = ex.mat_mul(ex.mat_mul(basis, gram), ex.transpose(basis))
+    scaled = tuple(tuple(x * d for x, d in zip(row, diag)) for row in basis)
+    prod = ex.mat_mul(scaled, ex.transpose(basis))
     s2 = scale * scale
     if any(x % s2 for row in prod for x in row):
         raise ArithmeticError("overlattice Gram not integral")
@@ -702,6 +704,8 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
         scale = scale * m // math.gcd(scale, m)
     scaled_lattice = [tuple(scale if i == j else 0 for j in range(len(moduli)))
                       for i in range(len(moduli))]
+    # the realized lattices and their direct sums are diagonal
+    diag = tuple(lat.gram[i][i] for i in range(len(moduli)))
     for order, gens in subgroup_iter:
         if order == 1:
             yield 1, q
@@ -709,7 +713,7 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
         rows = scaled_lattice + [tuple(x * (scale // m) for x, m in zip(g, moduli))
                                  for g in gens]
         basis = ex.row_hnf(ex.to_mat(rows))
-        over = IntegralLattice(_overlattice_gram(basis, lat.gram, scale))
+        over = IntegralLattice(_overlattice_gram(basis, diag, scale))
         induced = symbol_of(over, (p,))
         yield order, direct_sum(away, induced)
 

@@ -12,7 +12,9 @@ pseudo.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from . import _exact as ex
 from .intlat import Sublattice, discriminant_group, membership
@@ -26,6 +28,8 @@ from .rootsys import (
     named_elements,
     parse_label,
     perm_mul,
+    simple_reflections,
+    weyl_order,
 )
 
 SUBGROUP_ELEMENT_CAP = 10 ** 4
@@ -194,51 +198,140 @@ class ClassifyResult:
         return tuple(e for e in self.entries if e.verdict.is_full)
 
 
-class _PermUniverse:
-    """Group elements as root permutations with byte keys (D and E types)."""
+def _perm_inv(a: bytes) -> bytes:
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        out[x] = i
+    return bytes(out)
 
-    def __init__(self, datum, group: IsometryGroup):
+
+def _conj_tables(perms) -> list:
+    return [(c.ljust(256, b"\0"), _perm_inv(c)) for c in perms]
+
+
+def _negation(datum) -> bytes:
+    """The root negation x -> -x as a root permutation."""
+    return datum.perm_of(Isometry(tuple(tuple(-x for x in row)
+                                        for row in ex.identity(datum.rank))))
+
+
+def _conjugation_orbit(x: bytes, conj) -> set:
+    """The orbit of a root permutation under x -> c x c^-1, for the pairs
+    (c padded to 256 entries, c^-1) in conj."""
+    orbit = {x}
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for table, cinv in conj:
+                # perm_mul(perm_mul(c, y), cinv), c padded once
+                z = cinv.translate(y.translate(table).ljust(256, b"\0"))
+                if z not in orbit:
+                    orbit.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    return orbit
+
+
+def _breadth_first(identity: bytes, gens):
+    """The elements of the group generated by root permutations, lazily, in
+    breadth-first order from the identity."""
+    tables = [g.ljust(256, b"\0") for g in gens]
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            yield x
+            for t in tables:
+                y = x.translate(t)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+
+
+# the index of the simple reflection that generates W(R) together with the
+# Coxeter element: s_1 for E6, s_4 for D5 (with s_1, D5 gets order 384 only)
+_WEYL_PAIR_REFLECTION = {"E6": 0, "D5": 3}
+
+
+class _PermUniverse:
+    """Group elements as root permutations with byte keys (D and E types).
+
+    Conjugacy classes are orbits under x -> c x c^-1 for the generators c
+    (`conj_gens`).  Each is stored under one member as (orbit, None), or,
+    when it is the negative of an orbit found, as (that orbit, the root
+    negation table), and is negated only when asked for.
+    """
+
+    def __init__(self, datum, conj_gens, classes: dict):
         self.datum = datum
         self.identity = bytes(range(len(datum.roots)))
-        self.conj_gens = [datum.perm_of(g) for g in group.generators]
-        # conjugacy classes: orbits under x -> c x c^-1 for the generators c,
-        # each stored once under the member it was found from
-        conj = [(c.ljust(256, b"\0"), self.inv(c)) for c in self.conj_gens]
+        self.conj_gens = conj_gens
+        self._classes = classes
+
+    @classmethod
+    def closed(cls, datum, group: IsometryGroup):
+        """Every class of the closed group, by one sweep over its elements.
+
+        The root negation, when in the group (D4), is central, so the class
+        of -x is the negation of the class of x and needs no orbit search.
+        """
+        conj_gens = [datum.perm_of(g) for g in group.generators]
+        conj = _conj_tables(conj_gens)
         elements = group.closure_perms()
-        # the root negation, when in the group, is central: class(-x) = -class(x)
-        minus = datum.perm_of(Isometry(tuple(tuple(-x for x in row)
-                                             for row in ex.identity(datum.rank))))
+        minus = _negation(datum)
         negate = minus.ljust(256, b"\0") if minus in elements else None
         remaining = set(elements)
-        self._classes = classes = {}
+        classes = {}
         while remaining:
             rep = remaining.pop()
-            cls = {rep}
-            frontier = [rep]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for table, cinv in conj:
-                        # perm_mul(perm_mul(c, x), cinv), c padded once
-                        y = cinv.translate(x.translate(table).ljust(256, b"\0"))
-                        if y not in cls:
-                            cls.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            remaining -= cls
-            classes[rep] = tuple(cls)
-            if negate is not None and rep.translate(negate) not in cls:
-                neg = tuple(x.translate(negate) for x in cls)
-                remaining.difference_update(neg)
-                classes[neg[0]] = neg
+            orbit = _conjugation_orbit(rep, conj)
+            remaining -= orbit
+            members = tuple(orbit)
+            classes[rep] = (members, None)
+            if negate is not None and rep.translate(negate) not in orbit:
+                remaining.difference_update(x.translate(negate) for x in members)
+                classes[rep.translate(negate)] = (members, negate)
+        return cls(datum, conj_gens, classes)
+
+    @classmethod
+    def weyl_times_sign(cls, datum, reflection: int):
+        """Aut(R) = W(R) x {+-1}, for E6 and D5 where -1 is not in W, from
+        the classes of W alone: each class of W and its negative.
+
+        W is generated by the Coxeter element c = s_1...s_n and the simple
+        reflection s = s_{reflection + 1}, and -1 is central, so conjugation
+        by c and s is conjugation by Aut(R).  Candidates come from a lazy
+        breadth-first walk of <c, s>, and each one that no class holds yet
+        adds its orbit.  The sweep stops once the orbit sizes add up to |W|:
+        the orbits are disjoint subsets of <c, s> <= W, so this proves both
+        that c and s generate W and that the classes are complete.  A walk
+        that runs dry first raises ArithmeticError, an internal error.
+        """
+        refl = simple_reflections(datum)
+        coxeter = reduce(operator.mul, refl)
+        conj_gens = [datum.perm_of(coxeter), datum.perm_of(refl[reflection])]
+        conj = _conj_tables(conj_gens)
+        negate = _negation(datum).ljust(256, b"\0")
+        order = weyl_order(datum.label)
+        classes, covered = {}, set()
+        for x in _breadth_first(bytes(range(len(datum.roots))), conj_gens):
+            if x in covered:
+                continue
+            orbit = _conjugation_orbit(x, conj)
+            covered |= orbit
+            members = tuple(orbit)
+            classes[x] = (members, None)
+            classes[x.translate(negate)] = (members, negate)
+            if len(covered) == order:
+                return cls(datum, conj_gens, classes)
+        raise ArithmeticError(f"the Coxeter element and s_{reflection + 1} generate "
+                              f"a subgroup of order {len(covered)} < |W({datum.label})|")
 
     mul = staticmethod(perm_mul)
-
-    def inv(self, a):
-        out = [0] * len(a)
-        for i, x in enumerate(a):
-            out[x] = i
-        return bytes(out)
+    inv = staticmethod(_perm_inv)
 
     def matrix(self, a) -> Isometry:
         return self.datum.matrix_of_perm(a)
@@ -247,7 +340,8 @@ class _PermUniverse:
         return self._classes.keys()
 
     def conjugacy_class(self, rep) -> tuple:
-        return self._classes[rep]
+        orbit, negate = self._classes[rep]
+        return orbit if negate is None else tuple(x.translate(negate) for x in orbit)
 
 
 class _SignedSymUniverse:
@@ -350,7 +444,9 @@ def classify(datum_or_label, p: int) -> ClassifyResult:
     built.  Subgroups of a pseudo pair are pseudo, so growing subgroups
     inside the set of elements with rootless cyclic sharp lattice is
     exhaustive; one subgroup per conjugacy class is grown, by one generator
-    per cyclic subgroup.
+    per cyclic subgroup.  The classes of Aut(E6) and Aut(D5) = W(R) x {+-1}
+    are those of W(R) and their negatives, found without closing Aut(R);
+    D4 (where -1 lies in W) and the E8 scope are closed and swept whole.
     """
     is_datum = isinstance(datum_or_label, RootDatum)
     kind, m = parse_label(datum_or_label.label if is_datum else datum_or_label)
@@ -363,7 +459,7 @@ def classify(datum_or_label, p: int) -> ClassifyResult:
     if datum.label == "E8":
         nm = named_elements(datum)
         grp = IsometryGroup(datum, (nm["a"], nm["b"]))
-        uni = _PermUniverse(datum, grp)
+        uni = _PermUniverse.closed(datum, grp)
         return _classify_universe(
             datum, p, uni, partial=True,
             note="scope restricted to the named order-5 elements and their products",
@@ -372,7 +468,12 @@ def classify(datum_or_label, p: int) -> ClassifyResult:
         return ClassifyResult(datum.label, p, (), True,
                               "no enumerable scope for E7; no named elements")
     # build admits no other label: A_m with m <= 7, D4, D5 or E6 is left
-    uni = _SignedSymUniverse(datum) if kind == "A" else _PermUniverse(datum, aut_group(datum))
+    if kind == "A":
+        uni = _SignedSymUniverse(datum)
+    elif datum.label in _WEYL_PAIR_REFLECTION:
+        uni = _PermUniverse.weyl_times_sign(datum, _WEYL_PAIR_REFLECTION[datum.label])
+    else:
+        uni = _PermUniverse.closed(datum, aut_group(datum))
     return _classify_universe(datum, p, uni, partial=False,
                               note="exhaustive over all subgroups")
 

@@ -322,8 +322,14 @@ class IsometryGroup:
         self._elements_perm = elements_perm
 
     def closure_perms(self, cap: int = DEFAULT_GROUP_CAP):
-        """Materialize all elements as root permutations (BFS closure)."""
+        """Materialize all elements as root permutations (BFS closure).
+
+        Raises GroupCapExceeded when the group has more than cap elements,
+        also when it was closed before under a larger cap.
+        """
         if self._elements_perm is not None:
+            if len(self._elements_perm) > cap:
+                raise GroupCapExceeded(cap)
             return self._elements_perm
         datum = self.datum
         # translate tables: the generators padded once to 256 entries

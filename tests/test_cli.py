@@ -331,8 +331,9 @@ class TestGoldenOutput:
 
     def test_proot_classify_generators_and_verdicts(self, capsys):
         # recorded before the subgroup search ran up to conjugacy: the 30
-        # benchmark cases plus E6 at p = 3, 7 and E8 at p = 3
-        assert len(GOLDEN["proot-classify"]) == 33
+        # benchmark cases plus E6 at p = 3, 7 and E8 at p = 3; D5/11, E6/11
+        # and E6/13 recorded before E6 and D5 were classed over W(R) x {+-1}
+        assert len(GOLDEN["proot-classify"]) == 36
         for want in GOLDEN["proot-classify"]:
             code, out = run(capsys, want["argv"])
             assert (code, out) == (want["exit"], want["stdout"]), want["argv"]

@@ -431,20 +431,56 @@ class TestCanonicalSymbol:
         assert F(J(2, 1, 2, 1, None)) != F(J(2, 1, 2, -1, None))
 
 
+def _diagonal(diag):
+    return tuple(tuple(d if i == j else 0 for j in range(len(diag)))
+                 for i, d in enumerate(diag))
+
+
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
     st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=1, max_size=n + 2),
-    st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n),
     st.integers(1, 6))))
 def test_integer_overlattice_gram_matches_fraction_product(data):
-    basis, g, scale = data
-    gram = ex.to_mat([[g[i][j] + g[j][i] for j in range(len(g))] for i in range(len(g))])
+    basis, d, scale = data
+    diag = tuple(2 * x for x in d)
     bfrac = tuple(tuple(Fraction(x, scale) for x in row) for row in basis)
-    want = ex.mat_mul(ex.mat_mul(bfrac, gram), ex.transpose(bfrac))
+    want = ex.mat_mul(ex.mat_mul(bfrac, _diagonal(diag)), ex.transpose(bfrac))
     if all(x.denominator == 1 for row in want for x in row):
-        assert _overlattice_gram(ex.to_mat(basis), gram, scale) == want
+        assert _overlattice_gram(ex.to_mat(basis), diag, scale) == want
     else:
         with pytest.raises(ArithmeticError):
-            _overlattice_gram(ex.to_mat(basis), gram, scale)
+            _overlattice_gram(ex.to_mat(basis), diag, scale)
+
+
+def test_overlattice_gram_matches_two_products_on_table_rows(monkeypatch):
+    # every candidate Gram of four table rows at sigma = 1, against the
+    # two-product form basis * gram * basis^T with the Gram matrix in full
+    from k3lat import fqf
+    from k3lat.hmdata import load_table
+    from k3lat.k3class import n_form
+
+    fast = fqf._overlattice_gram
+    checked = []
+
+    def against_two_products(basis, diag, scale):
+        prod = ex.mat_mul(ex.mat_mul(basis, _diagonal(diag)), ex.transpose(basis))
+        s2 = scale * scale
+        assert all(x % s2 == 0 for row in prod for x in row)
+        got = fast(basis, diag, scale)
+        assert got == tuple(tuple(x // s2 for x in row) for row in prod)
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(fqf, "_overlattice_gram", against_two_products)
+    rows = {rec.number: rec for rec in load_table()}
+    for number, p in ((18, 3), (46, 3), (53, 5), (129, 7)):
+        q_s = rows[number].q_s
+        q_d = negate(n_form(p, 1).q)
+        hmax = p ** min(q_s.ell_p(p), 2)
+        candidates = list(overlattice_candidates(direct_sum(q_s, q_d), p, hmax,
+                                                 s_form=q_s, d_form=q_d))
+        assert len(candidates) > 80
+    assert len(checked) > 600
 
 
 def _direct_overlattice_forms(lat, p, max_order):

@@ -8,6 +8,7 @@ from itertools import permutations
 import pytest
 
 from k3lat import _exact as ex
+from k3lat import prootpair
 from k3lat.intlat import (
     IntegralLattice,
     Sublattice,
@@ -20,6 +21,7 @@ from k3lat.prootpair import (
     IsometryGroup,
     _PermUniverse,
     _SignedSymUniverse,
+    _classify_universe,
     _conjugates,
     _cyclic_generators,
     _good_elements,
@@ -34,6 +36,7 @@ from k3lat.prootpair import (
     verdict,
 )
 from k3lat.rootsys import (
+    GroupCapExceeded,
     Isometry,
     acts_trivially_on_disc,
     aut_group,
@@ -360,9 +363,24 @@ def universe_group(label):
 
 @lru_cache(maxsize=None)
 def perm_universe(label):
+    """The universe classify searches: W(R) x {+-1} classes for D5 and E6."""
     if label.startswith("A"):
         return _SignedSymUniverse(build(label))
-    return _PermUniverse(build(label), universe_group(label))
+    if label in ("D5", "E6"):
+        return _PermUniverse.weyl_times_sign(build(label),
+                                             prootpair._WEYL_PAIR_REFLECTION[label])
+    return _PermUniverse.closed(build(label), universe_group(label))
+
+
+@lru_cache(maxsize=None)
+def closed_universe(label):
+    """Oracle: the whole group closed and swept, conjugating by every
+    generator of aut_group (or by a and b for E8)."""
+    return _PermUniverse.closed(build(label), universe_group(label))
+
+
+def class_partition(uni):
+    return {frozenset(uni.conjugacy_class(r)) for r in uni.class_reps()}
 
 
 @lru_cache(maxsize=None)
@@ -430,6 +448,15 @@ class TestConjugacySearch:
             v = verdict(uni.datum, gens, p)
             assert entry.verdict.as_dict() == v.as_dict()
             assert entry.verdict.sharp_lattice.hnf_basis() == v.sharp_lattice.hnf_basis()
+
+    @pytest.mark.parametrize("label,p", [
+        *(("D5", p) for p in (3, 5, 7, 11)), *(("E6", p) for p in (3, 5, 7, 11, 13)),
+    ])
+    def test_weyl_times_sign_matches_aut_group_path(self, label, p):
+        datum = build(label)
+        want = _classify_universe(datum, p, closed_universe(label), partial=False,
+                                  note="exhaustive over all subgroups")
+        assert classify(datum, p) == want
 
     def test_e6_at_three(self):
         out = classify("E6", 3)
@@ -531,20 +558,37 @@ class TestConjugacyClasses:
 
     @pytest.mark.parametrize("label", ["D4", "D5", "E6"])
     def test_paired_classes_match_bfs_sweep(self, label):
-        uni = perm_universe(label)
         # -1 is in the group and some class is not its own negative, so the
-        # sweep takes the pairing class(-x) = -class(x)
-        minus = root_negation(uni.datum)
+        # sweeps take the pairing class(-x) = -class(x); the oracle conjugates
+        # by every generator of aut_group
+        minus = root_negation(build(label))
         assert minus in set(group_elements(label))
-        paired = {frozenset(uni.conjugacy_class(r)) for r in uni.class_reps()}
-        assert any(perm_mul(minus, next(iter(cls))) not in cls for cls in paired)
-        assert paired == set(bfs_class_sweep(uni, group_elements(label)))
+        oracle = set(bfs_class_sweep(closed_universe(label), group_elements(label)))
+        for uni in (perm_universe(label), closed_universe(label)):
+            paired = class_partition(uni)
+            assert any(perm_mul(minus, next(iter(cls))) not in cls for cls in paired)
+            assert paired == oracle
+
+    @pytest.mark.parametrize("label,count,aut_gens", [("D5", 36, 6), ("E6", 50, 7)])
+    def test_weyl_times_sign_matches_aut_group_sweep(self, label, count, aut_gens):
+        # two conjugators, the Coxeter element and one simple reflection,
+        # against the closure and sweep of Aut(R) under all its generators
+        uni = perm_universe(label)
+        oracle = closed_universe(label)
+        assert len(uni.conj_gens) == 2 and len(oracle.conj_gens) == aut_gens
+        assert len(list(uni.class_reps())) == count
+        assert class_partition(uni) == class_partition(oracle)
+
+    def test_non_generating_pair_is_refused(self):
+        # the Coxeter element of D5 and s_1 generate a subgroup of order 384,
+        # not W(D5) of order 1920; its classes must not pass for a complete set
+        with pytest.raises(ArithmeticError, match="384"):
+            _PermUniverse.weyl_times_sign(build("D5"), 0)
 
     def test_e8_scope_has_no_negation(self):
         uni = perm_universe("E8")
         assert root_negation(uni.datum) not in set(group_elements("E8"))
-        assert ({frozenset(uni.conjugacy_class(r)) for r in uni.class_reps()}
-                == set(bfs_class_sweep(uni, group_elements("E8"))))
+        assert class_partition(uni) == set(bfs_class_sweep(uni, group_elements("E8")))
 
 
 class TestGoodSetWorkCounts:
@@ -570,6 +614,22 @@ class TestGoodSetWorkCounts:
         good = _good_elements(uni, lambda keys: calls.append(keys) or rootless_span(keys))
         assert len(calls) == 50 and len(good) == 46
 
+    def test_e6_sweep_stops_at_the_weyl_order(self, monkeypatch):
+        # the sweep ends once its orbits cover W(E6), after 2,428 candidates of
+        # the breadth-first walk, long before the walk would list all 51,840
+        visited = []
+        walk = prootpair._breadth_first
+
+        def counted(identity, gens):
+            for x in walk(identity, gens):
+                visited.append(x)
+                yield x
+
+        monkeypatch.setattr(prootpair, "_breadth_first", counted)
+        uni = _PermUniverse.weyl_times_sign(build("E6"), 0)
+        assert len(list(uni.class_reps())) == 50
+        assert len(visited) <= 3000
+
 
 class TestPaperInvariants:
     def test_intersection_with_weyl_is_p_group(self):
@@ -579,6 +639,19 @@ class TestPaperInvariants:
             for p in ps:
                 for e in classify(label, p).entries:
                     assert p_group_check(datum, IsometryGroup(datum, e.generators), p)
+
+    def test_p_group_check_refuses_a_pre_closed_group_at_once(self, monkeypatch):
+        # aut_group has closed Aut(E6), 103,680 elements, under its own cap;
+        # the check's cap must refuse it before one matrix is built
+        datum = build("E6")
+        grp = aut_group(datum)
+
+        def no_matrices(perm):
+            raise AssertionError("a group above the cap was walked")
+
+        monkeypatch.setattr(datum, "matrix_of_perm", no_matrices)
+        with pytest.raises(GroupCapExceeded):
+            p_group_check(datum, grp, 3)
 
     def test_type_a_full_pairs(self):
         # (m+1) divides |H ∩ W|, the Weyl part is fixed-point-free on the

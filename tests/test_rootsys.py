@@ -150,6 +150,11 @@ class TestWeylGroups:
     def test_cap(self):
         with pytest.raises(GroupCapExceeded):
             weyl_group(build("D5"), max_size=100)
+        # a group closed before under a larger cap is refused too
+        grp = weyl_group(build("D5"))
+        with pytest.raises(GroupCapExceeded):
+            grp.closure_perms(1919)
+        assert len(grp.closure_perms(1920)) == 1920
 
     def test_transitive_on_roots(self):
         datum = build("D4")
