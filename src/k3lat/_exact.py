@@ -485,24 +485,6 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) for odd positive n."""
-    if n <= 0 or n % 2 == 0:
-        raise ValueError("n must be odd positive")
-    a %= n
-    result = 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 def valuation(x: int, p: int) -> int:
     """p-adic valuation of a nonzero int."""
     if x == 0:

@@ -534,10 +534,6 @@ def _elementary_subspace_bases(p: int, n: int, dim: int):
             yield [tuple(r) for r in rows]
 
 
-class EnumerationCapExceeded(ex.LimitExceeded):
-    pass
-
-
 ENUMERATION_CAP = 500000  # subgroups, or p-torsion elements, one search may list
 
 
@@ -560,7 +556,7 @@ def _subgroups_up_to(moduli, max_order: int, cap: int = ENUMERATION_CAP):
             for basis in _elementary_subspace_bases(p, n, dim):
                 count += 1
                 if count > cap:
-                    raise EnumerationCapExceeded("subgroup enumeration cap exceeded")
+                    raise ex.LimitExceeded("subgroup enumeration cap exceeded")
                 yield p ** dim, basis, None
             dim += 1
         return
@@ -583,7 +579,7 @@ def _subgroups_up_to(moduli, max_order: int, cap: int = ENUMERATION_CAP):
                 nxt.append((key, gens + [g]))
                 count += 1
                 if count > cap:
-                    raise EnumerationCapExceeded("subgroup enumeration cap exceeded")
+                    raise ex.LimitExceeded("subgroup enumeration cap exceeded")
                 yield len(key), gens + [g], key
         frontier = nxt
 
@@ -617,7 +613,7 @@ def _graph_isotropic_subgroups(mod_s, coef_s, mod_d, coef_d, max_order,
     order, gens_d, _ = next(subgroups)
     yield order, gens_d  # the trivial subgroup is tried before any cap applies
     if p ** sum(m % p == 0 for m in mod_s) > ENUMERATION_CAP:
-        raise EnumerationCapExceeded("p-torsion enumeration cap exceeded")
+        raise ex.LimitExceeded("p-torsion enumeration cap exceeded")
     # p-torsion elements of A_S, grouped by q-value
     by_value: dict = {}
     for s in product(*[range(0, m, m // p) if m % p == 0 else (0,) for m in mod_s]):

@@ -83,14 +83,13 @@ class PrimeCondition:
     text: str
 
     def evaluate(self, p: int) -> bool:
-        if p == 2:
-            raise ValueError("conditions are evaluated at odd primes")
+        ex.require_odd_prime(p)
         if self.any_prime:
             return True
         if p in self.primes:
             return True
         for n, val in self.legendre_clauses:
-            if ex.jacobi(n % p, p) == val:
+            if ex.legendre(n, p) == val:
                 return True
         return False
 

@@ -4,7 +4,9 @@ Simple-root coordinates are the working basis: every isometry is an integer
 matrix M acting on column coordinate vectors, with M^T G M = G for the Gram
 matrix G in the simple basis.  Groups are enumerated as permutations of the
 root list, which is cheap; matrices are reconstructed from root images on
-demand.
+demand.  Orbits and closures (the E6/E7 roots, group elements, and in
+prootpair subgroups and their conjugates) share one lazy level-order walk,
+`breadth_first`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 from . import _exact as ex
 from .intlat import IntegralLattice, Sublattice, discriminant_group
@@ -28,14 +30,25 @@ def perm_mul(a: bytes, b: bytes) -> bytes:
     return b.translate(a.ljust(256, b"\0"))
 
 
-class RankCapExceeded(ex.LimitExceeded):
-    pass
+def breadth_first(start, step):
+    """The orbit of start under the maps behind step, lazily, in level order.
 
-
-class GroupCapExceeded(ex.LimitExceeded):
-    def __init__(self, cap):
-        super().__init__(f"group closure exceeds the cap of {cap} elements")
-        self.cap = cap
+    step(x) returns the neighbours of x.  start is yielded first, then each
+    new neighbour the moment it is found, so a consumer that stops early
+    stops the walk too.
+    """
+    seen = {start}
+    frontier = [start]
+    yield start
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in step(x):
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+                    yield y
+        frontier = nxt
 
 
 @dataclass(frozen=True)
@@ -133,8 +146,8 @@ def _check_isometry(datum: RootDatum, m) -> Isometry:
 
 def parse_label(label: str) -> tuple:
     label = label.strip().upper().replace("(", "").replace(")", "")
-    kind, num = label[0], label[1:]
-    if kind not in "ADE" or not num.isdigit():
+    kind, num = label[:1], label[1:]
+    if kind not in ("A", "D", "E") or not num.isdigit():
         raise ValueError(f"unsupported root lattice label {label!r}")
     return kind, int(num)
 
@@ -144,13 +157,13 @@ def build(label: str) -> RootDatum:
     """Construct a root datum: A(m>=1), D(m>=4), E6/E7/E8.
 
     Every root is listed, so a rank above MAX_BUILD_RANK raises
-    RankCapExceeded before any work; t_sublattice(p) is thereby refused for
+    LimitExceeded before any work; t_sublattice(p) is thereby refused for
     p > 25.
     """
     kind, m = parse_label(label)
     name = f"{kind}{m}"
     if kind != "E" and m > MAX_BUILD_RANK:
-        raise RankCapExceeded(f"{name} has rank above the cap of {MAX_BUILD_RANK}")
+        raise ex.LimitExceeded(f"{name} has rank above the cap of {MAX_BUILD_RANK}")
     if kind == "E" and m in (6, 7):
         return _datum_from_cartan(name, _cartan_e(m))
     return _datum_from_ambient(name, *_ambient_system(kind, m))
@@ -267,22 +280,13 @@ def _datum_from_ambient(name, simples, amb_roots) -> RootDatum:
 
 
 def _datum_from_cartan(name, cartan) -> RootDatum:
+    """The roots are the W-orbit of alpha_1: in an irreducible simply-laced
+    system every root is conjugate to it."""
     n = len(cartan)
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     refls = [_reflection_matrix(cartan, s) for s in simples]
-    roots = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for m in refls:
-                img = ex.mat_vec(m, r)
-                if img not in roots:
-                    roots.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    ordered = tuple(sorted(roots))
-    return RootDatum(name, None, cartan, ordered)
+    roots = breadth_first(simples[0], lambda r: (ex.mat_vec(m, r) for m in refls))
+    return RootDatum(name, None, cartan, tuple(sorted(roots)))
 
 
 def _reflection_matrix(gram, alpha) -> tuple:
@@ -313,43 +317,32 @@ def simple_reflections(datum: RootDatum) -> list:
 class IsometryGroup:
     """Finite group of isometries of a root datum, given by generators."""
 
-    def __init__(self, datum: RootDatum, generators, elements_perm=None):
+    def __init__(self, datum: RootDatum, generators):
         self.datum = datum
         self.generators = tuple(
             g if isinstance(g, Isometry) else _check_isometry(datum, g)
             for g in generators
         )
-        self._elements_perm = elements_perm
+        self._elements_perm = None
 
     def closure_perms(self, cap: int = DEFAULT_GROUP_CAP):
-        """Materialize all elements as root permutations (BFS closure).
+        """Materialize all elements as root permutations (breadth-first).
 
-        Raises GroupCapExceeded when the group has more than cap elements,
+        Raises LimitExceeded when the group has more than cap elements,
         also when it was closed before under a larger cap.
         """
-        if self._elements_perm is not None:
-            if len(self._elements_perm) > cap:
-                raise GroupCapExceeded(cap)
-            return self._elements_perm
-        datum = self.datum
-        # translate tables: the generators padded once to 256 entries
-        tables = [datum.perm_of(g).ljust(256, b"\0") for g in self.generators]
-        ident = bytes(range(len(datum.roots)))
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for t in tables:
-                    q = p.translate(t)
-                    if q not in seen:
-                        if len(seen) >= cap:
-                            raise GroupCapExceeded(cap)
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        self._elements_perm = frozenset(seen)
-        return self._elements_perm
+        elements = self._elements_perm
+        if elements is None:
+            datum = self.datum
+            # translate tables: the generators padded once to 256 entries
+            tables = [datum.perm_of(g).ljust(256, b"\0") for g in self.generators]
+            walk = breadth_first(bytes(range(len(datum.roots))),
+                                 lambda p: map(p.translate, tables))
+            elements = frozenset(islice(walk, cap + 1))  # the walk stops one past the cap
+        if len(elements) > cap:
+            raise ex.LimitExceeded(f"group closure exceeds the cap of {cap} elements")
+        self._elements_perm = elements
+        return elements
 
     @property
     def order(self) -> int:
@@ -376,7 +369,7 @@ def weyl_group(datum: RootDatum, max_size: int = DEFAULT_GROUP_CAP) -> IsometryG
     groups are never materialized.
     """
     if weyl_order(datum.label) > max_size:
-        raise GroupCapExceeded(max_size)
+        raise ex.LimitExceeded(f"group closure exceeds the cap of {max_size} elements")
     grp = IsometryGroup(datum, simple_reflections(datum))
     grp.closure_perms(max_size)
     return grp
@@ -390,20 +383,13 @@ def _disc_lifts(label: str):
 
 
 def acts_trivially_on_disc(datum: RootDatum, iso: Isometry) -> bool:
+    """Does iso fix the discriminant group?  For every irreducible ADE root
+    lattice this is membership in W(R), the kernel of Aut(R) -> Aut(A_R)."""
     for lift in _disc_lifts(datum.label):
         img = iso.apply(lift)
         if any((a - b).denominator != 1 for a, b in zip(img, lift)):
             return False
     return True
-
-
-def in_weyl(datum: RootDatum, iso: Isometry) -> bool:
-    """Membership in W(R) for irreducible ADE data.
-
-    For every irreducible ADE root lattice the Weyl group is exactly the
-    kernel of Aut(R) -> Aut(A_R).
-    """
-    return acts_trivially_on_disc(datum, iso)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,6 @@ import pytest
 
 from k3lat import cli
 from k3lat._exact import LimitExceeded
-from k3lat.fqf import EnumerationCapExceeded
-from k3lat.prootpair import ScopeExceeded
-from k3lat.rootsys import GroupCapExceeded
 
 from conftest import cap_child_memory, child_env
 
@@ -134,9 +131,9 @@ class TestProot:
 
 class TestErrorModel:
     @pytest.mark.parametrize("limit", [
-        ScopeExceeded("subgroup closure cap hit"),
-        GroupCapExceeded(10),
-        EnumerationCapExceeded("subgroup enumeration cap exceeded"),
+        LimitExceeded("subgroup closure cap hit"),
+        LimitExceeded("group closure exceeds the cap of 10 elements"),
+        LimitExceeded("subgroup enumeration cap exceeded"),
     ])
     def test_limits_are_exit_3(self, monkeypatch, limit):
         def hit_limit(args):
@@ -263,6 +260,16 @@ class TestHostileInput:
         res = run_subprocess(*argv, "--root-lattice", label, "--p", "3")
         assert res.returncode == 3, res.stderr
         assert time.perf_counter() - start < 5
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("command", ["proot-classify", "proot-check"])
+    @pytest.mark.parametrize("label", ["", " ", "()"], ids=["empty", "blank", "parens"])
+    def test_empty_root_lattice_label_is_usage_error(self, tmp_path, command, label):
+        argv = ["proot-classify"] if command == "proot-classify" else [
+            "proot-check", "--generators", str(tmp_path / "gens.json")]
+        (tmp_path / "gens.json").write_text(json.dumps({"generators": []}))
+        res = run_subprocess(*argv, "--root-lattice", label, "--p", "3")
+        assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
 
     def test_largest_prime_below_the_cap_is_decided(self):

@@ -71,13 +71,10 @@ def test_det_and_inverse():
     assert prod == ex.to_mat([[1, 0], [0, 1]])
 
 
-def test_jacobi_and_legendre():
+def test_legendre():
     assert ex.legendre(2, 7) == 1
     assert ex.legendre(3, 7) == -1
     assert ex.legendre(21, 5) == ex.legendre(1, 5) == 1
-    assert ex.jacobi(2, 9) == 1
-    assert ex.jacobi(2, 15) == 1
-    assert ex.jacobi(7, 15) == -1
 
 
 def _smallest_prime_factors(limit: int) -> list:

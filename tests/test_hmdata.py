@@ -3,7 +3,6 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from k3lat import _exact as ex
 from k3lat.fqf import FiniteQuadraticForm, JordanComponent, render_symbol, signature_mod8
 from k3lat.hmdata import (
     ConditionSyntaxError,
@@ -108,7 +107,13 @@ class TestParseCondition:
         # direct residue oracle
         for p in (5, 11, 13, 17):
             squares = {x * x % p for x in range(1, p)}
-            assert (ex.jacobi(21 % p, p) == -1) == ((21 % p) not in squares)
+            assert c.evaluate(p) == ((21 % p) not in squares)
+
+    @pytest.mark.parametrize("p", [2, 9])
+    def test_evaluate_needs_an_odd_prime(self, p):
+        # a Legendre symbol needs an odd prime; 9 is odd and composite
+        with pytest.raises(ValueError, match="odd prime"):
+            parse_condition("(21/p)=-1").evaluate(p)
 
     def test_legendre_only(self):
         c = parse_condition("(6/p)=-1")

@@ -9,6 +9,7 @@ import pytest
 
 from k3lat import _exact as ex
 from k3lat import prootpair
+from k3lat._exact import LimitExceeded
 from k3lat.intlat import (
     IntegralLattice,
     Sublattice,
@@ -36,7 +37,6 @@ from k3lat.prootpair import (
     verdict,
 )
 from k3lat.rootsys import (
-    GroupCapExceeded,
     Isometry,
     acts_trivially_on_disc,
     aut_group,
@@ -616,16 +616,17 @@ class TestGoodSetWorkCounts:
 
     def test_e6_sweep_stops_at_the_weyl_order(self, monkeypatch):
         # the sweep ends once its orbits cover W(E6), after 2,428 candidates of
-        # the breadth-first walk, long before the walk would list all 51,840
+        # the breadth-first walk, long before the walk would list all 51,840;
+        # while the universe is built only the candidate walk calls it
         visited = []
-        walk = prootpair._breadth_first
+        walk = prootpair.breadth_first
 
-        def counted(identity, gens):
-            for x in walk(identity, gens):
+        def counted(start, step):
+            for x in walk(start, step):
                 visited.append(x)
                 yield x
 
-        monkeypatch.setattr(prootpair, "_breadth_first", counted)
+        monkeypatch.setattr(prootpair, "breadth_first", counted)
         uni = _PermUniverse.weyl_times_sign(build("E6"), 0)
         assert len(list(uni.class_reps())) == 50
         assert len(visited) <= 3000
@@ -650,7 +651,7 @@ class TestPaperInvariants:
             raise AssertionError("a group above the cap was walked")
 
         monkeypatch.setattr(datum, "matrix_of_perm", no_matrices)
-        with pytest.raises(GroupCapExceeded):
+        with pytest.raises(LimitExceeded, match="group closure exceeds the cap of 10000 "):
             p_group_check(datum, grp, 3)
 
     def test_type_a_full_pairs(self):

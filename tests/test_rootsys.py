@@ -1,22 +1,27 @@
+import operator
 from fractions import Fraction
+from functools import reduce
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
 
 from k3lat import _exact as ex
+from k3lat._exact import LimitExceeded
 from k3lat.fqf import render_symbol, symbol_of
 from k3lat.intlat import roots
 from k3lat.rootsys import (
-    GroupCapExceeded,
     _ambient_system,
+    _cartan_e,
     _datum_from_ambient,
+    _reflection_matrix,
     Isometry,
     IsometryGroup,
     a4_a4_pieces,
     acts_trivially_on_disc,
     aut_group,
+    breadth_first,
     build,
-    in_weyl,
     named_elements,
     perm_mul,
     reflection,
@@ -60,7 +65,7 @@ class TestBuild:
             Fraction(x) for x in (1, 1, 0, 0, 0, 0, 0, 0))
 
     def test_unsupported_labels(self):
-        for label in ("B2", "D3", "E9", "A0"):
+        for label in ("B2", "D3", "E9", "A0", "", " ", "()"):
             with pytest.raises(ValueError):
                 build(label)
 
@@ -140,6 +145,69 @@ class TestPermMul:
         assert perm_mul(a, b) == bytes(a[x] for x in b)
 
 
+def pop_order_walk(identity, gens):
+    """The group walk breadth_first replaced: each element is yielded when
+    its level is expanded, not when it is found."""
+    tables = [g.ljust(256, b"\0") for g in gens]
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            yield x
+            for t in tables:
+                y = x.translate(t)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+
+
+def all_simple_roots_closure(cartan):
+    """Every root, as the closure of all simple roots under the simple
+    reflections."""
+    n = len(cartan)
+    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    refls = [_reflection_matrix(cartan, s) for s in simples]
+    roots_found = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for m in refls:
+                img = ex.mat_vec(m, r)
+                if img not in roots_found:
+                    roots_found.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return tuple(sorted(roots_found))
+
+
+class TestBreadthFirst:
+    def test_d5_coxeter_pair_matches_the_pop_order_walk(self):
+        datum = build("D5")
+        refl = simple_reflections(datum)
+        gens = [datum.perm_of(reduce(operator.mul, refl)), datum.perm_of(refl[3])]
+        tables = [g.ljust(256, b"\0") for g in gens]
+        identity = bytes(range(len(datum.roots)))
+        walk = list(breadth_first(identity, lambda x: [x.translate(t) for t in tables]))
+        assert walk == list(pop_order_walk(identity, gens))
+        assert len(walk) == len(set(walk)) == 1920
+
+    @pytest.mark.parametrize("taken,expanded", [(1, 0), (2, 1), (3, 1), (4, 2), (7, 3)])
+    def test_step_runs_only_as_far_as_the_consumer_reads(self, taken, expanded):
+        # the binary tree n -> 2n, 2n + 1 is infinite: only a lazy walk ends
+        calls = []
+        walk = breadth_first(1, lambda n: calls.append(n) or (2 * n, 2 * n + 1))
+        assert list(islice(walk, taken)) == list(range(1, taken + 1))
+        assert calls == list(range(1, expanded + 1))
+
+    @pytest.mark.parametrize("m,count", [(6, 72), (7, 126)])
+    def test_e_roots_match_the_closure_of_all_simple_roots(self, m, count):
+        expected = all_simple_roots_closure(_cartan_e(m))
+        assert build(f"E{m}").roots == expected and len(expected) == count
+
+
 class TestWeylGroups:
     @pytest.mark.parametrize("label,order", [
         ("A2", 6), ("A3", 24), ("D4", 192), ("D5", 1920), ("E6", 51840),
@@ -148,11 +216,11 @@ class TestWeylGroups:
         assert weyl_group(build(label)).order == order
 
     def test_cap(self):
-        with pytest.raises(GroupCapExceeded):
+        with pytest.raises(LimitExceeded, match="group closure exceeds the cap of 100 "):
             weyl_group(build("D5"), max_size=100)
         # a group closed before under a larger cap is refused too
         grp = weyl_group(build("D5"))
-        with pytest.raises(GroupCapExceeded):
+        with pytest.raises(LimitExceeded, match="group closure exceeds the cap of 1919 "):
             grp.closure_perms(1919)
         assert len(grp.closure_perms(1920)) == 1920
 
@@ -226,9 +294,9 @@ class TestNamedElements:
     def test_d4_weyl_membership(self):
         d4 = build("D4")
         nm = named_elements(d4)
-        assert in_weyl(d4, nm["g"])
-        assert not in_weyl(d4, nm["x"])
-        assert not in_weyl(d4, nm["y"])
+        assert acts_trivially_on_disc(d4, nm["g"])
+        assert not acts_trivially_on_disc(d4, nm["x"])
+        assert not acts_trivially_on_disc(d4, nm["y"])
 
     def test_order_three_classes(self):
         # every order-3 subgroup is conjugate to <g>, <x> or <gx>
