@@ -15,7 +15,7 @@ from . import hmdata, k3class
 from .fqf import render_symbol, signature_mod8, symbol_of
 from .intlat import discriminant_group, int_matrix, load_gram_json
 from .prootpair import ClassifyResult, classify, verdict
-from .rootsys import _check_isometry, build
+from .rootsys import _check_isometry, build, parse_label
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -92,7 +92,7 @@ def _load_generators(path, datum):
     if not isinstance(obj, dict) or not isinstance(obj.get("generators"), list):
         raise ValueError('a generator file must be an object with a "generators" list')
     label = obj.get("root_lattice", datum.label)
-    if not isinstance(label, str) or label.upper() != datum.label:
+    if not isinstance(label, str) or parse_label(label) != parse_label(datum.label):
         raise ValueError("generator file targets a different root lattice")
     return [_check_isometry(datum, int_matrix(m, "generator")) for m in obj["generators"]]
 

@@ -6,9 +6,12 @@ The pair is pseudo when that sublattice is rootless, and full when in
 addition the fixed sublattice is zero.  Pseudo-ness is inherited by
 subgroups, which is what makes exhaustive subgroup classification feasible:
 the search only ever grows subgroups all of whose cyclic pieces are already
-pseudo.  Subgroup closures, conjugates of a subgroup and the candidate walk
-of W(R) are rootsys.breadth_first; the class orbit of one root permutation
-keeps a tight loop of its own.
+pseudo.  Every group element is a permutation held as bytes and composed
+by perm_mul: root permutations for the D and E types, and for A_m the
+signed permutations of S_{m+1} x {+-1} on m+3 points.  Subgroup closures,
+conjugates of a subgroup and the candidate walk of W(R) are
+rootsys.breadth_first; the class orbit of one element keeps a tight loop
+of its own.
 """
 
 from __future__ import annotations
@@ -215,7 +218,7 @@ def _negation(datum) -> bytes:
 
 
 def _conjugation_orbit(x: bytes, conj) -> set:
-    """The orbit of a root permutation under x -> c x c^-1, for the pairs
+    """The orbit of a permutation under x -> c x c^-1, for the pairs
     (c padded to 256 entries, c^-1) in conj."""
     # a loop of its own: through breadth_first the W(E6) sweep takes 100-111 ms, not 76-92
     orbit = {x}
@@ -238,155 +241,130 @@ def _conjugation_orbit(x: bytes, conj) -> set:
 _WEYL_PAIR_REFLECTION = {"E6": 0, "D5": 3}
 
 
-class _PermUniverse:
-    """Group elements as root permutations with byte keys (D and E types).
+class _Universe:
+    """A finite group whose elements are permutations held as bytes and
+    composed by perm_mul.
 
-    Conjugacy classes are orbits under x -> c x c^-1 for the generators c
-    (`conj_gens`).  Each is stored under one member as (orbit, None), or,
-    when it is the negative of an orbit found, as (that orbit, the root
-    negation table), and is negated only when asked for.
+    Conjugation by the generators `conj_gens` is conjugation by Aut(R);
+    `reps` holds one element of each conjugacy class, and `matrix` maps an
+    element to its isometry in the simple-root basis.  A class is expanded
+    only when asked for, as the orbit of its representative.
     """
 
-    def __init__(self, datum, conj_gens, classes: dict):
+    def __init__(self, datum, conj_gens, reps, matrix):
         self.datum = datum
-        self.identity = bytes(range(len(datum.roots)))
-        self.conj_gens = conj_gens
-        self._classes = classes
-
-    @classmethod
-    def closed(cls, datum, group: IsometryGroup):
-        """Every class of the closed group, by one sweep over its elements.
-
-        The root negation, when in the group (D4), is central, so the class
-        of -x is the negation of the class of x and needs no orbit search.
-        """
-        conj_gens = [datum.perm_of(g) for g in group.generators]
-        conj = _conj_tables(conj_gens)
-        elements = group.closure_perms()
-        minus = _negation(datum)
-        negate = minus.ljust(256, b"\0") if minus in elements else None
-        remaining = set(elements)
-        classes = {}
-        while remaining:
-            rep = remaining.pop()
-            orbit = _conjugation_orbit(rep, conj)
-            remaining -= orbit
-            members = tuple(orbit)
-            classes[rep] = (members, None)
-            if negate is not None and rep.translate(negate) not in orbit:
-                remaining.difference_update(x.translate(negate) for x in members)
-                classes[rep.translate(negate)] = (members, negate)
-        return cls(datum, conj_gens, classes)
-
-    @classmethod
-    def weyl_times_sign(cls, datum, reflection: int):
-        """Aut(R) = W(R) x {+-1}, for E6 and D5 where -1 is not in W, from
-        the classes of W alone: each class of W and its negative.
-
-        W is generated by the Coxeter element c = s_1...s_n and the simple
-        reflection s = s_{reflection + 1}, and -1 is central, so conjugation
-        by c and s is conjugation by Aut(R).  Candidates come from a lazy
-        breadth-first walk of <c, s>, and each one that no class holds yet
-        adds its orbit.  The sweep stops once the orbit sizes add up to |W|:
-        the orbits are disjoint subsets of <c, s> <= W, so this proves both
-        that c and s generate W and that the classes are complete.  A walk
-        that runs dry first raises ArithmeticError, an internal error.
-        """
-        refl = simple_reflections(datum)
-        coxeter = reduce(operator.mul, refl)
-        conj_gens = [datum.perm_of(coxeter), datum.perm_of(refl[reflection])]
-        conj = _conj_tables(conj_gens)
-        negate = _negation(datum).ljust(256, b"\0")
-        order = weyl_order(datum.label)
-        classes, covered = {}, set()
-        tables = [t for t, _ in conj]
-        for x in breadth_first(bytes(range(len(datum.roots))),
-                               lambda y: map(y.translate, tables)):
-            if x in covered:
-                continue
-            orbit = _conjugation_orbit(x, conj)
-            covered |= orbit
-            members = tuple(orbit)
-            classes[x] = (members, None)
-            classes[x.translate(negate)] = (members, negate)
-            if len(covered) == order:
-                return cls(datum, conj_gens, classes)
-        raise ArithmeticError(f"the Coxeter element and s_{reflection + 1} generate "
-                              f"a subgroup of order {len(covered)} < |W({datum.label})|")
-
-    mul = staticmethod(perm_mul)
-    inv = staticmethod(_perm_inv)
-
-    def matrix(self, a) -> Isometry:
-        return self.datum.matrix_of_perm(a)
-
-    def class_reps(self):
-        return self._classes.keys()
-
-    def conjugacy_class(self, rep) -> tuple:
-        orbit, negate = self._classes[rep]
-        return orbit if negate is None else tuple(x.translate(negate) for x in orbit)
-
-
-class _SignedSymUniverse:
-    """Aut(A_m) = S_{m+1} x {+-1}; elements are (perm tuple, sign)."""
-
-    def __init__(self, datum):
-        self.datum = datum
-        _, m = parse_label(datum.label)
-        self.n = m + 1
-        self.identity = (tuple(range(self.n)), 1)
-        gens = [(tuple([1, 0] + list(range(2, self.n))), 1)]
-        if self.n > 2:
-            gens.append((tuple(list(range(1, self.n)) + [0]), 1))
-        if m >= 2:
-            gens.append((tuple(range(self.n)), -1))
-        self.conj_gens = gens
-
-    def mul(self, a, b):
-        wa, ea = a
-        wb, eb = b
-        return (tuple(wa[x] for x in wb), ea * eb)
-
-    def inv(self, a):
-        w, e = a
-        out = [0] * self.n
-        for i, x in enumerate(w):
-            out[x] = i
-        return (tuple(out), e)
-
-    def matrix(self, a) -> Isometry:
-        w, e = a
-        m = self.n - 1
-        cols = []
-        for j in range(m):
-            vec = [0] * m
-            x, y = w[j], w[j + 1]
-            if x < y:
-                for k in range(x, y):
-                    vec[k] = e
-            else:
-                for k in range(y, x):
-                    vec[k] = -e
-            cols.append(tuple(vec))
-        return Isometry(ex.transpose(cols))
-
-    def class_reps(self):
-        """One element per class: consecutive cycles of each cycle type, each
-        sign.  The sign -1 is central, so the classes of S_{m+1} x {+-1} are
-        exactly the pairs (cycle type, sign)."""
-        for lengths in _partitions(self.n, self.n):
-            w, start = [], 0
-            for ln in lengths:
-                w += range(start + 1, start + ln)
-                w.append(start)
-                start += ln
-            for e in ((1, -1) if self.n > 2 else (1,)):
-                yield (tuple(w), e)
+        self.conj_gens = tuple(conj_gens)
+        self.reps = tuple(reps)
+        self.matrix = matrix
+        self.identity = bytes(range(len(self.reps[0])))
+        self.conj = _conj_tables(self.conj_gens)
 
     def conjugacy_class(self, rep) -> set:
-        """The orbit of rep under conjugation by the generators."""
-        return {x for (x,) in _conjugates(self, frozenset([rep]))}
+        return _conjugation_orbit(rep, self.conj)
+
+
+def _closed_universe(datum, group: IsometryGroup) -> _Universe:
+    """Every class of the closed group as root permutations, by one sweep
+    over its elements (D4 and the E8 scope).
+
+    The root negation, when in the group (D4), is central, so the class of
+    -x is the negation of the class of x and needs no orbit search.
+    """
+    conj_gens = [datum.perm_of(g) for g in group.generators]
+    conj = _conj_tables(conj_gens)
+    minus = _negation(datum)
+    remaining = set(group.closure_perms())
+    negate = minus.ljust(256, b"\0") if minus in remaining else None
+    reps = []
+    while remaining:
+        rep = remaining.pop()
+        orbit = _conjugation_orbit(rep, conj)
+        remaining -= orbit
+        reps.append(rep)
+        if negate is not None and rep.translate(negate) not in orbit:
+            remaining.difference_update(x.translate(negate) for x in orbit)
+            reps.append(rep.translate(negate))
+    return _Universe(datum, conj_gens, reps, datum.matrix_of_perm)
+
+
+def _weyl_times_sign_universe(datum, reflection: int) -> _Universe:
+    """Aut(R) = W(R) x {+-1} as root permutations, for E6 and D5 where -1
+    is not in W, from the classes of W alone: each class of W and its
+    negative.
+
+    W is generated by the Coxeter element c = s_1...s_n and the simple
+    reflection s = s_{reflection + 1}, and -1 is central, so conjugation
+    by c and s is conjugation by Aut(R).  Candidates come from a lazy
+    breadth-first walk of <c, s>, and each one that no class holds yet
+    adds its orbit.  The sweep stops once the orbit sizes add up to |W|:
+    the orbits are disjoint subsets of <c, s> <= W, so this proves both
+    that c and s generate W and that the classes are complete.  A walk
+    that runs dry first raises ArithmeticError, an internal error.
+    """
+    refl = simple_reflections(datum)
+    coxeter = reduce(operator.mul, refl)
+    conj_gens = [datum.perm_of(coxeter), datum.perm_of(refl[reflection])]
+    conj = _conj_tables(conj_gens)
+    negate = _negation(datum).ljust(256, b"\0")
+    order = weyl_order(datum.label)
+    reps, covered = [], set()
+    tables = [t for t, _ in conj]
+    for x in breadth_first(bytes(range(len(datum.roots))),
+                           lambda y: map(y.translate, tables)):
+        if x in covered:
+            continue
+        covered |= _conjugation_orbit(x, conj)
+        reps += (x, x.translate(negate))
+        if len(covered) == order:
+            return _Universe(datum, conj_gens, reps, datum.matrix_of_perm)
+    raise ArithmeticError(f"the Coxeter element and s_{reflection + 1} generate "
+                          f"a subgroup of order {len(covered)} < |W({datum.label})|")
+
+
+def _signed_sym_universe(datum) -> _Universe:
+    """Aut(A_m) = S_{m+1} x {+-1} as permutations of m+3 points.
+
+    With n = m+1, (w, e) permutes the points 0..n-1 by w and swaps the
+    points n and n+1 when e = -1, so perm_mul is the group law.  The sign
+    is central, so the classes are exactly the pairs (cycle type, sign),
+    each represented by consecutive cycles.  For A_1 the transposition is
+    -1 already and the sign is not doubled.
+    """
+    _, m = parse_label(datum.label)
+    n = m + 1
+    signs = [bytes((n, n + 1))] + ([bytes((n + 1, n))] if m >= 2 else [])
+    conj_gens = [bytes([1, 0, *range(2, n)]) + signs[0]]
+    if n > 2:
+        conj_gens.append(bytes([*range(1, n), 0]) + signs[0])
+    reps = []
+    for lengths in _partitions(n, n):
+        w, start = [], 0
+        for ln in lengths:
+            w += range(start + 1, start + ln)
+            w.append(start)
+            start += ln
+        reps += (bytes(w) + s for s in signs)
+    return _Universe(datum, conj_gens, reps, lambda a: _signed_perm_matrix(a, n))
+
+
+def _signed_perm_matrix(a: bytes, n: int) -> Isometry:
+    """The isometry of A_{n-1} in the simple-root basis for the element a
+    of _signed_sym_universe: alpha_j = u_j - u_{j+1} goes to
+    e (u_{w(j)} - u_{w(j+1)})."""
+    e = 1 if a[n] == n else -1
+    m = n - 1
+    cols = []
+    for j in range(m):
+        vec = [0] * m
+        x, y = a[j], a[j + 1]
+        if x < y:
+            for k in range(x, y):
+                vec[k] = e
+        else:
+            for k in range(y, x):
+                vec[k] = -e
+        cols.append(tuple(vec))
+    return Isometry(ex.transpose(cols))
 
 
 def _partitions(n, largest):
@@ -399,10 +377,12 @@ def _partitions(n, largest):
             yield (first,) + rest
 
 
-def _closure(universe, gens, allowed=None, cap=SUBGROUP_ELEMENT_CAP):
-    """Subgroup closure from generators; None when leaving the allowed set."""
+def _closure(gens, allowed=None, cap=SUBGROUP_ELEMENT_CAP):
+    """Subgroup closure from nonempty generators; None when leaving the
+    allowed set."""
+    tables = [g.ljust(256, b"\0") for g in gens]
     elements = []
-    for b in breadth_first(universe.identity, lambda a: [universe.mul(a, g) for g in gens]):
+    for b in breadth_first(bytes(range(len(gens[0]))), lambda a: map(a.translate, tables)):
         if allowed is not None and b not in allowed:
             return None
         if len(elements) >= cap:
@@ -435,7 +415,7 @@ def classify(datum_or_label, p: int) -> ClassifyResult:
     if datum.label == "E8":
         nm = named_elements(datum)
         grp = IsometryGroup(datum, (nm["a"], nm["b"]))
-        uni = _PermUniverse.closed(datum, grp)
+        uni = _closed_universe(datum, grp)
         return _classify_universe(
             datum, p, uni, partial=True,
             note="scope restricted to the named order-5 elements and their products",
@@ -445,11 +425,11 @@ def classify(datum_or_label, p: int) -> ClassifyResult:
                               "no enumerable scope for E7; no named elements")
     # build admits no other label: A_m with m <= 7, D4, D5 or E6 is left
     if kind == "A":
-        uni = _SignedSymUniverse(datum)
+        uni = _signed_sym_universe(datum)
     elif datum.label in _WEYL_PAIR_REFLECTION:
-        uni = _PermUniverse.weyl_times_sign(datum, _WEYL_PAIR_REFLECTION[datum.label])
+        uni = _weyl_times_sign_universe(datum, _WEYL_PAIR_REFLECTION[datum.label])
     else:
-        uni = _PermUniverse.closed(datum, aut_group(datum))
+        uni = _closed_universe(datum, aut_group(datum))
     return _classify_universe(datum, p, uni, partial=False,
                               note="exhaustive over all subgroups")
 
@@ -469,7 +449,7 @@ def _good_elements(uni, rootless_span) -> set:
     and no root is zero mod p.
     """
     good = set()
-    for rep in uni.class_reps():
+    for rep in uni.reps:
         if rootless_span([rep]):
             good.update(uni.conjugacy_class(rep))
     return good
@@ -494,7 +474,7 @@ def _subgroup_bfs(uni, elements, allowed, rootless_span) -> dict:
             for g in elements:
                 if g in elems:
                     continue
-                new = _closure(uni, gens + [g], allowed=allowed)
+                new = _closure(gens + [g], allowed=allowed)
                 if new is None or new in found:
                     continue
                 if not rootless_span(gens + [g]):
@@ -519,7 +499,7 @@ def _cyclic_generators(uni, elements) -> list:
         chosen.append(g)
         powers = [g]  # powers[k - 1] = g^k, up to g^n = 1
         while powers[-1] != uni.identity:
-            powers.append(uni.mul(powers[-1], g))
+            powers.append(perm_mul(powers[-1], g))
         n = len(powers)
         covered.update(x for k, x in enumerate(powers, 1) if math.gcd(k, n) == 1)
     return chosen
@@ -527,9 +507,9 @@ def _cyclic_generators(uni, elements) -> list:
 
 def _conjugates(uni, sub) -> set:
     """The orbit of a subgroup under conjugation by Aut(R) (uni.conj_gens)."""
-    conj_pairs = [(c, uni.inv(c)) for c in uni.conj_gens]
     return set(breadth_first(sub, lambda s: [
-        frozenset(uni.mul(uni.mul(c, x), cinv) for x in s) for c, cinv in conj_pairs]))
+        frozenset(cinv.translate(x.translate(table).ljust(256, b"\0")) for x in s)
+        for table, cinv in uni.conj]))
 
 
 def _classify_universe(datum, p, uni, partial, note) -> ClassifyResult:
@@ -560,7 +540,7 @@ def _classify_universe(datum, p, uni, partial, note) -> ClassifyResult:
             for g in steps:
                 if g in elems:
                     continue
-                new = _closure(uni, gens + [g], allowed=good)
+                new = _closure(gens + [g], allowed=good)
                 if new is None or new in seen:
                     continue
                 orbit = _conjugates(uni, new)

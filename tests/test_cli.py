@@ -109,6 +109,28 @@ class TestProot:
         assert code == 1
         assert json.loads(out)["pseudo"] is False
 
+    @staticmethod
+    def check_a2_cycle(capsys, tmp_path, file_label):
+        # the 3-cycle of A2: alpha_1 -> alpha_2 -> -alpha_1 - alpha_2
+        gen_file = tmp_path / "gens.json"
+        gen_file.write_text(json.dumps(
+            {"root_lattice": file_label, "generators": [[[0, -1], [1, -1]]]}))
+        return run(capsys, ["--json", "proot-check", "--root-lattice", "A(2)",
+                            "--p", "3", "--generators", str(gen_file)])
+
+    @pytest.mark.parametrize("file_label", ["A(2)", " a2"])
+    def test_generator_file_label_is_read_like_the_option(self, capsys, tmp_path,
+                                                          file_label):
+        code, out = self.check_a2_cycle(capsys, tmp_path, file_label)
+        assert code == 0
+        assert json.loads(out)["full"] is True
+
+    @pytest.mark.parametrize("file_label", ["A3", 2])
+    def test_generator_file_for_another_lattice_is_usage_error(self, capsys, tmp_path,
+                                                               file_label):
+        code, out = self.check_a2_cycle(capsys, tmp_path, file_label)
+        assert code == 2 and out == ""
+
     def test_classify(self, capsys):
         code, out = run(capsys, ["--json", "proot-classify",
                                  "--root-lattice", "D5", "--p", "3"])

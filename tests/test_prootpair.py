@@ -20,15 +20,18 @@ from k3lat.intlat import (
 )
 from k3lat.prootpair import (
     IsometryGroup,
-    _PermUniverse,
-    _SignedSymUniverse,
     _classify_universe,
+    _closed_universe,
+    _closure,
     _conjugates,
     _cyclic_generators,
     _good_elements,
     _in_sublattice,
+    _perm_inv,
     _rootless,
+    _signed_sym_universe,
     _subgroup_bfs,
+    _weyl_times_sign_universe,
     classify,
     disc_action_nontrivial,
     fixed_sublattice,
@@ -365,22 +368,30 @@ def universe_group(label):
 def perm_universe(label):
     """The universe classify searches: W(R) x {+-1} classes for D5 and E6."""
     if label.startswith("A"):
-        return _SignedSymUniverse(build(label))
+        return _signed_sym_universe(build(label))
     if label in ("D5", "E6"):
-        return _PermUniverse.weyl_times_sign(build(label),
-                                             prootpair._WEYL_PAIR_REFLECTION[label])
-    return _PermUniverse.closed(build(label), universe_group(label))
+        return _weyl_times_sign_universe(build(label),
+                                         prootpair._WEYL_PAIR_REFLECTION[label])
+    return _closed_universe(build(label), universe_group(label))
 
 
 @lru_cache(maxsize=None)
 def closed_universe(label):
     """Oracle: the whole group closed and swept, conjugating by every
     generator of aut_group (or by a and b for E8)."""
-    return _PermUniverse.closed(build(label), universe_group(label))
+    return _closed_universe(build(label), universe_group(label))
 
 
 def class_partition(uni):
-    return {frozenset(uni.conjugacy_class(r)) for r in uni.class_reps()}
+    return {frozenset(uni.conjugacy_class(r)) for r in uni.reps}
+
+
+def signed_perm(w, e):
+    """(w, e) in S_n x {+-1} as bytes: w on the points 0..n-1, then the points
+    n and n+1, swapped for e = -1 (written out here, not taken from the
+    universe)."""
+    n = len(w)
+    return bytes(w) + bytes((n, n + 1) if e == 1 else (n + 1, n))
 
 
 @lru_cache(maxsize=None)
@@ -389,7 +400,7 @@ def group_elements(label):
     permutation times every sign for A_m, the sorted closure otherwise."""
     if label.startswith("A"):
         m = int(label[1:])
-        return [(w, e) for w in permutations(range(m + 1))
+        return [signed_perm(w, e) for w in permutations(range(m + 1))
                 for e in ((1, -1) if m >= 2 else (1,))]
     return sorted(universe_group(label).closure_perms())
 
@@ -409,7 +420,7 @@ def cyclic_subgroup(uni, g):
     out, x = {uni.identity}, g
     while x != uni.identity:
         out.add(x)
-        x = uni.mul(x, g)
+        x = perm_mul(x, g)
     return frozenset(out)
 
 
@@ -480,7 +491,7 @@ class TestConjugacySearch:
 def bfs_class_sweep(uni, elements):
     """Oracle: every conjugacy class by its own breadth-first orbit under the
     generators, without the +-x pairing."""
-    conj = [(c, uni.inv(c)) for c in uni.conj_gens]
+    conj = [(c, _perm_inv(c)) for c in uni.conj_gens]
     classes, seen = [], set()
     for rep in elements:
         if rep in seen:
@@ -490,7 +501,7 @@ def bfs_class_sweep(uni, elements):
             nxt = []
             for x in frontier:
                 for c, cinv in conj:
-                    y = uni.mul(uni.mul(c, x), cinv)
+                    y = perm_mul(perm_mul(c, x), cinv)
                     if y not in cls:
                         cls.add(y)
                         nxt.append(y)
@@ -515,20 +526,20 @@ class TestConjugacyClasses:
     ])
     def test_class_counts(self, label, order, count):
         uni = perm_universe(label)
-        reps = list(uni.class_reps())
+        reps = uni.reps
         classes = [set(uni.conjugacy_class(r)) for r in reps]
         assert len(reps) == count
         # the classes cover the group, and their sizes add up to its order,
         # so they are disjoint
         assert set().union(*classes) == set(group_elements(label))
         assert sum(map(len, classes)) == len(group_elements(label)) == order
-        conj = [(c, uni.inv(c)) for c in uni.conj_gens]
+        conj = [(c, _perm_inv(c)) for c in uni.conj_gens]
         for rep, cls in zip(reps, classes):
             assert rep in cls and order % len(cls) == 0
             # closed under conjugation: with `count` classes each one is a
             # single conjugacy class
             for c, cinv in conj:
-                assert {uni.mul(uni.mul(c, x), cinv) for x in cls} == cls
+                assert {perm_mul(perm_mul(c, x), cinv) for x in cls} == cls
 
     @pytest.mark.parametrize("label,p", [
         ("D4", 3), ("D4", 5), ("D4", 7), ("D4", 11),
@@ -576,19 +587,77 @@ class TestConjugacyClasses:
         uni = perm_universe(label)
         oracle = closed_universe(label)
         assert len(uni.conj_gens) == 2 and len(oracle.conj_gens) == aut_gens
-        assert len(list(uni.class_reps())) == count
+        assert len(uni.reps) == count
         assert class_partition(uni) == class_partition(oracle)
 
     def test_non_generating_pair_is_refused(self):
         # the Coxeter element of D5 and s_1 generate a subgroup of order 384,
         # not W(D5) of order 1920; its classes must not pass for a complete set
         with pytest.raises(ArithmeticError, match="384"):
-            _PermUniverse.weyl_times_sign(build("D5"), 0)
+            _weyl_times_sign_universe(build("D5"), 0)
 
     def test_e8_scope_has_no_negation(self):
         uni = perm_universe("E8")
         assert root_negation(uni.datum) not in set(group_elements("E8"))
         assert class_partition(uni) == set(bfs_class_sweep(uni, group_elements("E8")))
+
+
+class TestSignedSymEncoding:
+    """Aut(A_m) as permutations of m+3 points against the closure of
+    aut_group, whose matrices are the isometries of A_m."""
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_matrices_are_aut_group(self, m):
+        label = f"A{m}"
+        uni = perm_universe(label)
+        elements = group_elements(label)
+        images = [uni.matrix(x) for x in elements]
+        assert len(set(images)) == len(elements)
+        datum = build(label)
+        assert set(images) == {datum.matrix_of_perm(x)
+                               for x in aut_group(datum).closure_perms()}
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_perm_mul_is_the_group_law(self, m):
+        uni = perm_universe(f"A{m}")
+        elements = group_elements(f"A{m}")
+        rng = random.Random(m)
+        for _ in range(60):
+            a, b = rng.choice(elements), rng.choice(elements)
+            assert uni.matrix(perm_mul(a, b)) == uni.matrix(a) * uni.matrix(b)
+
+
+class TestClosure:
+    """_closure on bytes against the breadth-first closure of IsometryGroup."""
+
+    @pytest.mark.parametrize("label,count", [("D4", 2), ("D4", 3), ("E6", 2), ("A5", 2),
+                                             ("A5", 3)])
+    def test_orders_match_isometry_group(self, label, count):
+        uni = perm_universe(label)
+        rng = random.Random(f"{label}{count}")
+        for _ in range(4):
+            gens = rng.sample(group_elements(label), count)
+            grp = IsometryGroup(uni.datum, [uni.matrix(g) for g in gens])
+            got = _closure(gens, cap=200000)
+            assert len(got) == len(grp.closure_perms())
+            if not label.startswith("A"):  # root permutations both
+                assert got == grp.closure_perms()
+
+    def test_leaving_the_allowed_set_gives_none(self):
+        uni = perm_universe("A5")
+        g = signed_perm((1, 2, 3, 4, 5, 0), 1)  # the 6-cycle
+        h = signed_perm((1, 0, 2, 3, 4, 5), 1)  # a transposition
+        cyclic = _closure([g])
+        assert len(cyclic) == 6 and uni.identity in cyclic
+        assert _closure([g, h], allowed=cyclic) is None
+        assert _closure([perm_mul(g, g)], allowed=cyclic) < cyclic
+
+    def test_cap_below_the_order_is_a_limit(self):
+        gens = perm_universe("A5").conj_gens  # generate S_6, 720 elements
+        assert len(_closure(gens)) == 720
+        assert len(_closure(gens, cap=720)) == 720
+        with pytest.raises(LimitExceeded, match="subgroup closure cap hit"):
+            _closure(gens, cap=719)
 
 
 class TestGoodSetWorkCounts:
@@ -597,15 +666,21 @@ class TestGoodSetWorkCounts:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_a7_decides_44_classes(self, monkeypatch, p):
-        uni = _SignedSymUniverse(build("A7"))
+        uni = _signed_sym_universe(build("A7"))
         rootless_span = rootless_span_at(uni, p)
-        calls, muls = [], []
-        mul = uni.mul
-        monkeypatch.setattr(uni, "mul", lambda a, b: muls.append(a) or mul(a, b))
+        calls, orbit_sizes = [], []
+        orbit = prootpair._conjugation_orbit
+
+        def counted(x, conj):
+            out = orbit(x, conj)
+            orbit_sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(prootpair, "_conjugation_orbit", counted)
         good = _good_elements(uni, lambda keys: calls.append(keys) or rootless_span(keys))
         assert len(calls) == 44 and len(good) == 106
-        # each good element is conjugated once by each generator
-        assert len(muls) <= 2 * len(uni.conj_gens) * len(good)
+        # each good class is expanded once, and no other
+        assert sum(orbit_sizes) == 106
 
     def test_e6_decides_50_classes(self):
         uni = perm_universe("E6")
@@ -627,8 +702,8 @@ class TestGoodSetWorkCounts:
                 yield x
 
         monkeypatch.setattr(prootpair, "breadth_first", counted)
-        uni = _PermUniverse.weyl_times_sign(build("E6"), 0)
-        assert len(list(uni.class_reps())) == 50
+        uni = _weyl_times_sign_universe(build("E6"), 0)
+        assert len(uni.reps) == 50
         assert len(visited) <= 3000
 
 
