@@ -7,9 +7,10 @@ signatures) and the integral LLL reduction of a positive definite Gram
 matrix (lll_reduce, behind short vectors), on tuples of tuples with int or
 Fraction entries.  Number theory: capped trial-division factoring and
 primality (a cofactor in (10^6, 10^12] is tested by deterministic
-Miller-Rabin first), Legendre/Jacobi symbols and p-adic valuations of ints,
-the pivots of the symbol computation in fqf, which eliminates in integers
-modulo p^(v_p(det)+1), or 2^(v_2(det)+3) at p = 2.  No floating point.
+Miller-Rabin first), Legendre/Jacobi symbols, the least quadratic
+non-residue, and p-adic valuations of ints, the pivots of the symbol
+computation in fqf, which eliminates in integers modulo p^(v_p(det)+1), or
+2^(v_2(det)+3) at p = 2.  No floating point.
 """
 
 from __future__ import annotations
@@ -483,6 +484,11 @@ def legendre(a: int, p: int) -> int:
         return 0
     r = pow(a, (p - 1) // 2, p)
     return 1 if r == 1 else -1
+
+
+def least_nonresidue(p: int) -> int:
+    """The least quadratic non-residue modulo the odd prime p."""
+    return next(n for n in range(2, p) if legendre(n, p) == -1)
 
 
 def valuation(x: int, p: int) -> int:

@@ -141,34 +141,29 @@ def render_symbol(q: FiniteQuadraticForm) -> str:
 def _two_adic_units(rank: int, sign: int, oddity: int):
     """Odd residues mod 8 with the given count, trace and determinant class.
 
-    Returns None when no such tuple exists (invalid component data).
+    Only the last min(rank, 3) residues are returned: the rank - 3 before
+    them are 1s, counted but never listed, so the search is O(1) in the
+    rank.  Returns None when no such tuple exists (invalid component data).
     """
     if (oddity - rank) % 2 != 0:
         return None
     free = min(rank, 3)
-    base = [1] * (rank - free)
     for tail in product((1, 3, 5, 7), repeat=free):
-        units = base + list(tail)
-        if sum(units) % 8 != oddity % 8:
-            continue
-        prod = 1
-        for u in units:
-            prod = prod * u % 8
-        if (1 if prod in (1, 7) else -1) == sign:
-            return tuple(units)
+        if ((rank - free + sum(tail)) % 8 == oddity % 8
+                and (1 if math.prod(tail) % 8 in (1, 7) else -1) == sign):
+            return tail
     return None
 
 
 def _odd_unit_numerators(p: int, rank: int, sign: int) -> tuple:
     """Even integers c_i, prime to p, with product Legendre class == sign."""
     chi2 = ex.legendre(2, p)
-    nonres = next(n for n in range(2, p) if ex.legendre(n, p) == -1)
     cs = [2] * (rank - 1)
     target = sign * chi2 ** (rank - 1)
     if chi2 == target:
         cs.append(2)
     else:
-        cs.append(2 * nonres)
+        cs.append(2 * ex.least_nonresidue(p))
     return tuple(cs)
 
 
@@ -179,8 +174,8 @@ def _two_blocks(comp: JordanComponent):
         b = 1 if comp.sign == -1 else 0
         a = comp.rank // 2 - b
         return [("U", k)] * a + [("V", k)] * b
-    units = _two_adic_units(comp.rank, comp.sign, comp.oddity)
-    return [("unit", k, u) for u in units]
+    tail = _two_adic_units(comp.rank, comp.sign, comp.oddity)
+    return [("unit", k, u) for u in (1,) * (comp.rank - len(tail)) + tail]
 
 
 def _block_values(block) -> list:
@@ -384,7 +379,7 @@ def negate(q: FiniteQuadraticForm) -> FiniteQuadraticForm:
 
 def _tau_odd_rank1(p: int, k: int, cls: int) -> int:
     """Signature mod 8 of a rank-1 component (p^k)^cls at odd p."""
-    u = 1 if cls == 1 else next(n for n in range(2, p) if ex.legendre(n, p) == -1)
+    u = 1 if cls == 1 else ex.least_nonresidue(p)
     pk = p ** k
     a = u * (pk + 1) // 2
     tau = 0 if pk % 4 == 1 else 2
@@ -599,19 +594,23 @@ def _bvalue(moduli, coeffs, x, y) -> Fraction:
     return total % 1
 
 
-def _graph_isotropic_subgroups(mod_s, coef_s, mod_d, coef_d, max_order,
+def _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order,
                                require_d_trivial):
-    """Isotropic subgroups H of A_S + A_D with H ∩ A_S = 0.
+    """Isotropic subgroups H of the p-parts A_S + A_D with H ∩ A_S = 0.
 
-    Since A_D is elementary abelian, any such H is the graph of a
-    homomorphism psi from a subgroup of A_D into the p-torsion of A_S.
-    require_d_trivial additionally forces psi injective (H ∩ A_D = 0).
-    Yields (order, generator tuples in combined coordinates).
+    A_D must be elementary abelian (every modulus p), and raises ValueError
+    otherwise; then any such H is the graph of a homomorphism psi from a
+    subgroup of A_D into the p-torsion of A_S.  require_d_trivial
+    additionally forces psi injective (H ∩ A_D = 0).  Yields (order,
+    generator tuples in combined coordinates).
     """
-    p = mod_d[0] if mod_d else 2
+    if any(m != p for m in mod_d):
+        raise ValueError(f"the D block must have scale 1 at p = {p}")
     subgroups = _subgroups_up_to(mod_d, max_order)
     order, gens_d, _ = next(subgroups)
     yield order, gens_d  # the trivial subgroup is tried before any cap applies
+    if not mod_d:
+        return
     if p ** sum(m % p == 0 for m in mod_s) > ENUMERATION_CAP:
         raise ex.LimitExceeded("p-torsion enumeration cap exceeded")
     # p-torsion elements of A_S, grouped by q-value
@@ -672,7 +671,8 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
 
     When s_form/d_form are given (with direct_sum(s,d) == q at p), only
     subgroups with H ∩ (S block) = 0 are taken, and with enforce_d also
-    H ∩ (D block) = 0.  Yields (|H|, form).
+    H ∩ (D block) = 0; the p-part of the D block must then have scale 1,
+    or ValueError is raised.  Yields (|H|, form).
     """
     if p == 2:
         raise ValueError("only odd p is supported")
@@ -688,7 +688,7 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
         moduli = mod_s + mod_d
         # graph parametrization over the (small, elementary) D block
         subgroup_iter = _graph_isotropic_subgroups(
-            mod_s, coef_s, mod_d, coef_d, max_order, enforce_d)
+            p, mod_s, coef_s, mod_d, coef_d, max_order, enforce_d)
     else:
         lat, moduli, coeffs = _realize_p_part(q.p_part(p), p)
         subgroup_iter = _isotropic_subgroups(moduli, coeffs, max_order)
@@ -782,9 +782,7 @@ def nikulin_exists(sig_plus: int, sig_minus: int, q: FiniteQuadraticForm) -> boo
         if p == 2:
             continue
         if n == q.ell_p(p):
-            w = det
-            while w % p == 0:
-                w //= p
+            w = det // p ** ex.valuation(det, p)
             target = 1
             for c in q.components:
                 if c.prime == p:
@@ -796,9 +794,7 @@ def nikulin_exists(sig_plus: int, sig_minus: int, q: FiniteQuadraticForm) -> boo
         has_scale1_odd = any(c.scale == 1 and c.oddity is not None
                              for c in two.components)
         if not has_scale1_odd:
-            w = det
-            while w % 2 == 0:
-                w //= 2
+            w = det // 2 ** ex.valuation(det, 2)
             if w % 8 not in _two_reachable_det_classes(two):
                 return False
     return True

@@ -8,8 +8,11 @@ subgroups, which is what makes exhaustive subgroup classification feasible:
 the search only ever grows subgroups all of whose cyclic pieces are already
 pseudo.  Every group element is a permutation held as bytes and composed
 by perm_mul: root permutations for the D and E types, and for A_m the
-signed permutations of S_{m+1} x {+-1} on m+3 points.  Subgroup closures,
-conjugates of a subgroup and the candidate walk of W(R) are
+signed permutations of S_{m+1} x {+-1} on m+3 points.  The conjugacy
+classes of D4, D5, E6 and the E8 scope come from one lazy class sweep,
+which stops once the class sizes add up to the group order, so Aut(R) is
+never closed.  Subgroup closures are rootsys.group_closure, and the
+conjugates of a subgroup and the walk of the sweep are
 rootsys.breadth_first; the class orbit of one element keeps a tight loop
 of its own.
 """
@@ -28,9 +31,10 @@ from .rootsys import (
     IsometryGroup,
     RootDatum,
     acts_trivially_on_disc,
-    aut_group,
+    aut_generators,
     breadth_first,
     build,
+    group_closure,
     named_elements,
     parse_label,
     perm_mul,
@@ -167,14 +171,8 @@ def p_group_check(datum: RootDatum, group, p: int) -> bool:
     SUBGROUP_ELEMENT_CAP elements.)"""
     grp = group if isinstance(group, IsometryGroup) else IsometryGroup(datum, group)
     perms = grp.closure_perms(SUBGROUP_ELEMENT_CAP)
-    w_order = 0
-    for perm in perms:
-        iso = datum.matrix_of_perm(perm)
-        if acts_trivially_on_disc(datum, iso):
-            w_order += 1
-    while w_order % p == 0:
-        w_order //= p
-    return w_order == 1
+    w_order = sum(acts_trivially_on_disc(datum, datum.matrix_of_perm(perm)) for perm in perms)
+    return w_order == p ** ex.valuation(w_order, p)
 
 
 # ---------------------------------------------------------------------------
@@ -263,62 +261,53 @@ class _Universe:
         return _conjugation_orbit(rep, self.conj)
 
 
-def _closed_universe(datum, group: IsometryGroup) -> _Universe:
-    """Every class of the closed group as root permutations, by one sweep
-    over its elements (D4 and the E8 scope).
+def _class_sweep(datum, gens, order: int, signed: bool) -> _Universe:
+    """The conjugacy classes of a group of root permutations of known order,
+    conjugating by gens.
 
-    The root negation, when in the group (D4), is central, so the class of
-    -x is the negation of the class of x and needs no orbit search.
+    The group is <gens>, or <gens, -1> when `signed` holds (the root
+    negation -1 is central).  Candidates come from a lazy breadth-first
+    walk of <gens>; each one x such that no class holds x or -x yet adds its
+    orbit, and with `signed` also the negated orbit when -x is not in it.
+    The classes are disjoint subsets of the group closed under conjugation
+    by gens, so once their sizes add up to `order` they prove that gens
+    (with -1) generate a group of that order and that the classes are
+    complete.  A walk that runs dry first raises ArithmeticError, an
+    internal error.
     """
-    conj_gens = [datum.perm_of(g) for g in group.generators]
-    conj = _conj_tables(conj_gens)
-    minus = _negation(datum)
-    remaining = set(group.closure_perms())
-    negate = minus.ljust(256, b"\0") if minus in remaining else None
-    reps = []
-    while remaining:
-        rep = remaining.pop()
-        orbit = _conjugation_orbit(rep, conj)
-        remaining -= orbit
-        reps.append(rep)
-        if negate is not None and rep.translate(negate) not in orbit:
-            remaining.difference_update(x.translate(negate) for x in orbit)
-            reps.append(rep.translate(negate))
-    return _Universe(datum, conj_gens, reps, datum.matrix_of_perm)
+    conj = _conj_tables(gens)
+    tables = [t for t, _ in conj]
+    negate = _negation(datum).ljust(256, b"\0")
+    reps, covered, size = [], set(), 0  # covered: the orbits, not their negatives
+    walk = breadth_first(bytes(range(len(datum.roots))), lambda y: map(y.translate, tables))
+    for walked, x in enumerate(walk, 1):
+        minus_x = x.translate(negate) if signed else x
+        if x in covered or minus_x in covered:
+            continue
+        orbit = _conjugation_orbit(x, conj)
+        covered |= orbit
+        reps.append(x)
+        size += len(orbit)
+        if minus_x not in orbit:
+            reps.append(minus_x)
+            size += len(orbit)
+        if size == order:
+            return _Universe(datum, gens, reps, datum.matrix_of_perm)
+    raise ArithmeticError(f"the {len(gens)} generators of {datum.label} generate a group "
+                          f"of order {walked}, too small for order {order}")
 
 
 def _weyl_times_sign_universe(datum, reflection: int) -> _Universe:
-    """Aut(R) = W(R) x {+-1} as root permutations, for E6 and D5 where -1
-    is not in W, from the classes of W alone: each class of W and its
-    negative.
+    """Aut(R) = W(R) x {+-1}, for E6 and D5 where -1 is not in W.
 
-    W is generated by the Coxeter element c = s_1...s_n and the simple
-    reflection s = s_{reflection + 1}, and -1 is central, so conjugation
-    by c and s is conjugation by Aut(R).  Candidates come from a lazy
-    breadth-first walk of <c, s>, and each one that no class holds yet
-    adds its orbit.  The sweep stops once the orbit sizes add up to |W|:
-    the orbits are disjoint subsets of <c, s> <= W, so this proves both
-    that c and s generate W and that the classes are complete.  A walk
-    that runs dry first raises ArithmeticError, an internal error.
+    W is taken as generated by the Coxeter element c = s_1...s_n and the
+    simple reflection s = s_{reflection + 1}, which the sweep proves; -1 is
+    central, so conjugation by c and s is conjugation by Aut(R).
     """
     refl = simple_reflections(datum)
     coxeter = reduce(operator.mul, refl)
-    conj_gens = [datum.perm_of(coxeter), datum.perm_of(refl[reflection])]
-    conj = _conj_tables(conj_gens)
-    negate = _negation(datum).ljust(256, b"\0")
-    order = weyl_order(datum.label)
-    reps, covered = [], set()
-    tables = [t for t, _ in conj]
-    for x in breadth_first(bytes(range(len(datum.roots))),
-                           lambda y: map(y.translate, tables)):
-        if x in covered:
-            continue
-        covered |= _conjugation_orbit(x, conj)
-        reps += (x, x.translate(negate))
-        if len(covered) == order:
-            return _Universe(datum, conj_gens, reps, datum.matrix_of_perm)
-    raise ArithmeticError(f"the Coxeter element and s_{reflection + 1} generate "
-                          f"a subgroup of order {len(covered)} < |W({datum.label})|")
+    return _class_sweep(datum, [datum.perm_of(coxeter), datum.perm_of(refl[reflection])],
+                        2 * weyl_order(datum.label), signed=True)
 
 
 def _signed_sym_universe(datum) -> _Universe:
@@ -377,20 +366,6 @@ def _partitions(n, largest):
             yield (first,) + rest
 
 
-def _closure(gens, allowed=None, cap=SUBGROUP_ELEMENT_CAP):
-    """Subgroup closure from nonempty generators; None when leaving the
-    allowed set."""
-    tables = [g.ljust(256, b"\0") for g in gens]
-    elements = []
-    for b in breadth_first(bytes(range(len(gens[0]))), lambda a: map(a.translate, tables)):
-        if allowed is not None and b not in allowed:
-            return None
-        if len(elements) >= cap:
-            raise ex.LimitExceeded("subgroup closure cap hit")
-        elements.append(b)
-    return frozenset(elements)
-
-
 def classify(datum_or_label, p: int) -> ClassifyResult:
     """All pseudo p-root pairs (H, R) up to Aut(R)-conjugacy, within scope.
 
@@ -400,9 +375,11 @@ def classify(datum_or_label, p: int) -> ClassifyResult:
     built.  Subgroups of a pseudo pair are pseudo, so growing subgroups
     inside the set of elements with rootless cyclic sharp lattice is
     exhaustive; one subgroup per conjugacy class is grown, by one generator
-    per cyclic subgroup.  The classes of Aut(E6) and Aut(D5) = W(R) x {+-1}
-    are those of W(R) and their negatives, found without closing Aut(R);
-    D4 (where -1 lies in W) and the E8 scope are closed and swept whole.
+    per cyclic subgroup.  The conjugacy classes come from a lazy walk of
+    the group that stops once the class sizes add up to its order: for
+    Aut(E6) and Aut(D5) = W(R) x {+-1} the walk is of W(R), and each class
+    of W(R) adds its negative; Aut(D4) is walked itself.  Only the
+    order-25 group <a, b> of the E8 scope is closed, for its order.
     """
     is_datum = isinstance(datum_or_label, RootDatum)
     kind, m = parse_label(datum_or_label.label if is_datum else datum_or_label)
@@ -412,26 +389,31 @@ def classify(datum_or_label, p: int) -> ClassifyResult:
     if kind == "D" and m > 5:
         return ClassifyResult(f"D{m}", p, (), True, f"full search limited to D4/D5, got D{m}")
     datum = datum_or_label if is_datum else build(datum_or_label)
-    if datum.label == "E8":
-        nm = named_elements(datum)
-        grp = IsometryGroup(datum, (nm["a"], nm["b"]))
-        uni = _closed_universe(datum, grp)
-        return _classify_universe(
-            datum, p, uni, partial=True,
-            note="scope restricted to the named order-5 elements and their products",
-        )
     if datum.label == "E7":
         return ClassifyResult(datum.label, p, (), True,
                               "no enumerable scope for E7; no named elements")
-    # build admits no other label: A_m with m <= 7, D4, D5 or E6 is left
-    if kind == "A":
-        uni = _signed_sym_universe(datum)
-    elif datum.label in _WEYL_PAIR_REFLECTION:
-        uni = _weyl_times_sign_universe(datum, _WEYL_PAIR_REFLECTION[datum.label])
-    else:
-        uni = _closed_universe(datum, aut_group(datum))
-    return _classify_universe(datum, p, uni, partial=False,
-                              note="exhaustive over all subgroups")
+    # build admits no other label: A_m with m <= 7, D4, D5, E6 or E8 is left
+    partial = datum.label == "E8"
+    note = ("scope restricted to the named order-5 elements and their products" if partial
+            else "exhaustive over all subgroups")
+    return _classify_universe(datum, p, _search_universe(datum), partial, note)
+
+
+def _search_universe(datum) -> _Universe:
+    """The group classify searches, with its conjugacy classes: Aut(R) for
+    A_m (m <= 7), D4, D5 and E6, and the group <a, b> for E8."""
+    if datum.label.startswith("A"):
+        return _signed_sym_universe(datum)
+    if datum.label in _WEYL_PAIR_REFLECTION:
+        return _weyl_times_sign_universe(datum, _WEYL_PAIR_REFLECTION[datum.label])
+    if datum.label == "D4":
+        # Aut(D4) = W(D4) x S_3, the diagram automorphisms; -1 lies in W(D4)
+        return _class_sweep(datum, [datum.perm_of(g) for g in aut_generators(datum)],
+                            6 * weyl_order("D4"), signed=True)
+    nm = named_elements(datum)
+    grp = IsometryGroup(datum, (nm["a"], nm["b"]))
+    return _class_sweep(datum, [datum.perm_of(g) for g in grp.generators], grp.order,
+                        signed=False)
 
 
 def _rootless(datum, gen_mats, p) -> bool:
@@ -474,7 +456,7 @@ def _subgroup_bfs(uni, elements, allowed, rootless_span) -> dict:
             for g in elements:
                 if g in elems:
                     continue
-                new = _closure(gens + [g], allowed=allowed)
+                new = group_closure(uni.identity, gens + [g], SUBGROUP_ELEMENT_CAP, allowed)
                 if new is None or new in found:
                     continue
                 if not rootless_span(gens + [g]):
@@ -540,7 +522,7 @@ def _classify_universe(datum, p, uni, partial, note) -> ClassifyResult:
             for g in steps:
                 if g in elems:
                     continue
-                new = _closure(gens + [g], allowed=good)
+                new = group_closure(uni.identity, gens + [g], SUBGROUP_ELEMENT_CAP, good)
                 if new is None or new in seen:
                     continue
                 orbit = _conjugates(uni, new)

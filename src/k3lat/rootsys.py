@@ -5,8 +5,9 @@ matrix M acting on column coordinate vectors, with M^T G M = G for the Gram
 matrix G in the simple basis.  Groups are enumerated as permutations of the
 root list, which is cheap; matrices are reconstructed from root images on
 demand.  Orbits and closures (the E6/E7 roots, group elements, and in
-prootpair subgroups and their conjugates) share one lazy level-order walk,
-`breadth_first`.
+prootpair subgroups, their conjugates and the class sweeps) share one lazy
+level-order walk, `breadth_first`; every group of permutations is closed by
+`group_closure`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 
 from . import _exact as ex
 from .intlat import IntegralLattice, Sublattice, discriminant_group
@@ -49,6 +50,24 @@ def breadth_first(start, step):
                     nxt.append(y)
                     yield y
         frontier = nxt
+
+
+def group_closure(identity: bytes, gens, cap: int, allowed=None):
+    """The group generated by the permutations gens, as a frozenset, by a
+    breadth-first walk from identity.
+
+    Returns None as soon as an element falls outside `allowed`, when given;
+    raises LimitExceeded when the group has more than cap elements.
+    """
+    tables = [g.ljust(256, b"\0") for g in gens]
+    elements = []
+    for x in breadth_first(identity, lambda a: map(a.translate, tables)):
+        if allowed is not None and x not in allowed:
+            return None
+        if len(elements) == cap:
+            raise ex.LimitExceeded(f"group closure exceeds the cap of {cap} elements")
+        elements.append(x)
+    return frozenset(elements)
 
 
 @dataclass(frozen=True)
@@ -331,18 +350,13 @@ class IsometryGroup:
         Raises LimitExceeded when the group has more than cap elements,
         also when it was closed before under a larger cap.
         """
-        elements = self._elements_perm
-        if elements is None:
+        if self._elements_perm is None:
             datum = self.datum
-            # translate tables: the generators padded once to 256 entries
-            tables = [datum.perm_of(g).ljust(256, b"\0") for g in self.generators]
-            walk = breadth_first(bytes(range(len(datum.roots))),
-                                 lambda p: map(p.translate, tables))
-            elements = frozenset(islice(walk, cap + 1))  # the walk stops one past the cap
-        if len(elements) > cap:
+            self._elements_perm = group_closure(bytes(range(len(datum.roots))),
+                                                [datum.perm_of(g) for g in self.generators], cap)
+        elif len(self._elements_perm) > cap:
             raise ex.LimitExceeded(f"group closure exceeds the cap of {cap} elements")
-        self._elements_perm = elements
-        return elements
+        return self._elements_perm
 
     @property
     def order(self) -> int:

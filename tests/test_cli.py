@@ -206,6 +206,16 @@ class TestHostileInput:
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_huge_two_adic_rank_is_usage_error(self):
+        # the 2-adic unit search counts the leading 1s of an odd component
+        # instead of listing 999,999,999 of them
+        started = time.perf_counter()
+        res = run_subprocess("embeds", "--qs", "2_1^+999999999", "--rank", "1",
+                             "--p", "3", "--sigma", "1")
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr and "exceeds 24" in res.stderr
+        assert time.perf_counter() - started < 10
+
     def test_undecidable_determinant_is_usage_error(self, tmp_path):
         path = tmp_path / "gram.json"
         path.write_text(json.dumps(

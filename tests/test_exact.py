@@ -75,6 +75,9 @@ def test_legendre():
     assert ex.legendre(2, 7) == 1
     assert ex.legendre(3, 7) == -1
     assert ex.legendre(21, 5) == ex.legendre(1, 5) == 1
+    for p in (3, 5, 7, 23, 71, 191):
+        squares = {x * x % p for x in range(p)}
+        assert ex.least_nonresidue(p) == min(set(range(p)) - squares)
 
 
 def _smallest_prime_factors(limit: int) -> list:

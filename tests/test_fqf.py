@@ -16,6 +16,7 @@ from k3lat.fqf import (
     _graph_isotropic_subgroups,
     _overlattice_gram,
     _realize_p_part,
+    _two_adic_units,
     _two_blocks,
     _two_reachable_det_classes,
     brute_force_tau,
@@ -583,6 +584,14 @@ class TestOverlattices:
         for f in oracle:
             assert any(isomorphic(f, g) for g in forms)
 
+    def test_d_block_of_higher_scale_is_refused(self):
+        # the graph enumeration needs an elementary D block: with D = 3^+1 9^-1
+        # it listed H of order 1, 3 and 3 only, though six isotropic H of order
+        # 9 meet neither block
+        s, d = parse_symbol("9^+1"), parse_symbol("3^+1 9^-1")
+        with pytest.raises(ValueError, match="scale 1"):
+            list(overlattice_candidates(direct_sum(s, d), 3, 81, s_form=s, d_form=d))
+
     def test_against_integral_span_oracle(self, rng):
         checked = 0
         while checked < 12:
@@ -619,8 +628,9 @@ def test_graph_injectivity_matches_combination_search(p, text):
                                          for j, m in enumerate(mod_s))
                        for lams in product(range(p), repeat=len(images)))
 
-    free = list(_graph_isotropic_subgroups(mod_s, coef_s, mod_d, coef_d, p * p, False))
-    injective_only = list(_graph_isotropic_subgroups(mod_s, coef_s, mod_d, coef_d, p * p, True))
+    free = list(_graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, p * p, False))
+    injective_only = list(_graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, p * p,
+                                                     True))
     assert injective_only == [(h, gens) for h, gens in free if injective(gens)]
     assert len(injective_only) < len(free)
 
@@ -707,6 +717,21 @@ class TestValidation:
             J(2, 1, 1, -1, 1)  # sign inconsistent with oddity at rank 1
         with pytest.raises(ValueError):
             FiniteQuadraticForm((J(3, 1, 1, 1), J(3, 1, 2, 1)))
+
+    def test_two_adic_units_match_exhaustive_search(self):
+        # a rank, sign and oddity admit odd units iff some tuple of odd
+        # residues mod 8 has that trace and determinant class
+        for rank in range(1, 6):
+            for sign, oddity in product((1, -1), range(8)):
+                found = [u for u in product((1, 3, 5, 7), repeat=rank)
+                         if sum(u) % 8 == oddity
+                         and (1 if math.prod(u) % 8 in (1, 7) else -1) == sign]
+                blocks = _two_blocks(J(2, 1, rank, sign, oddity)) if found else None
+                assert (_two_adic_units(rank, sign, oddity) is None) == (not found)
+                if found:
+                    assert tuple(b[2] for b in blocks) in found
+        # the leading 1s are counted, not listed
+        assert _two_adic_units(999999999, 1, 1) == (3, 3, 7)
 
 
 class TestBlockValues:

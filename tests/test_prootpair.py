@@ -19,18 +19,19 @@ from k3lat.intlat import (
     saturate,
 )
 from k3lat.prootpair import (
+    SUBGROUP_ELEMENT_CAP,
     IsometryGroup,
     _classify_universe,
-    _closed_universe,
-    _closure,
     _conjugates,
     _cyclic_generators,
     _good_elements,
     _in_sublattice,
     _perm_inv,
     _rootless,
+    _search_universe,
     _signed_sym_universe,
     _subgroup_bfs,
+    _Universe,
     _weyl_times_sign_universe,
     classify,
     disc_action_nontrivial,
@@ -44,6 +45,7 @@ from k3lat.rootsys import (
     acts_trivially_on_disc,
     aut_group,
     build,
+    group_closure,
     named_elements,
     perm_mul,
     t_sublattice,
@@ -366,20 +368,18 @@ def universe_group(label):
 
 @lru_cache(maxsize=None)
 def perm_universe(label):
-    """The universe classify searches: W(R) x {+-1} classes for D5 and E6."""
-    if label.startswith("A"):
-        return _signed_sym_universe(build(label))
-    if label in ("D5", "E6"):
-        return _weyl_times_sign_universe(build(label),
-                                         prootpair._WEYL_PAIR_REFLECTION[label])
-    return _closed_universe(build(label), universe_group(label))
+    """The universe classify searches, from its lazy class sweep."""
+    return _search_universe(build(label))
 
 
 @lru_cache(maxsize=None)
 def closed_universe(label):
-    """Oracle: the whole group closed and swept, conjugating by every
-    generator of aut_group (or by a and b for E8)."""
-    return _closed_universe(build(label), universe_group(label))
+    """Oracle for D and E labels: the whole group closed (aut_group, or <a, b>
+    for E8) and swept by bfs_class_sweep, conjugating by every generator."""
+    datum = build(label)
+    conj_gens = [datum.perm_of(g) for g in universe_group(label).generators]
+    classes = bfs_class_sweep(conj_gens, group_elements(label))
+    return _Universe(datum, conj_gens, [min(c) for c in classes], datum.matrix_of_perm)
 
 
 def class_partition(uni):
@@ -448,7 +448,8 @@ class TestConjugacySearch:
         *((f"A{m}", p) for m in range(1, 8) for p in (3, 5, 7)), ("E8", 5),
     ])
     def test_matches_whole_good_set_bfs(self, label, p):
-        uni = perm_universe(label)
+        # for D and E the oracle searches the closed group
+        uni = perm_universe(label) if label.startswith("A") else closed_universe(label)
         out = classify(uni.datum, p).entries
         want = bfs_classes(uni, p)
         assert len(out) == len(want)
@@ -488,10 +489,11 @@ class TestConjugacySearch:
             assert per_subgroup[cyclic_subgroup(uni, g)] == 1
 
 
-def bfs_class_sweep(uni, elements):
-    """Oracle: every conjugacy class by its own breadth-first orbit under the
-    generators, without the +-x pairing."""
-    conj = [(c, _perm_inv(c)) for c in uni.conj_gens]
+def bfs_class_sweep(conj_gens, elements):
+    """Oracle: every conjugacy class of the listed group by its own
+    breadth-first orbit under conjugation by conj_gens, without the +-x
+    pairing."""
+    conj = [(c, _perm_inv(c)) for c in conj_gens]
     classes, seen = [], set()
     for rep in elements:
         if rep in seen:
@@ -570,15 +572,13 @@ class TestConjugacyClasses:
     @pytest.mark.parametrize("label", ["D4", "D5", "E6"])
     def test_paired_classes_match_bfs_sweep(self, label):
         # -1 is in the group and some class is not its own negative, so the
-        # sweeps take the pairing class(-x) = -class(x); the oracle conjugates
-        # by every generator of aut_group
+        # sweep takes the pairing class(-x) = -class(x); the oracle closes
+        # the group and conjugates by every generator of aut_group
         minus = root_negation(build(label))
         assert minus in set(group_elements(label))
-        oracle = set(bfs_class_sweep(closed_universe(label), group_elements(label)))
-        for uni in (perm_universe(label), closed_universe(label)):
-            paired = class_partition(uni)
-            assert any(perm_mul(minus, next(iter(cls))) not in cls for cls in paired)
-            assert paired == oracle
+        oracle = class_partition(closed_universe(label))
+        assert any(perm_mul(minus, next(iter(cls))) not in cls for cls in oracle)
+        assert class_partition(perm_universe(label)) == oracle
 
     @pytest.mark.parametrize("label,count,aut_gens", [("D5", 36, 6), ("E6", 50, 7)])
     def test_weyl_times_sign_matches_aut_group_sweep(self, label, count, aut_gens):
@@ -599,7 +599,7 @@ class TestConjugacyClasses:
     def test_e8_scope_has_no_negation(self):
         uni = perm_universe("E8")
         assert root_negation(uni.datum) not in set(group_elements("E8"))
-        assert class_partition(uni) == set(bfs_class_sweep(uni, group_elements("E8")))
+        assert class_partition(uni) == class_partition(closed_universe("E8"))
 
 
 class TestSignedSymEncoding:
@@ -627,8 +627,13 @@ class TestSignedSymEncoding:
             assert uni.matrix(perm_mul(a, b)) == uni.matrix(a) * uni.matrix(b)
 
 
+def closure(uni, gens, allowed=None, cap=SUBGROUP_ELEMENT_CAP):
+    return group_closure(uni.identity, gens, cap, allowed)
+
+
 class TestClosure:
-    """_closure on bytes against the breadth-first closure of IsometryGroup."""
+    """group_closure on the bytes of a universe against the closure of
+    IsometryGroup, which takes the matrices."""
 
     @pytest.mark.parametrize("label,count", [("D4", 2), ("D4", 3), ("E6", 2), ("A5", 2),
                                              ("A5", 3)])
@@ -638,7 +643,7 @@ class TestClosure:
         for _ in range(4):
             gens = rng.sample(group_elements(label), count)
             grp = IsometryGroup(uni.datum, [uni.matrix(g) for g in gens])
-            got = _closure(gens, cap=200000)
+            got = closure(uni, gens, cap=200000)
             assert len(got) == len(grp.closure_perms())
             if not label.startswith("A"):  # root permutations both
                 assert got == grp.closure_perms()
@@ -647,17 +652,18 @@ class TestClosure:
         uni = perm_universe("A5")
         g = signed_perm((1, 2, 3, 4, 5, 0), 1)  # the 6-cycle
         h = signed_perm((1, 0, 2, 3, 4, 5), 1)  # a transposition
-        cyclic = _closure([g])
+        cyclic = closure(uni, [g])
         assert len(cyclic) == 6 and uni.identity in cyclic
-        assert _closure([g, h], allowed=cyclic) is None
-        assert _closure([perm_mul(g, g)], allowed=cyclic) < cyclic
+        assert closure(uni, [g, h], allowed=cyclic) is None
+        assert closure(uni, [perm_mul(g, g)], allowed=cyclic) < cyclic
 
     def test_cap_below_the_order_is_a_limit(self):
-        gens = perm_universe("A5").conj_gens  # generate S_6, 720 elements
-        assert len(_closure(gens)) == 720
-        assert len(_closure(gens, cap=720)) == 720
-        with pytest.raises(LimitExceeded, match="subgroup closure cap hit"):
-            _closure(gens, cap=719)
+        uni = perm_universe("A5")
+        gens = uni.conj_gens  # generate S_6, 720 elements
+        assert len(closure(uni, gens)) == 720
+        assert len(closure(uni, gens, cap=720)) == 720
+        with pytest.raises(LimitExceeded, match="group closure exceeds the cap of 719 elements"):
+            closure(uni, gens, cap=719)
 
 
 class TestGoodSetWorkCounts:
@@ -689,10 +695,10 @@ class TestGoodSetWorkCounts:
         good = _good_elements(uni, lambda keys: calls.append(keys) or rootless_span(keys))
         assert len(calls) == 50 and len(good) == 46
 
-    def test_e6_sweep_stops_at_the_weyl_order(self, monkeypatch):
-        # the sweep ends once its orbits cover W(E6), after 2,428 candidates of
-        # the breadth-first walk, long before the walk would list all 51,840;
-        # while the universe is built only the candidate walk calls it
+    @staticmethod
+    def walked_by_sweep(monkeypatch, build_universe):
+        """The universe built, and the elements its breadth-first walk
+        yielded; while a universe is built only that walk calls it."""
         visited = []
         walk = prootpair.breadth_first
 
@@ -702,9 +708,30 @@ class TestGoodSetWorkCounts:
                 yield x
 
         monkeypatch.setattr(prootpair, "breadth_first", counted)
-        uni = _weyl_times_sign_universe(build("E6"), 0)
+        return build_universe(), visited
+
+    def test_e6_sweep_stops_at_the_weyl_order(self, monkeypatch):
+        # the sweep ends once its orbits cover W(E6), after 2,428 candidates of
+        # the breadth-first walk, long before the walk would list all 51,840
+        uni, visited = self.walked_by_sweep(
+            monkeypatch, lambda: _weyl_times_sign_universe(build("E6"), 0))
         assert len(uni.reps) == 50
         assert len(visited) <= 3000
+
+    def test_d4_sweep_stops_at_the_aut_order(self, monkeypatch):
+        # the classes of Aut(D4) add up to 1,152 after 279 candidates
+        uni, visited = self.walked_by_sweep(monkeypatch, lambda: _search_universe(build("D4")))
+        assert len(uni.reps) == 25
+        assert len(visited) <= 350
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_d4_closes_no_group(self, monkeypatch, p):
+        closed = []
+        closure_perms = IsometryGroup.closure_perms
+        monkeypatch.setattr(IsometryGroup, "closure_perms",
+                            lambda grp, *args: closed.append(grp) or closure_perms(grp, *args))
+        assert classify("D4", p).entries
+        assert closed == []
 
 
 class TestPaperInvariants:
