@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import _exact as ex
-from .intlat import IntegralLattice, discriminant_group
+from .intlat import IntegralLattice
 
 TWO_EVEN = None  # oddity marker for even-type 2-adic components
 
@@ -451,14 +451,15 @@ def isomorphic(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) -> bool:
 
 
 def _realize_p_part(q: FiniteQuadraticForm, p: int):
-    """Even diagonal lattice whose symbol has the given odd-p part.
+    """Diagonal entries of an even lattice whose symbol has the given odd-p part.
 
-    Returns (lattice, moduli, coeffs): generator i of the discriminant p-part
-    has order moduli[i] and q-value coeffs[i]/moduli[i] mod 2.
+    Returns (diag, moduli, coeffs): generator i of the discriminant p-part
+    has order moduli[i] and q-value coeffs[i]/moduli[i] mod 2, and the
+    lattice's Gram matrix is diagonal with entries diag.
     """
     if p == 2:
         raise ValueError("only odd p is realized diagonally")
-    entries = []
+    diag = []
     moduli = []
     coeffs = []
     for c in q.components:
@@ -466,19 +467,26 @@ def _realize_p_part(q: FiniteQuadraticForm, p: int):
             continue
         pk = p ** c.scale
         for cu in _odd_unit_numerators(p, c.rank, c.sign):
-            entries.append(cu * pk)
+            diag.append(cu * pk)
             moduli.append(pk)
             coeffs.append(cu)
-    gram = tuple(tuple(entries[i] if i == j else 0 for j in range(len(entries)))
-                 for i in range(len(entries)))
-    return IntegralLattice(gram), tuple(moduli), tuple(coeffs)
+    return tuple(diag), tuple(moduli), tuple(coeffs)
 
 
-def _qvalue(moduli, coeffs, elem) -> Fraction:
-    total = Fraction(0)
-    for m, c, x in zip(moduli, coeffs, elem):
-        total += Fraction(c * x * x, m)
-    return total % 2
+def _value_weights(moduli, coeffs, n: int) -> tuple:
+    """c_i * (n / m_i): with n a multiple of every modulus, q(x) is
+    sum w_i x_i^2 / n mod 2 and b(x, y) is sum w_i x_i y_i / n mod 1."""
+    return tuple(c * (n // m) for m, c in zip(moduli, coeffs))
+
+
+def _qnum(weights, elem) -> int:
+    """Numerator of q(elem) over n, mod 2n (n as in _value_weights)."""
+    return sum(w * x * x for w, x in zip(weights, elem))
+
+
+def _bnum(weights, x, y) -> int:
+    """Numerator of b(x, y) over n, before reduction mod n."""
+    return sum(w * a * b for w, a, b in zip(weights, x, y))
 
 
 def _elem_add(moduli, a, b):
@@ -581,17 +589,12 @@ def _subgroups_up_to(moduli, max_order: int, cap: int = ENUMERATION_CAP):
 
 def _isotropic_subgroups(moduli, coeffs, max_order):
     """Isotropic subgroups H, yielded as (order, generator coefficient tuples)."""
+    n = math.lcm(*moduli)
+    weights = _value_weights(moduli, coeffs, n)
     for order, gens, elems in _subgroups_up_to(moduli, max_order):
-        if all(_qvalue(moduli, coeffs, e) == 0
+        if all(_qnum(weights, e) % (2 * n) == 0
                for e in (elems if elems is not None else _subgroup_span(moduli, gens))):
             yield order, gens
-
-
-def _bvalue(moduli, coeffs, x, y) -> Fraction:
-    total = Fraction(0)
-    for m, c, a, b in zip(moduli, coeffs, x, y):
-        total += Fraction(c * a * b, m)
-    return total % 1
 
 
 def _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order,
@@ -613,17 +616,22 @@ def _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order,
         return
     if p ** sum(m % p == 0 for m in mod_s) > ENUMERATION_CAP:
         raise ex.LimitExceeded("p-torsion enumeration cap exceeded")
+    # q- and b-values as integer numerators over n: q mod 2n, b mod n
+    n = math.lcm(*mod_s, *mod_d)
+    w_s = _value_weights(mod_s, coef_s, n)
+    w_d = _value_weights(mod_d, coef_d, n)
     # p-torsion elements of A_S, grouped by q-value
     by_value: dict = {}
     for s in product(*[range(0, m, m // p) if m % p == 0 else (0,) for m in mod_s]):
-        by_value.setdefault(_qvalue(mod_s, coef_s, s) % 2, []).append(s)
+        by_value.setdefault(_qnum(w_s, s) % (2 * n), []).append(s)
     # a p-torsion element s of A_S has F_p coordinates s[j] // steps[j]
     steps = [m // p if m % p == 0 else 1 for m in mod_s]
 
     for order, gens_d, _ in subgroups:
-        targets = [(-_qvalue(mod_d, coef_d, g)) % 2 for g in gens_d]
+        targets = [-_qnum(w_d, g) % (2 * n) for g in gens_d]
         if any(t not in by_value for t in targets):
             continue
+        b_d = [[_bnum(w_d, g, h) for h in gens_d[:i]] for i, g in enumerate(gens_d)]
 
         def backtrack(i, chosen):
             if i == len(gens_d):
@@ -634,13 +642,7 @@ def _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order,
                 yield [s + d for s, d in zip(chosen, gens_d)]
                 return
             for s in by_value[targets[i]]:
-                ok = True
-                for j in range(i):
-                    if (_bvalue(mod_s, coef_s, s, chosen[j])
-                            + _bvalue(mod_d, coef_d, gens_d[i], gens_d[j])) % 1 != 0:
-                        ok = False
-                        break
-                if ok:
+                if all((_bnum(w_s, s, chosen[j]) + b_d[i][j]) % n == 0 for j in range(i)):
                     yield from backtrack(i + 1, chosen + [s])
 
         for combined_gens in backtrack(0, []):
@@ -682,36 +684,40 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
         dp = (d_form or FiniteQuadraticForm()).p_part(p)
         if direct_sum(sp, dp).components != q.p_part(p).components:
             raise ValueError("constraints do not assemble to the p-part of q")
-        lat_s, mod_s, coef_s = _realize_p_part(sp, p)
-        lat_d, mod_d, coef_d = _realize_p_part(dp, p)
-        lat = lat_s.direct_sum(lat_d)
-        moduli = mod_s + mod_d
+        diag_s, mod_s, coef_s = _realize_p_part(sp, p)
+        diag_d, mod_d, coef_d = _realize_p_part(dp, p)
+        diag, moduli = diag_s + diag_d, mod_s + mod_d
         # graph parametrization over the (small, elementary) D block
         subgroup_iter = _graph_isotropic_subgroups(
             p, mod_s, coef_s, mod_d, coef_d, max_order, enforce_d)
     else:
-        lat, moduli, coeffs = _realize_p_part(q.p_part(p), p)
+        diag, moduli, coeffs = _realize_p_part(q.p_part(p), p)
         subgroup_iter = _isotropic_subgroups(moduli, coeffs, max_order)
     if not moduli:
         yield 1, q
         return
-    scale = 1
-    for m in moduli:
-        scale = scale * m // math.gcd(scale, m)
+    scale = math.lcm(*moduli)
     scaled_lattice = [tuple(scale if i == j else 0 for j in range(len(moduli)))
                       for i in range(len(moduli))]
-    # the realized lattices and their direct sums are diagonal
-    diag = tuple(lat.gram[i][i] for i in range(len(moduli)))
+    # On an elementary p-part, q = H-perp/H + (one hyperbolic plane per
+    # factor p of |H|) by Witt cancellation (Nikulin 1980, Prop. 1.4.1;
+    # O'Meara, section 42), so every H of one order induces the same form.
+    by_order = {} if all(m == p for m in moduli) else None
     for order, gens in subgroup_iter:
         if order == 1:
             yield 1, q
+            continue
+        if by_order is not None and order in by_order:
+            yield order, by_order[order]
             continue
         rows = scaled_lattice + [tuple(x * (scale // m) for x, m in zip(g, moduli))
                                  for g in gens]
         basis = ex.row_hnf(ex.to_mat(rows))
         over = IntegralLattice(_overlattice_gram(basis, diag, scale))
-        induced = symbol_of(over, (p,))
-        yield order, direct_sum(away, induced)
+        form = direct_sum(away, symbol_of(over, (p,)))
+        if by_order is not None:
+            by_order[order] = form
+        yield order, form
 
 
 def overlattice_forms(q: FiniteQuadraticForm, p: int, max_order: int,
@@ -730,17 +736,18 @@ def overlattice_forms(q: FiniteQuadraticForm, p: int, max_order: int,
 
 
 def _det_unit_class_two(q2: FiniteQuadraticForm) -> int:
-    """Determinant unit class mod 8 of the canonical realization of a 2-part."""
+    """Determinant unit class mod 8 of the canonical realization of a 2-part.
+
+    Read off the block counts of _two_blocks: a unit block contributes its
+    unit, U a factor 7 and V a factor 3, so no block is listed."""
     prod = 1
     for c in q2.components:
-        for b in _two_blocks(c):
-            if b[0] == "unit":
-                prod = prod * b[2] % 8
-            elif b[0] == "U":
-                prod = prod * 7 % 8
-            else:
-                prod = prod * 3 % 8
-    return prod
+        if c.is_even_type:
+            b = 1 if c.sign == -1 else 0
+            prod *= pow(7, c.rank // 2 - b, 8) * pow(3, b, 8)
+        else:
+            prod *= math.prod(_two_adic_units(c.rank, c.sign, c.oddity))
+    return prod % 8
 
 
 def _two_reachable_det_classes(q2: FiniteQuadraticForm) -> set:
@@ -776,44 +783,32 @@ def nikulin_exists(sig_plus: int, sig_minus: int, q: FiniteQuadraticForm) -> boo
         return False
     if n < q.ell():
         return False
-    order = q.group_order()
-    det = (-1) ** sig_minus * order
     for p in q.primes():
         if p == 2:
             continue
         if n == q.ell_p(p):
-            w = det // p ** ex.valuation(det, p)
+            w = _det_unit_mod(q, sig_minus, p, p)
             target = 1
             for c in q.components:
                 if c.prime == p:
                     target *= c.sign
-            if ex.legendre(w % p, p) != target:
+            if ex.legendre(w, p) != target:
                 return False
     if 2 in q.primes() and n == q.ell_p(2):
         two = q.p_part(2)
         has_scale1_odd = any(c.scale == 1 and c.oddity is not None
                              for c in two.components)
         if not has_scale1_odd:
-            w = det // 2 ** ex.valuation(det, 2)
-            if w % 8 not in _two_reachable_det_classes(two):
+            if _det_unit_mod(q, sig_minus, 2, 8) not in _two_reachable_det_classes(two):
                 return False
     return True
 
 
-def discriminant_form_values(lat: IntegralLattice):
-    """(orders, q-values, bilinear matrix) of A_L on its SNF generators."""
-    disc = discriminant_group(lat)
-    lifts = disc.generator_lifts
-    g = lat.gram
-    qv = []
-    bv = []
-    for v in lifts:
-        gv = ex.mat_vec(g, v)
-        qv.append(ex.dot(v, gv) % 2)
-    for v in lifts:
-        row = []
-        gv = ex.mat_vec(g, v)
-        for w in lifts:
-            row.append(ex.dot(w, gv) % 1)
-        bv.append(tuple(row))
-    return disc.cyclic_orders, tuple(qv), tuple(bv)
+def _det_unit_mod(q: FiniteQuadraticForm, sig_minus: int, p: int, m: int) -> int:
+    """The p-free part of det = (-1)^sig_minus |A_q|, mod m, built from
+    pow(prime, scale * rank, m) per component, never from |A_q| itself."""
+    w = (-1) ** sig_minus
+    for c in q.components:
+        if c.prime != p:
+            w *= pow(c.prime, c.scale * c.rank, m)
+    return w % m

@@ -11,6 +11,7 @@ form with the even-lattice existence criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from . import _exact as ex
@@ -40,6 +41,7 @@ class SupersingularForm:
         return SIGNATURE
 
 
+@lru_cache(maxsize=1024)
 def n_form(p: int, sigma: int) -> SupersingularForm:
     """Discriminant form of the rank-22 lattice with A = (Z/p)^(2*sigma)."""
     ex.require_odd_prime(p)
@@ -182,7 +184,8 @@ def primitively_embeds(q_s: FiniteQuadraticForm, rank_s: int, p: int, sigma: int
     Glues q_S with the negated N-form, enumerates admissible isotropic
     subgroups H of the p-part (|H| <= p^min(ell_p(A_S), 2*sigma)), and accepts
     as soon as some induced form's negation is realized by an even lattice of
-    signature (1, 21 - rank_S).
+    signature (1, 21 - rank_S).  Every candidate H counts as tried, but a
+    form already rejected is not tested again.
     """
     query = EmbeddingQuery(q_s, rank_s, p, sigma)
     nf = n_form(p, sigma)
@@ -191,15 +194,19 @@ def primitively_embeds(q_s: FiniteQuadraticForm, rank_s: int, p: int, sigma: int
     hmax = p ** min(q_s.ell_p(p), 2 * sigma)
     sig = (1, 21 - rank_s)
     tried = 0
+    rejected = set()
     for h, q_tilde in overlattice_candidates(
         q_total, p, hmax,
         s_form=q_s, d_form=q_d, enforce_d=enforce_d_primitive,
     ):
         tried += 1
+        if q_tilde in rejected:
+            continue
         target = negate(q_tilde)
         if nikulin_exists(sig[0], sig[1], target):
             cert = Certificate(h, q_tilde, target)
             return EmbedDecision(query, True, cert, tried)
+        rejected.add(q_tilde)
     return EmbedDecision(query, False, None, tried)
 
 

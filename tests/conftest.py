@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from k3lat import _exact as ex
-from k3lat.intlat import IntegralLattice
+from k3lat.intlat import IntegralLattice, discriminant_group
 
 
 CHILD_ADDRESS_SPACE = 2 << 30  # bytes
@@ -56,11 +56,30 @@ def unimodular_conjugate(rng: random.Random, lat: IntegralLattice) -> IntegralLa
     return IntegralLattice(ex.mat_mul(ex.mat_mul(um, lat.gram), ex.transpose(um)))
 
 
+def discriminant_form_values(lat: IntegralLattice):
+    """(orders, q-values, bilinear matrix) of A_L on its SNF generators."""
+    disc = discriminant_group(lat)
+    lifts = disc.generator_lifts
+    g = lat.gram
+    qv = []
+    bv = []
+    for v in lifts:
+        gv = ex.mat_vec(g, v)
+        qv.append(ex.dot(v, gv) % 2)
+    for v in lifts:
+        row = []
+        gv = ex.mat_vec(g, v)
+        for w in lifts:
+            row.append(ex.dot(w, gv) % 1)
+        bv.append(tuple(row))
+    return disc.cyclic_orders, tuple(qv), tuple(bv)
+
+
 def forms_isomorphic_bruteforce(data1, data2) -> bool:
     """Exact isomorphism test for small finite quadratic forms.
 
     Each argument is (orders, q_values, b_matrix) on a generating set, as
-    produced by fqf.discriminant_form_values.  Exponential; small groups only.
+    produced by discriminant_form_values.  Exponential; small groups only.
     """
     orders1, q1, b1 = data1
     orders2, q2, b2 = data2

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -13,6 +15,7 @@ from k3lat.fqf import (
     JordanComponent,
     _block_values,
     _det_unit_class_two,
+    _det_unit_mod,
     _graph_isotropic_subgroups,
     _overlattice_gram,
     _realize_p_part,
@@ -21,7 +24,6 @@ from k3lat.fqf import (
     _two_reachable_det_classes,
     brute_force_tau,
     direct_sum,
-    discriminant_form_values,
     isomorphic,
     negate,
     nikulin_exists,
@@ -35,7 +37,14 @@ from k3lat.hmdata import parse_symbol
 from k3lat.intlat import IntegralLattice, discriminant_group
 from k3lat.rootsys import build
 
-from conftest import forms_isomorphic_bruteforce, random_even_gram, unimodular_conjugate
+from conftest import (
+    cap_child_memory,
+    child_env,
+    discriminant_form_values,
+    forms_isomorphic_bruteforce,
+    random_even_gram,
+    unimodular_conjugate,
+)
 
 J = JordanComponent
 
@@ -453,35 +462,78 @@ def test_integer_overlattice_gram_matches_fraction_product(data):
             _overlattice_gram(ex.to_mat(basis), diag, scale)
 
 
-def test_overlattice_gram_matches_two_products_on_table_rows(monkeypatch):
-    # every candidate Gram of four table rows at sigma = 1, against the
-    # two-product form basis * gram * basis^T with the Gram matrix in full
-    from k3lat import fqf
+def _per_candidate_walk(q_s, q_d, p, max_order, start=0, stop=None, two_products=0):
+    """Walk the graph enumeration beside overlattice_candidates, rebuilding
+    each candidate's overlattice the per-candidate way (row_hnf, then
+    _overlattice_gram, then symbol_of) and asserting that it has the form
+    the fast path yields at the same position, for the positions from start
+    to stop.  The Gram matrices at positions below `two_products` are also
+    checked against the two-product form basis * diag * basis^T.  Returns
+    the number so checked."""
+    from itertools import islice
+
+    q = direct_sum(q_s, q_d)
+    away = q.away_part(p)
+    diag_s, mod_s, coef_s = _realize_p_part(q_s, p)
+    diag_d, mod_d, coef_d = _realize_p_part(q_d, p)
+    diag, moduli = diag_s + diag_d, mod_s + mod_d
+    scale = math.lcm(*moduli)
+    lattice_rows = [tuple(scale if i == j else 0 for j in range(len(moduli)))
+                    for i in range(len(moduli))]
+    walk = _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order, True)
+    fast = overlattice_candidates(q, p, max_order, s_form=q_s, d_form=q_d)
+    checked = 0
+    for position, ((order, gens), (h, form)) in enumerate(
+            zip(islice(walk, start, stop), islice(fast, start, stop), strict=True), start):
+        where = (render_symbol(q_s), p, position)
+        assert h == order, where
+        if order == 1:
+            assert form == q, where
+            continue
+        rows = lattice_rows + [tuple(x * (scale // m) for x, m in zip(g, moduli))
+                               for g in gens]
+        basis = ex.row_hnf(ex.to_mat(rows))
+        gram = _overlattice_gram(basis, diag, scale)
+        if position < two_products:
+            prod = ex.mat_mul(ex.mat_mul(basis, _diagonal(diag)), ex.transpose(basis))
+            s2 = scale * scale
+            assert all(x % s2 == 0 for row in prod for x in row), where
+            assert gram == tuple(tuple(x // s2 for x in row) for row in prod), where
+            checked += 1
+        want = direct_sum(away, symbol_of(IntegralLattice(gram), (p,)))
+        assert form == want, where
+        assert render_symbol(form) == render_symbol(want), where
+    return checked
+
+
+def test_elementary_fast_path_matches_per_candidate_overlattices():
+    # every sigma = 1 table decision whose S block has a nontrivial p-part
+    # of scale 1, over every candidate of the full enumeration, with the
+    # two-product Gram check on the candidates the decision tries; then
+    # sigma = 2 row 20 (5^+4) at p = 5: its first 500 candidates, all of
+    # order 5, and the first 500 of order 25, from position 19,345 on (the
+    # decision accepts the first)
     from k3lat.hmdata import load_table
-    from k3lat.k3class import n_form
+    from k3lat.k3class import n_form, odd_primes_below, primitively_embeds
 
-    fast = fqf._overlattice_gram
-    checked = []
-
-    def against_two_products(basis, diag, scale):
-        prod = ex.mat_mul(ex.mat_mul(basis, _diagonal(diag)), ex.transpose(basis))
-        s2 = scale * scale
-        assert all(x % s2 == 0 for row in prod for x in row)
-        got = fast(basis, diag, scale)
-        assert got == tuple(tuple(x // s2 for x in row) for row in prod)
-        checked.append(got)
-        return got
-
-    monkeypatch.setattr(fqf, "_overlattice_gram", against_two_products)
-    rows = {rec.number: rec for rec in load_table()}
-    for number, p in ((18, 3), (46, 3), (53, 5), (129, 7)):
-        q_s = rows[number].q_s
-        q_d = negate(n_form(p, 1).q)
-        hmax = p ** min(q_s.ell_p(p), 2)
-        candidates = list(overlattice_candidates(direct_sum(q_s, q_d), p, hmax,
-                                                 s_form=q_s, d_form=q_d))
-        assert len(candidates) > 80
-    assert len(checked) > 600
+    records = load_table()
+    checked = decisions = 0
+    for rec in records:
+        for p in odd_primes_below(200):
+            s_part = rec.q_s.p_part(p)
+            if s_part.is_trivial() or any(c.scale != 1 for c in s_part.components):
+                continue
+            decisions += 1
+            tried = primitively_embeds(rec.q_s, rec.rank, p, 1).candidates_tried
+            checked += _per_candidate_walk(rec.q_s, negate(n_form(p, 1).q), p,
+                                           p ** min(rec.q_s.ell_p(p), 2), two_products=tried)
+    assert decisions == 58
+    q_s = next(rec for rec in records if rec.number == 20).q_s
+    q_d = negate(n_form(5, 2).q)
+    checked += _per_candidate_walk(q_s, q_d, 5, 25, stop=500, two_products=500)
+    checked += _per_candidate_walk(q_s, q_d, 5, 25, start=19345, stop=19845,
+                                   two_products=19845)
+    assert checked >= 600, checked
 
 
 def _direct_overlattice_forms(lat, p, max_order):
@@ -635,6 +687,43 @@ def test_graph_injectivity_matches_combination_search(p, text):
     assert len(injective_only) < len(free)
 
 
+@pytest.mark.parametrize("p,sigma,text", [
+    (3, 2, "3^+2"), (3, 2, "3^+1 9^-1"), (5, 1, "5^-2"), (5, 1, "5^+1 25^-1"),
+])
+def test_graph_walk_matches_fraction_isotropy_search(p, sigma, text):
+    """The graph walk, with its integer q- and b-values, lists exactly the
+    subgroups H with H ∩ A_S = H ∩ A_D = 0 on which q vanishes, found by
+    Fraction q-values over every subspace of the p-torsion (H ∩ A_D = 0
+    makes H elementary)."""
+    from k3lat.fqf import _elementary_subspace_bases, _subgroup_span
+    from k3lat.k3class import n_form
+
+    _, mod_s, coef_s = _realize_p_part(parse_symbol(text), p)
+    _, mod_d, coef_d = _realize_p_part(negate(n_form(p, sigma).q), p)
+    moduli, coeffs = mod_s + mod_d, coef_s + coef_d
+    ns = len(mod_s)
+
+    def q(e):
+        return sum(Fraction(c * x * x, m) for m, c, x in zip(moduli, coeffs, e)) % 2
+
+    want = {frozenset(_subgroup_span(moduli, []))}
+    steps = [m // p for m in moduli]
+    for dim in (1, 2):
+        for basis in _elementary_subspace_bases(p, len(moduli), dim):
+            span = _subgroup_span(moduli, [tuple(x * st for x, st in zip(row, steps))
+                                           for row in basis])
+            if all(q(e) == 0 and any(e[:ns]) == any(e[ns:]) for e in span):
+                want.add(frozenset(span))
+    got = [(h, frozenset(_subgroup_span(moduli, gens)))
+           for h, gens in _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d,
+                                                     p * p, True)]
+    assert all(h == len(span) for h, span in got)
+    assert len({span for _, span in got}) == len(got)
+    assert {span for _, span in got} == want
+    if sigma == 2:  # an H of order p^2 has two D generators, so b-values count
+        assert any(h == p * p for h, _ in got)
+
+
 class TestNikulin:
     def test_pinned(self):
         assert nikulin_exists(1, 0, parse_symbol("4_5^-1 3^+1 7^-1"))
@@ -643,6 +732,42 @@ class TestNikulin:
         assert not nikulin_exists(1, 0, parse_symbol("4_5^-1 3^+1 7^+1"))
         assert not nikulin_exists(0, 1, parse_symbol("4_5^-1 3^+1 7^-1"))
         assert not nikulin_exists(1, 0, parse_symbol("3^+2"))
+
+    def test_huge_rank_ends_at_once(self):
+        # the determinant classes come from pow(prime, count, m) per
+        # component, never from |A| (2^(2*10^9) here) or a list of 10^9
+        # blocks; in a child process, so that a hang fails after 30 s
+        code = ("import time\n"
+                "from k3lat.fqf import nikulin_exists\n"
+                "from k3lat.hmdata import parse_symbol\n"
+                "q = parse_symbol('4_3^+999999999')\n"
+                "started = time.perf_counter()\n"
+                "print(nikulin_exists(1, 999999998, q), time.perf_counter() - started)\n")
+        res = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                             capture_output=True, text=True, timeout=30,
+                             preexec_fn=cap_child_memory)
+        assert res.returncode == 0, res.stderr
+        verdict, seconds = res.stdout.split()
+        assert verdict == "True"
+        assert float(seconds) < 1
+
+    def test_det_classes_match_the_full_determinant(self, rng):
+        # _det_unit_class_two against the product over the listed blocks
+        for comps in _two_parts(6):
+            want = 1
+            for c in comps:
+                for b in _two_blocks(c):
+                    want *= b[2] if b[0] == "unit" else 7 if b[0] == "U" else 3
+            assert _det_unit_class_two(F(*comps)) == want % 8, comps
+        # _det_unit_mod against the p-free part of the full determinant
+        for _ in range(60):
+            q = symbol_of(random_even_gram(rng, rng.randint(1, 4), spread=4))
+            for sig_minus in (0, 1, 2):
+                det = (-1) ** sig_minus * q.group_order()
+                for p in q.primes():
+                    m = 8 if p == 2 else p
+                    w = det // p ** ex.valuation(det, p)
+                    assert _det_unit_mod(q, sig_minus, p, m) == w % m, render_symbol(q)
 
     def test_accepts_realized_lattices(self, rng):
         for _ in range(150):

@@ -113,6 +113,16 @@ class TestEmbeds:
                 glued = direct_sum(rec.q_s, negate(n_form(p, 1).q))
                 assert c.q_saturation.group_order() * c.h_order ** 2 == glued.group_order()
 
+    def test_sigma_2_row_20_at_5(self):
+        # 19,346 candidates; every H of one order induces one form, so only
+        # the first of each order is built and tested
+        rec = record(20)
+        d = primitively_embeds(rec.q_s, rec.rank, 5, 2)
+        assert d.embeds and d.candidates_tried == 19346
+        assert d.certificate.h_order == 25
+        assert render_symbol(d.certificate.q_saturation) == "5^-4"
+        assert render_symbol(d.certificate.q_complement) == "5^-4"
+
     def test_query_validation(self):
         with pytest.raises(ValueError):
             EmbeddingQuery(parse_symbol("3^+6"), 22, 3, 1)
