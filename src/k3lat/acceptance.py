@@ -95,7 +95,7 @@ def criterion_2() -> CriterionResult:
     _check(res, render_symbol(q_total_3) == "4_3^-1 3^-3 7^-1",
            f"glued form at p=3 is {render_symbol(q_total_3)}")
     saturations_3 = [f for _, f in overlattice_candidates(
-        q_total_3, 3, 3, s_form=qs, d_form=negate(k3class.n_form(3, 1).q))]
+        qs, 3, 3, negate(k3class.n_form(3, 1).q))]
     wanted = hmdata.parse_symbol("4_3^-1 3^+1 7^-1")
     _check(res, any(isomorphic(f, wanted) for f in saturations_3),
            "index-3 saturation 4_3^-1 3^+1 7^-1 not found")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from . import _exact as ex
 from .intlat import IntegralLattice
@@ -493,125 +493,109 @@ def _elem_add(moduli, a, b):
     return tuple((x + y) % m for m, x, y in zip(moduli, a, b))
 
 
-def _elem_scale(moduli, a, k):
-    return tuple((k * x) % m for m, x in zip(moduli, a))
+ENUMERATION_CAP = 500000  # subgroups, elements or extensions one search may list
 
 
-def _elem_order(moduli, a) -> int:
-    n = 1
-    for m, x in zip(moduli, a):
-        if x:
-            g = math.gcd(x, m)
-            n = n * (m // g) // math.gcd(n, m // g)
-    return n
+def _subspaces(p: int, n: int, max_order: int):
+    """Reduced-echelon bases of the subspaces of F_p^n of order <= max_order:
+    the zero space first, then by increasing dimension.
 
-
-def _subgroup_span(moduli, gens):
-    """All elements of the subgroup generated by gens (small groups only)."""
-    zero = tuple(0 for _ in moduli)
-    elems = {zero}
-    for g in gens:
-        k = _elem_order(moduli, g)
-        layer = list(elems)
-        for i in range(1, k):
-            step = _elem_scale(moduli, g, i)
-            elems.update(_elem_add(moduli, e, step) for e in layer)
-    return elems
-
-
-def _elementary_subspace_bases(p: int, n: int, dim: int):
-    """Reduced-echelon bases of dim-dimensional subspaces of F_p^n."""
-    from itertools import combinations
-
-    for pivots in combinations(range(n), dim):
-        slots = []
-        for r, piv in enumerate(pivots):
-            slots.extend((r, c) for c in range(n)
-                         if c > piv and c not in pivots)
-        for fill in product(range(p), repeat=len(slots)):
-            rows = [[0] * n for _ in range(dim)]
-            for r, piv in enumerate(pivots):
-                rows[r][piv] = 1
-            for (r, c), v in zip(slots, fill):
-                rows[r][c] = v
-            yield [tuple(r) for r in rows]
-
-
-ENUMERATION_CAP = 500000  # subgroups, or p-torsion elements, one search may list
-
-
-def _subgroups_up_to(moduli, max_order: int, cap: int = ENUMERATION_CAP):
-    """Subgroups of order <= max_order of the finite abelian group with the
-    given cyclic moduli, yielded lazily as (order, basis, elements), trivial
-    subgroup first, then by increasing dimension.
-
-    elements is the frozenset the search built, or None in the elementary
-    abelian case, where subspaces are listed by echelon basis unspanned."""
-    zero = tuple(0 for _ in moduli)
-    yield 1, [], frozenset([zero])
+    Raises LimitExceeded past ENUMERATION_CAP nonzero subspaces."""
+    yield []
     count = 0
-    if moduli and all(m == moduli[0] for m in moduli) and ex.is_prime(moduli[0]):
-        # elementary abelian: enumerate subspaces via echelon bases
-        p = moduli[0]
-        n = len(moduli)
-        dim = 1
-        while dim <= n and p ** dim <= max_order:
-            for basis in _elementary_subspace_bases(p, n, dim):
+    dim = 1
+    while dim <= n and p ** dim <= max_order:
+        for pivots in combinations(range(n), dim):
+            slots = [(r, c) for r, piv in enumerate(pivots)
+                     for c in range(piv + 1, n) if c not in pivots]
+            for fill in product(range(p), repeat=len(slots)):
                 count += 1
-                if count > cap:
+                if count > ENUMERATION_CAP:
                     raise ex.LimitExceeded("subgroup enumeration cap exceeded")
-                yield p ** dim, basis, None
-            dim += 1
+                rows = [[0] * n for _ in range(dim)]
+                for r, piv in enumerate(pivots):
+                    rows[r][piv] = 1
+                for (r, c), v in zip(slots, fill):
+                    rows[r][c] = v
+                yield [tuple(r) for r in rows]
+        dim += 1
+
+
+def _isotropic_subgroups(p, moduli, coeffs, max_order):
+    """Isotropic subgroups H of order <= max_order of the p-group with the
+    given moduli and q-value numerators, trivial first; yields (|H|, gens).
+
+    H = <g_1, ..., g_k> is isotropic iff every q(g_i) = 0 and every
+    b(g_i, g_j) = 0, since q(sum a_i g_i) = sum a_i^2 q(g_i)
+    + 2 sum_{i<j} a_i a_j b(g_i, g_j) mod 2; so no span is built to decide
+    it.  An elementary group is walked by echelon bases.  Any other is grown
+    breadth first by its isotropic elements; it is refused when it has more
+    than ENUMERATION_CAP elements, and so is a walk that tries more than
+    ENUMERATION_CAP extensions.
+    """
+    n = math.lcm(*moduli)
+    weights = _value_weights(moduli, coeffs, n)
+
+    def isotropic(gens):
+        return all(_qnum(weights, g) % (2 * n) == 0
+                   and all(_bnum(weights, g, h) % n == 0 for h in gens[:i])
+                   for i, g in enumerate(gens))
+
+    if all(m == p for m in moduli):
+        for basis in _subspaces(p, len(moduli), max_order):
+            if isotropic(basis):
+                yield p ** len(basis), basis
         return
-    all_elems = [e for e in product(*[range(m) for m in moduli])]
-    seen = {frozenset([zero])}
-    frontier = [(frozenset([zero]), [])]
+    if math.prod(moduli) > ENUMERATION_CAP:
+        raise ex.LimitExceeded("group order exceeds the enumeration cap")
+    zero = tuple(0 for _ in moduli)
+    trivial = frozenset([zero])
+    yield 1, []
+    elements = [e for e in product(*map(range, moduli)) if isotropic([e])]
+    seen = {trivial}
+    frontier = [(trivial, [])]
+    tries = 0
     while frontier:
         nxt = []
         for elems, gens in frontier:
-            for g in all_elems:
+            for g in elements:
                 if g in elems:
                     continue
-                new = _subgroup_span(moduli, gens + [g])
-                if len(new) > max_order:
+                tries += 1
+                if tries > ENUMERATION_CAP:
+                    raise ex.LimitExceeded("subgroup extension cap exceeded")
+                if any(_bnum(weights, g, h) % n for h in gens):
                     continue
-                key = frozenset(new)
-                if key in seen:
+                # <H, g> is the union of the cosets H + k g, 0 <= k < [<H, g> : H]
+                shifts, x = [zero], g
+                while x not in elems:
+                    shifts.append(x)
+                    x = _elem_add(moduli, x, g)
+                if len(elems) * len(shifts) > max_order:
                     continue
-                seen.add(key)
-                nxt.append((key, gens + [g]))
-                count += 1
-                if count > cap:
-                    raise ex.LimitExceeded("subgroup enumeration cap exceeded")
-                yield len(key), gens + [g], key
+                new = frozenset(_elem_add(moduli, e, s) for e in elems for s in shifts)
+                if new in seen:
+                    continue
+                seen.add(new)
+                nxt.append((new, gens + [g]))
+                yield len(new), gens + [g]
         frontier = nxt
 
 
-def _isotropic_subgroups(moduli, coeffs, max_order):
-    """Isotropic subgroups H, yielded as (order, generator coefficient tuples)."""
-    n = math.lcm(*moduli)
-    weights = _value_weights(moduli, coeffs, n)
-    for order, gens, elems in _subgroups_up_to(moduli, max_order):
-        if all(_qnum(weights, e) % (2 * n) == 0
-               for e in (elems if elems is not None else _subgroup_span(moduli, gens))):
-            yield order, gens
-
-
-def _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order,
-                               require_d_trivial):
-    """Isotropic subgroups H of the p-parts A_S + A_D with H ∩ A_S = 0.
+def _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order):
+    """Isotropic subgroups H of the p-parts A_S + A_D with
+    H ∩ A_S = H ∩ A_D = 0.
 
     A_D must be elementary abelian (every modulus p), and raises ValueError
-    otherwise; then any such H is the graph of a homomorphism psi from a
-    subgroup of A_D into the p-torsion of A_S.  require_d_trivial
-    additionally forces psi injective (H ∩ A_D = 0).  Yields (order,
-    generator tuples in combined coordinates).
+    otherwise; then any such H is the graph of an injective homomorphism psi
+    from a subspace of A_D into the p-torsion of A_S.  Yields (order,
+    generator tuples in combined coordinates).  Raises LimitExceeded when
+    the p-torsion of A_S, or the subspaces of A_D, outgrow ENUMERATION_CAP.
     """
     if any(m != p for m in mod_d):
         raise ValueError(f"the D block must have scale 1 at p = {p}")
-    subgroups = _subgroups_up_to(mod_d, max_order)
-    order, gens_d, _ = next(subgroups)
-    yield order, gens_d  # the trivial subgroup is tried before any cap applies
+    subspaces = _subspaces(p, len(mod_d), max_order)
+    yield 1, next(subspaces)  # the trivial subgroup is tried before any cap applies
     if not mod_d:
         return
     if p ** sum(m % p == 0 for m in mod_s) > ENUMERATION_CAP:
@@ -627,7 +611,7 @@ def _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order,
     # a p-torsion element s of A_S has F_p coordinates s[j] // steps[j]
     steps = [m // p if m % p == 0 else 1 for m in mod_s]
 
-    for order, gens_d, _ in subgroups:
+    for gens_d in subspaces:
         targets = [-_qnum(w_d, g) % (2 * n) for g in gens_d]
         if any(t not in by_value for t in targets):
             continue
@@ -636,7 +620,7 @@ def _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order,
         def backtrack(i, chosen):
             if i == len(gens_d):
                 # psi injective iff the images are independent over F_p
-                if require_d_trivial and len(ex.modp_echelon(
+                if len(ex.modp_echelon(
                         [[x // st for x, st in zip(s, steps)] for s in chosen], p)[0]) < i:
                     return
                 yield [s + d for s, d in zip(chosen, gens_d)]
@@ -646,7 +630,7 @@ def _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order,
                     yield from backtrack(i + 1, chosen + [s])
 
         for combined_gens in backtrack(0, []):
-            yield order, combined_gens
+            yield p ** len(gens_d), combined_gens
 
 
 def _overlattice_gram(basis, diag, scale: int):
@@ -666,33 +650,32 @@ def _overlattice_gram(basis, diag, scale: int):
 
 
 def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
-                           s_form: FiniteQuadraticForm | None = None,
-                           d_form: FiniteQuadraticForm | None = None,
-                           enforce_d: bool = True):
-    """Forms induced on H-perp/H for isotropic H in the p-part of q.
+                           q_d: FiniteQuadraticForm | None = None):
+    """Forms induced on H-perp/H for isotropic H of order <= max_order in the
+    p-part, yielded as (|H|, form), the trivial H first.
 
-    When s_form/d_form are given (with direct_sum(s,d) == q at p), only
-    subgroups with H ∩ (S block) = 0 are taken, and with enforce_d also
-    H ∩ (D block) = 0; the p-part of the D block must then have scale 1,
-    or ValueError is raised.  Yields (|H|, form).
+    Without q_d, H runs over the isotropic subgroups of q's p-part.  With
+    q_d, the glued search: H runs over the isotropic subgroups of the p-part
+    of q + q_d with H ∩ A_q = H ∩ A_{q_d} = 0, and the forms are induced from
+    q + q_d; the p-part of q_d must have scale 1, or ValueError is raised.
+    Isotropy is read from the generators of H.  A search that outgrows
+    ENUMERATION_CAP raises LimitExceeded: see _isotropic_subgroups and
+    _graph_isotropic_subgroups for what each one counts.
     """
     if p == 2:
         raise ValueError("only odd p is supported")
-    away = q.away_part(p)
-    if s_form is not None or d_form is not None:
-        sp = (s_form or FiniteQuadraticForm()).p_part(p)
-        dp = (d_form or FiniteQuadraticForm()).p_part(p)
-        if direct_sum(sp, dp).components != q.p_part(p).components:
-            raise ValueError("constraints do not assemble to the p-part of q")
-        diag_s, mod_s, coef_s = _realize_p_part(sp, p)
-        diag_d, mod_d, coef_d = _realize_p_part(dp, p)
+    if q_d is None:
+        diag, moduli, coeffs = _realize_p_part(q, p)
+        subgroup_iter = _isotropic_subgroups(p, moduli, coeffs, max_order)
+    else:
+        diag_s, mod_s, coef_s = _realize_p_part(q, p)
+        diag_d, mod_d, coef_d = _realize_p_part(q_d, p)
         diag, moduli = diag_s + diag_d, mod_s + mod_d
         # graph parametrization over the (small, elementary) D block
         subgroup_iter = _graph_isotropic_subgroups(
-            p, mod_s, coef_s, mod_d, coef_d, max_order, enforce_d)
-    else:
-        diag, moduli, coeffs = _realize_p_part(q.p_part(p), p)
-        subgroup_iter = _isotropic_subgroups(moduli, coeffs, max_order)
+            p, mod_s, coef_s, mod_d, coef_d, max_order)
+        q = direct_sum(q, q_d)
+    away = q.away_part(p)
     if not moduli:
         yield 1, q
         return
@@ -721,14 +704,11 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
 
 
 def overlattice_forms(q: FiniteQuadraticForm, p: int, max_order: int,
-                      s_form: FiniteQuadraticForm | None = None,
-                      d_form: FiniteQuadraticForm | None = None,
-                      enforce_d: bool = True) -> list:
+                      q_d: FiniteQuadraticForm | None = None) -> list:
     """Forms from overlattice_candidates, one per isomorphism class, in the
     order first seen."""
     return list(dict.fromkeys(
-        form for _, form in overlattice_candidates(q, p, max_order, s_form, d_form,
-                                                   enforce_d)))
+        form for _, form in overlattice_candidates(q, p, max_order, q_d)))
 
 
 # ---------------------------------------------------------------------------

@@ -208,8 +208,9 @@ def short_vectors(lat: IntegralLattice, bound: int) -> list:
     """All nonzero v with 0 < norm(v) <= bound, one of each +-pair, exact.
 
     Each v has its first nonzero entry positive; the order of the list is
-    unspecified.  Requires a positive definite Gram matrix of rank <=
-    MAX_SHORT_VECTOR_RANK and bound >= 0.  Integral Fincke-Pohst (Cohen,
+    unspecified.  Requires a positive definite Gram matrix and bound >= 0
+    (ValueError otherwise); a rank above MAX_SHORT_VECTOR_RANK raises
+    LimitExceeded.  Integral Fincke-Pohst (Cohen,
     GTM 138, Alg. 2.7.5) in the basis of an integral LLL reduction
     (ex.lll_reduce), whose integers give the completion directly: with d
     the leading minors and lam the scaled Gram-Schmidt coefficients,
@@ -223,7 +224,7 @@ def short_vectors(lat: IntegralLattice, bound: int) -> list:
     if n == 0:
         return []
     if n > MAX_SHORT_VECTOR_RANK:
-        raise ValueError(f"rank cap {MAX_SHORT_VECTOR_RANK} exceeded")
+        raise ex.LimitExceeded(f"rank cap {MAX_SHORT_VECTOR_RANK} exceeded")
     d, lam, h = ex.lll_reduce(lat.gram)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -274,8 +275,6 @@ def roots(lat: IntegralLattice) -> list:
         work = lat if lat.gram[0][0] > 0 else lat.negated()
         found = [v for v, norm in short_vectors(work, 2) if norm == 2]
     except ValueError as err:
-        if lat.rank > MAX_SHORT_VECTOR_RANK:
-            raise
         raise ValueError("roots undefined for indefinite input") from err
     return found + [tuple(-x for x in v) for v in found]
 

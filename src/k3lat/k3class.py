@@ -18,7 +18,6 @@ from . import _exact as ex
 from .fqf import (
     FiniteQuadraticForm,
     JordanComponent,
-    direct_sum,
     negate,
     nikulin_exists,
     overlattice_candidates,
@@ -177,28 +176,23 @@ class EmbedDecision:
         return out
 
 
-def primitively_embeds(q_s: FiniteQuadraticForm, rank_s: int, p: int, sigma: int,
-                       enforce_d_primitive: bool = True) -> EmbedDecision:
+def primitively_embeds(q_s: FiniteQuadraticForm, rank_s: int, p: int,
+                       sigma: int) -> EmbedDecision:
     """Decide a primitive embedding into the (p, sigma) lattice at form level.
 
     Glues q_S with the negated N-form, enumerates admissible isotropic
-    subgroups H of the p-part (|H| <= p^min(ell_p(A_S), 2*sigma)), and accepts
-    as soon as some induced form's negation is realized by an even lattice of
-    signature (1, 21 - rank_S).  Every candidate H counts as tried, but a
-    form already rejected is not tested again.
+    subgroups H of the p-part (|H| <= p^min(ell_p(A_S), 2*sigma), meeting
+    neither block), and accepts as soon as some induced form's negation is
+    realized by an even lattice of signature (1, 21 - rank_S).  Every
+    candidate H counts as tried, but a form already rejected is not tested
+    again.
     """
     query = EmbeddingQuery(q_s, rank_s, p, sigma)
-    nf = n_form(p, sigma)
-    q_d = negate(nf.q)
-    q_total = direct_sum(q_s, q_d)
     hmax = p ** min(q_s.ell_p(p), 2 * sigma)
     sig = (1, 21 - rank_s)
     tried = 0
     rejected = set()
-    for h, q_tilde in overlattice_candidates(
-        q_total, p, hmax,
-        s_form=q_s, d_form=q_d, enforce_d=enforce_d_primitive,
-    ):
+    for h, q_tilde in overlattice_candidates(q_s, p, hmax, negate(n_form(p, sigma).q)):
         tried += 1
         if q_tilde in rejected:
             continue
@@ -214,8 +208,12 @@ def odd_primes_below(n: int) -> list:
     return [p for p in range(3, n) if ex.is_prime(p)]
 
 
-def reproduce_table(records, prime_set=None, sigma: int = 1) -> dict:
-    """Compare the embedding decision against every row's prime condition."""
+TABLE_SIGMA = 1  # the Artin invariant the paper's table conditions are stated at
+
+
+def reproduce_table(records, prime_set=None) -> dict:
+    """Compare the sigma = 1 embedding decision against every row's prime
+    condition."""
     if prime_set is None:
         prime_set = odd_primes_below(200)
     rows = []
@@ -223,7 +221,7 @@ def reproduce_table(records, prime_set=None, sigma: int = 1) -> dict:
     for rec in records:
         computed = []
         for p in prime_set:
-            if primitively_embeds(rec.q_s, rec.rank, p, sigma).embeds:
+            if primitively_embeds(rec.q_s, rec.rank, p, TABLE_SIGMA).embeds:
                 computed.append(p)
         expected = [p for p in prime_set if rec.condition.evaluate(p)]
         ok = computed == expected
@@ -242,7 +240,7 @@ def reproduce_table(records, prime_set=None, sigma: int = 1) -> dict:
             "rows_total": len(rows),
             "rows_passed": passed,
             "primes_checked": len(prime_set),
-            "sigma": sigma,
+            "sigma": TABLE_SIGMA,
         },
     }
     return report

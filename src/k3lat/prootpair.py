@@ -437,15 +437,14 @@ def _good_elements(uni, rootless_span) -> set:
     return good
 
 
-def _subgroup_bfs(uni, elements, allowed, rootless_span) -> dict:
+def _subgroup_bfs(uni, elements) -> dict:
     """Every subgroup grown from 1 by the given elements, breadth first.
 
-    Each pseudo subgroup found is extended by each element in the order
-    given.  Returns {subgroup: generator keys of its first path}, with None
-    for a subgroup inside `allowed` that is not pseudo (and so not grown).
-    The first path to a subgroup K passes only through subgroups of K and
-    adds only elements of K, so the generators of K depend only on the
-    elements of K and their order.
+    Each subgroup found is extended by each element in the order given.
+    Returns {subgroup: generator keys of its first path}.  The first path to
+    a subgroup K passes only through subgroups of K and adds only elements
+    of K, so the generators of K depend only on the elements of K and their
+    order.
     """
     trivial = frozenset([uni.identity])
     found = {trivial: []}
@@ -456,11 +455,8 @@ def _subgroup_bfs(uni, elements, allowed, rootless_span) -> dict:
             for g in elements:
                 if g in elems:
                     continue
-                new = group_closure(uni.identity, gens + [g], SUBGROUP_ELEMENT_CAP, allowed)
-                if new is None or new in found:
-                    continue
-                if not rootless_span(gens + [g]):
-                    found[new] = None
+                new = group_closure(uni.identity, gens + [g], SUBGROUP_ELEMENT_CAP)
+                if new in found:
                     continue
                 found[new] = gens + [g]
                 nxt.append((new, gens + [g]))
@@ -536,8 +532,9 @@ def _classify_universe(datum, p, uni, partial, note) -> ClassifyResult:
     for rep in sorted(classes, key=lambda s: (len(s), tuple(sorted(s)))):
         # the generators a breadth-first search over all good elements finds;
         # a later generator of a cyclic subgroup would only repeat the <H, g>
-        # of its least generator, tried earlier on the same H
-        found = _subgroup_bfs(uni, _cyclic_generators(uni, rep), None, rootless_span)
+        # of its least generator, tried earlier on the same H.  Every subgroup
+        # of the pseudo rep is pseudo, so none needs a rootless test.
+        found = _subgroup_bfs(uni, _cyclic_generators(uni, rep))
         genkeys = found[rep]
         gens = tuple(matrix_of(k) for k in genkeys or [uni.identity])
         entries.append(ClassifyEntry(generators=gens, order=len(rep),

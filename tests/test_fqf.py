@@ -19,6 +19,7 @@ from k3lat.fqf import (
     _graph_isotropic_subgroups,
     _overlattice_gram,
     _realize_p_part,
+    _subspaces,
     _two_adic_units,
     _two_blocks,
     _two_reachable_det_classes,
@@ -480,8 +481,8 @@ def _per_candidate_walk(q_s, q_d, p, max_order, start=0, stop=None, two_products
     scale = math.lcm(*moduli)
     lattice_rows = [tuple(scale if i == j else 0 for j in range(len(moduli)))
                     for i in range(len(moduli))]
-    walk = _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order, True)
-    fast = overlattice_candidates(q, p, max_order, s_form=q_s, d_form=q_d)
+    walk = _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order)
+    fast = overlattice_candidates(q_s, p, max_order, q_d)
     checked = 0
     for position, ((order, gens), (h, form)) in enumerate(
             zip(islice(walk, start, stop), islice(fast, start, stop), strict=True), start):
@@ -598,10 +599,10 @@ def _direct_overlattice_forms(lat, p, max_order):
 
 class TestOverlattices:
     def test_worked_example_saturation(self):
-        q = parse_symbol("4_3^-1 3^-3 7^-1")
         qs = parse_symbol("4_3^-1 3^-1 7^-1")
         qd = parse_symbol("3^+2")
-        forms = overlattice_forms(q, 3, 3, s_form=qs, d_form=qd)
+        forms = overlattice_forms(qs, 3, 3, qd)
+        assert forms[0] == parse_symbol("4_3^-1 3^-3 7^-1")
         wanted = parse_symbol("4_3^-1 3^+1 7^-1")
         assert any(isomorphic(f, wanted) for f in forms)
 
@@ -642,7 +643,7 @@ class TestOverlattices:
         # 9 meet neither block
         s, d = parse_symbol("9^+1"), parse_symbol("3^+1 9^-1")
         with pytest.raises(ValueError, match="scale 1"):
-            list(overlattice_candidates(direct_sum(s, d), 3, 81, s_form=s, d_form=d))
+            list(overlattice_candidates(s, 3, 81, d))
 
     def test_against_integral_span_oracle(self, rng):
         checked = 0
@@ -665,26 +666,128 @@ class TestOverlattices:
                 assert any(isomorphic(f, g) for f in oracle), render_symbol(g)
 
 
-@pytest.mark.parametrize("p,text", [(3, "3^+2"), (3, "3^+1 9^-1"), (5, "5^+2")])
-def test_graph_injectivity_matches_combination_search(p, text):
-    """psi is injective iff no nonzero combination of the generator images
-    vanishes; the sigma = 2 N-forms are isotropic, so some graphs fail."""
-    from k3lat.k3class import n_form
+def subgroup_span(moduli, gens) -> frozenset:
+    """All elements of the subgroup generated by gens: e + k g for every
+    element e found so far and every multiple k g."""
+    zero = tuple(0 for _ in moduli)
+    elems = {zero}
+    for g in gens:
+        layer, step = list(elems), g
+        while step != zero:
+            elems.update(tuple((x + y) % m for m, x, y in zip(moduli, e, step)) for e in layer)
+            step = tuple((x + y) % m for m, x, y in zip(moduli, step, g))
+    return frozenset(elems)
 
-    _, mod_s, coef_s = _realize_p_part(parse_symbol(text), p)
-    _, mod_d, coef_d = _realize_p_part(negate(n_form(p, 2).q), p)
 
-    def injective(gens):
-        images = [g[:len(mod_s)] for g in gens]
-        return not any(any(lams) and all(sum(x * s[j] for x, s in zip(lams, images)) % m == 0
-                                         for j, m in enumerate(mod_s))
-                       for lams in product(range(p), repeat=len(images)))
+def whole_group_isotropic_subgroups(moduli, coeffs, max_order):
+    """Oracle: every subgroup of order <= max_order, grown breadth first from
+    the trivial one by every element of the group, each spanned; the
+    isotropic ones are those on which every element has Fraction q-value 0.
+    Yields (|H|, generators)."""
+    def q(e):
+        return sum(Fraction(c * x * x, m) for m, c, x in zip(moduli, coeffs, e)) % 2
 
-    free = list(_graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, p * p, False))
-    injective_only = list(_graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, p * p,
-                                                     True))
-    assert injective_only == [(h, gens) for h, gens in free if injective(gens)]
-    assert len(injective_only) < len(free)
+    trivial = subgroup_span(moduli, [])
+    yield 1, []
+    every = list(product(*map(range, moduli)))
+    seen = {trivial}
+    frontier = [(trivial, [])]
+    while frontier:
+        nxt = []
+        for elems, gens in frontier:
+            for g in every:
+                if g in elems:
+                    continue
+                new = subgroup_span(moduli, gens + [g])
+                if len(new) > max_order or new in seen:
+                    continue
+                seen.add(new)
+                nxt.append((new, gens + [g]))
+                if all(q(e) == 0 for e in new):
+                    yield len(new), gens + [g]
+        frontier = nxt
+
+
+def whole_group_candidates(q, p, max_order):
+    """Oracle for overlattice_candidates(q, p, max_order) as a multiset: the
+    whole-group search, and one overlattice (row_hnf, _overlattice_gram,
+    symbol_of) per isotropic H."""
+    diag, moduli, coeffs = _realize_p_part(q, p)
+    scale = math.lcm(*moduli)
+    lattice_rows = [tuple(scale if i == j else 0 for j in range(len(moduli)))
+                    for i in range(len(moduli))]
+    out = Counter()
+    for order, gens in whole_group_isotropic_subgroups(moduli, coeffs, max_order):
+        rows = lattice_rows + [tuple(x * (scale // m) for x, m in zip(g, moduli))
+                               for g in gens]
+        over = IntegralLattice(_overlattice_gram(ex.row_hnf(ex.to_mat(rows)), diag, scale))
+        out[order, direct_sum(q.away_part(p), symbol_of(over, (p,)))] += 1
+    return out
+
+
+def random_p_form(rng, p):
+    """A random form with a nontrivial p-part of order at most max(81, p^2),
+    half of the time beside a rank-1 component at another odd prime."""
+    budget = 4 if p == 3 else 2
+    while True:
+        comps, used = [], 0
+        for scale in range(1, budget + 1):
+            rank = rng.randint(0, (budget - used) // scale)
+            if rank:
+                comps.append(J(p, scale, rank, rng.choice((1, -1))))
+                used += scale * rank
+        if comps:
+            break
+    if rng.random() < 0.5:
+        other = rng.choice([r for r in (3, 5, 7) if r != p])
+        comps.append(J(other, 1, 1, rng.choice((1, -1))))
+    return F(*comps)
+
+
+def test_unconstrained_search_matches_whole_group_oracle(rng):
+    # random p-parts of order <= max(81, p^2) at p = 3, 5, 7, then random
+    # even Grams of rank 2-4 at p = 3, 5, each at |H| <= p and p^2
+    queries = [(random_p_form(rng, p), p) for p in (3, 5, 7) for _ in range(40)]
+    while len(queries) < 160:
+        q = symbol_of(random_even_gram(rng, rng.randint(2, 4)))
+        ps = [p for p in (3, 5) if q.ell_p(p) and q.p_part(p).group_order() <= 81]
+        if ps:
+            queries.append((q, rng.choice(ps)))
+    checked = 0
+    for q, p in queries:
+        for max_order in (p, p * p):
+            got = Counter(overlattice_candidates(q, p, max_order))
+            assert got == whole_group_candidates(q, p, max_order), (render_symbol(q), p)
+            checked += 1
+    assert checked >= 200
+
+
+@pytest.mark.parametrize("text,max_order,outcome,seconds", [
+    ("9^+8", 9, "LimitExceeded", 1),  # 9^8 elements: refused before any is listed
+    ("9^+5", 9, "LimitExceeded", 60),  # 9^5 elements, but too many extensions
+    ("9^+3", 81, "8", 1),
+])
+def test_unconstrained_search_ends_on_large_groups(text, max_order, outcome, seconds):
+    # in a child process under the 2 GiB cap, so that a hang or a blow-up
+    # fails instead of stalling the suite
+    code = ("import time\n"
+            "from k3lat._exact import LimitExceeded\n"
+            "from k3lat.fqf import overlattice_forms\n"
+            "from k3lat.hmdata import parse_symbol\n"
+            f"q = parse_symbol({text!r})\n"
+            "started = time.perf_counter()\n"
+            "try:\n"
+            f"    outcome = len(overlattice_forms(q, 3, {max_order}))\n"
+            "except LimitExceeded:\n"
+            "    outcome = 'LimitExceeded'\n"
+            "print(outcome, time.perf_counter() - started)\n")
+    res = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         capture_output=True, text=True, timeout=120,
+                         preexec_fn=cap_child_memory)
+    assert res.returncode == 0, res.stderr
+    got, elapsed = res.stdout.split()
+    assert got == outcome
+    assert float(elapsed) < seconds
 
 
 @pytest.mark.parametrize("p,sigma,text", [
@@ -695,7 +798,6 @@ def test_graph_walk_matches_fraction_isotropy_search(p, sigma, text):
     subgroups H with H ∩ A_S = H ∩ A_D = 0 on which q vanishes, found by
     Fraction q-values over every subspace of the p-torsion (H ∩ A_D = 0
     makes H elementary)."""
-    from k3lat.fqf import _elementary_subspace_bases, _subgroup_span
     from k3lat.k3class import n_form
 
     _, mod_s, coef_s = _realize_p_part(parse_symbol(text), p)
@@ -706,22 +808,29 @@ def test_graph_walk_matches_fraction_isotropy_search(p, sigma, text):
     def q(e):
         return sum(Fraction(c * x * x, m) for m, c, x in zip(moduli, coeffs, e)) % 2
 
-    want = {frozenset(_subgroup_span(moduli, []))}
+    want, dropped = set(), 0
     steps = [m // p for m in moduli]
-    for dim in (1, 2):
-        for basis in _elementary_subspace_bases(p, len(moduli), dim):
-            span = _subgroup_span(moduli, [tuple(x * st for x, st in zip(row, steps))
-                                           for row in basis])
-            if all(q(e) == 0 and any(e[:ns]) == any(e[ns:]) for e in span):
-                want.add(frozenset(span))
-    got = [(h, frozenset(_subgroup_span(moduli, gens)))
-           for h, gens in _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d,
-                                                     p * p, True)]
+    for basis in _subspaces(p, len(moduli), p * p):
+        span = frozenset(subgroup_span(moduli, [tuple(x * st for x, st in zip(row, steps))
+                                                 for row in basis]))
+        # an isotropic graph: q vanishes and H ∩ A_S = 0
+        if not all(q(e) == 0 and (any(e[ns:]) or not any(e[:ns])) for e in span):
+            continue
+        if all(any(e[:ns]) or not any(e[ns:]) for e in span):  # H ∩ A_D = 0
+            want.add(span)
+        else:
+            dropped += 1
+    got = [(h, frozenset(subgroup_span(moduli, gens)))
+           for h, gens in _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, p * p)]
     assert all(h == len(span) for h, span in got)
     assert len({span for _, span in got}) == len(got)
     assert {span for _, span in got} == want
-    if sigma == 2:  # an H of order p^2 has two D generators, so b-values count
+    if sigma == 2:
+        # an H of order p^2 has two D generators, so b-values count; the
+        # sigma = 2 N-forms are isotropic, so some graphs meet A_D and the
+        # injectivity filter must drop them
         assert any(h == p * p for h, _ in got)
+        assert dropped > 0
 
 
 class TestNikulin:

@@ -413,8 +413,10 @@ def test_short_vector_edge_cases():
         short_vectors(IntegralLattice(((2, 3), (3, 2))), 2)
     n = MAX_SHORT_VECTOR_RANK + 1
     big = IntegralLattice(tuple(tuple(2 * (i == j) for j in range(n)) for i in range(n)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ex.LimitExceeded):
         short_vectors(big, 2)
+    with pytest.raises(ex.LimitExceeded):
+        roots(big)
 
 
 def charpoly_faddeev_leverrier(m) -> list:

@@ -130,12 +130,6 @@ class TestEmbeds:
             # rank + ell > 24
             EmbeddingQuery(parse_symbol("3^+6"), 19, 3, 1)
 
-    def test_permissive_variant_runs(self):
-        qs = parse_symbol("4_3^-1 3^-1 7^-1")
-        strict = primitively_embeds(qs, 21, 3, 1, enforce_d_primitive=True)
-        loose = primitively_embeds(qs, 21, 3, 1, enforce_d_primitive=False)
-        assert loose.candidates_tried >= strict.candidates_tried
-
     def test_observed_sigma_monotonicity_on_samples(self):
         # reported, not asserted globally: on these rows embeddability at a
         # larger Artin invariant implies it at sigma = 1.  Samples are chosen

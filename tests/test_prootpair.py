@@ -30,7 +30,6 @@ from k3lat.prootpair import (
     _rootless,
     _search_universe,
     _signed_sym_universe,
-    _subgroup_bfs,
     _Universe,
     _weyl_times_sign_universe,
     classify,
@@ -424,12 +423,38 @@ def cyclic_subgroup(uni, g):
     return frozenset(out)
 
 
+def subgroup_bfs(uni, elements, allowed, rootless_span) -> dict:
+    """Every subgroup inside `allowed` grown from 1 by the given elements,
+    breadth first; each pseudo subgroup is extended by each element in the
+    order given.  Returns {subgroup: generator keys of its first path}, with
+    None for a subgroup that is not pseudo (and so not grown)."""
+    trivial = frozenset([uni.identity])
+    found = {trivial: []}
+    frontier = [(trivial, [])]
+    while frontier:
+        nxt = []
+        for elems, gens in frontier:
+            for g in elements:
+                if g in elems:
+                    continue
+                new = group_closure(uni.identity, gens + [g], SUBGROUP_ELEMENT_CAP, allowed)
+                if new is None or new in found:
+                    continue
+                if not rootless_span(gens + [g]):
+                    found[new] = None
+                    continue
+                found[new] = gens + [g]
+                nxt.append((new, gens + [g]))
+        frontier = nxt
+    return found
+
+
 def bfs_classes(uni, p):
     """Oracle: the breadth-first search over every subgroup in the good set,
     every good element tried on every pseudo subgroup, then conjugacy classes
     by generator conjugation, each represented by its least subgroup."""
     good = good_elements(uni, p)
-    found = _subgroup_bfs(uni, sorted(good), good, rootless_span_at(uni, p))
+    found = subgroup_bfs(uni, sorted(good), good, rootless_span_at(uni, p))
     pool = {k: v for k, v in found.items() if v is not None}
     classes = []
     while pool:
