@@ -13,8 +13,8 @@ classes of D4, D5, E6 and the E8 scope come from one lazy class sweep,
 which stops once the class sizes add up to the group order, so Aut(R) is
 never closed.  Subgroup closures are rootsys.group_closure, and the
 conjugates of a subgroup and the walk of the sweep are
-rootsys.breadth_first; the class orbit of one element keeps a tight loop
-of its own.
+rootsys.breadth_first; the class orbit of one element and the cyclic
+extension walk of classify keep loops of their own.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 
 from . import _exact as ex
 from .intlat import Sublattice, discriminant_group, membership
@@ -49,13 +50,13 @@ SUBGROUP_ELEMENT_CAP = 10 ** 4
 # sharp sublattice and verdicts
 
 
-def _gen_matrices(group) -> list:
-    if isinstance(group, IsometryGroup):
-        return [g.matrix for g in group.generators]
-    out = []
-    for g in group:
-        out.append(g.matrix if isinstance(g, Isometry) else ex.to_mat(g))
-    return out
+def _as_group(datum: RootDatum, group) -> IsometryGroup:
+    """group, or the IsometryGroup of a list (ValueError for a non-isometry)."""
+    return group if isinstance(group, IsometryGroup) else IsometryGroup(datum, group)
+
+
+def _gen_matrices(datum: RootDatum, group) -> list:
+    return [g.matrix for g in _as_group(datum, group).generators]
 
 
 def _sharp_span_modp(datum: RootDatum, gen_mats, p):
@@ -84,7 +85,7 @@ def _sharp_lattice(datum: RootDatum, span_basis, p: int) -> Sublattice:
 def sharp(datum: RootDatum, group, p: int) -> Sublattice:
     """The sublattice generated by pR and all H-difference vectors, in HNF."""
     ex.require_odd_prime(p)
-    basis, _ = _sharp_span_modp(datum, _gen_matrices(group), p)
+    basis, _ = _sharp_span_modp(datum, _gen_matrices(datum, group), p)
     return _sharp_lattice(datum, basis, p)
 
 
@@ -115,7 +116,7 @@ class ProotVerdict:
 
 def fixed_sublattice(datum: RootDatum, group) -> Sublattice:
     """Saturated sublattice of vectors fixed by every generator."""
-    gens = _gen_matrices(group)
+    gens = _gen_matrices(datum, group)
     n = datum.rank
     if not gens:
         return Sublattice.full(datum.lattice())
@@ -130,7 +131,8 @@ def fixed_sublattice(datum: RootDatum, group) -> Sublattice:
 def verdict(datum: RootDatum, group, p: int) -> ProotVerdict:
     """Full pseudo/full decision with sharp lattice, witness and fixed rank."""
     ex.require_odd_prime(p)
-    basis, pivots = _sharp_span_modp(datum, _gen_matrices(group), p)
+    group = _as_group(datum, group)
+    basis, pivots = _sharp_span_modp(datum, _gen_matrices(datum, group), p)
     witness = _root_in_span(datum, basis, pivots, p)
     fixed = fixed_sublattice(datum, group)
     is_pseudo = witness is None
@@ -169,8 +171,7 @@ def _in_sublattice(sub: Sublattice, vec) -> bool:
 def p_group_check(datum: RootDatum, group, p: int) -> bool:
     """Is H intersect W(R) a p-group?  (H given by generators, at most
     SUBGROUP_ELEMENT_CAP elements.)"""
-    grp = group if isinstance(group, IsometryGroup) else IsometryGroup(datum, group)
-    perms = grp.closure_perms(SUBGROUP_ELEMENT_CAP)
+    perms = _as_group(datum, group).closure_perms(SUBGROUP_ELEMENT_CAP)
     w_order = sum(acts_trivially_on_disc(datum, datum.matrix_of_perm(perm)) for perm in perms)
     return w_order == p ** ex.valuation(w_order, p)
 
@@ -437,33 +438,6 @@ def _good_elements(uni, rootless_span) -> set:
     return good
 
 
-def _subgroup_bfs(uni, elements) -> dict:
-    """Every subgroup grown from 1 by the given elements, breadth first.
-
-    Each subgroup found is extended by each element in the order given.
-    Returns {subgroup: generator keys of its first path}.  The first path to
-    a subgroup K passes only through subgroups of K and adds only elements
-    of K, so the generators of K depend only on the elements of K and their
-    order.
-    """
-    trivial = frozenset([uni.identity])
-    found = {trivial: []}
-    frontier = [(trivial, [])]
-    while frontier:
-        nxt = []
-        for elems, gens in frontier:
-            for g in elements:
-                if g in elems:
-                    continue
-                new = group_closure(uni.identity, gens + [g], SUBGROUP_ELEMENT_CAP)
-                if new in found:
-                    continue
-                found[new] = gens + [g]
-                nxt.append((new, gens + [g]))
-        frontier = nxt
-    return found
-
-
 def _cyclic_generators(uni, elements) -> list:
     """The least generator of each cyclic subgroup <g>, g in elements.
 
@@ -481,6 +455,17 @@ def _cyclic_generators(uni, elements) -> list:
         n = len(powers)
         covered.update(x for k, x in enumerate(powers, 1) if math.gcd(k, n) == 1)
     return chosen
+
+
+def _least_generators(uni, sub) -> list:
+    """The first combination of sub's cyclic generators (_cyclic_generators),
+    by size and then in byte order, that generates sub."""
+    steps = _cyclic_generators(uni, sub)
+    for size in range(len(steps) + 1):
+        for gens in combinations(steps, size):
+            if group_closure(uni.identity, gens, SUBGROUP_ELEMENT_CAP) == sub:
+                return list(gens)
+    raise ArithmeticError("the cyclic generators of a subgroup do not generate it")
 
 
 def _conjugates(uni, sub) -> set:
@@ -528,15 +513,15 @@ def _classify_universe(datum, p, uni, partial, note) -> ClassifyResult:
                     nxt.append((new, gens + [g]))
         frontier = nxt
 
+    # Each class is named by its least subgroup K, in byte order, and K by its
+    # least generating set: the first path to K of a breadth-first walk that
+    # extends the subgroups of K by its cyclic generators in order.  That walk
+    # reaches K first at d(K), the fewest generators, along the least
+    # generating sequence of that length, which is strictly increasing (a
+    # reordered or repeated one comes earlier or is shorter).
     entries = []
     for rep in sorted(classes, key=lambda s: (len(s), tuple(sorted(s)))):
-        # the generators a breadth-first search over all good elements finds;
-        # a later generator of a cyclic subgroup would only repeat the <H, g>
-        # of its least generator, tried earlier on the same H.  Every subgroup
-        # of the pseudo rep is pseudo, so none needs a rootless test.
-        found = _subgroup_bfs(uni, _cyclic_generators(uni, rep))
-        genkeys = found[rep]
-        gens = tuple(matrix_of(k) for k in genkeys or [uni.identity])
+        gens = tuple(matrix_of(k) for k in _least_generators(uni, rep) or [uni.identity])
         entries.append(ClassifyEntry(generators=gens, order=len(rep),
                                      verdict=verdict(datum, gens, p)))
     return ClassifyResult(datum.label, p, tuple(entries), partial, note)

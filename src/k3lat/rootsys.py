@@ -22,7 +22,6 @@ from . import _exact as ex
 from .intlat import IntegralLattice, Sublattice, discriminant_group
 
 DEFAULT_GROUP_CAP = 10 ** 6
-AUT_GROUP_CAP = 2 * 10 ** 5  # admits Aut(E6), order 103680
 MAX_BUILD_RANK = 24  # above every K3 root part (rank <= 21) and A24 (600 roots)
 
 
@@ -98,9 +97,6 @@ class Isometry:
                 return k
             m = ex.mat_mul(m, self.matrix)
         raise ex.LimitExceeded("order cap exceeded")
-
-    def is_identity(self) -> bool:
-        return self.matrix == ex.identity(len(self.matrix))
 
 
 class RootDatum:
@@ -523,9 +519,3 @@ def aut_generators(datum: RootDatum) -> list:
     else:
         raise ValueError(f"full automorphism group of {datum.label} is out of scope")
     return gens
-
-
-def aut_group(datum: RootDatum) -> IsometryGroup:
-    grp = IsometryGroup(datum, aut_generators(datum))
-    grp.closure_perms(AUT_GROUP_CAP)
-    return grp

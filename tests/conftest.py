@@ -1,6 +1,6 @@
 """Shared helpers: random even Gram matrices, a memory cap for child
-processes and a brute-force finite-quadratic-form isomorphism oracle used
-to cross-check the fast paths."""
+processes, a brute-force finite-quadratic-form isomorphism oracle and the
+fully closed Aut(R), used to cross-check the fast paths."""
 
 from __future__ import annotations
 
@@ -15,9 +15,11 @@ import pytest
 
 from k3lat import _exact as ex
 from k3lat.intlat import IntegralLattice, discriminant_group
+from k3lat.rootsys import IsometryGroup, aut_generators
 
 
 CHILD_ADDRESS_SPACE = 2 << 30  # bytes
+AUT_GROUP_CAP = 2 * 10 ** 5  # admits Aut(E6), order 103680
 
 
 def cap_child_memory():
@@ -143,6 +145,18 @@ def forms_isomorphic_bruteforce(data1, data2) -> bool:
         return False
 
     return backtrack(0, [])
+
+
+def aut_group(datum) -> IsometryGroup:
+    """Aut(R) for A_m, D_m and E6, closed from aut_generators: the oracle
+    for the lazy class sweeps, which never close it."""
+    grp = IsometryGroup(datum, aut_generators(datum))
+    grp.closure_perms(AUT_GROUP_CAP)
+    return grp
+
+
+def is_identity(iso) -> bool:
+    return iso.matrix == ex.identity(len(iso.matrix))
 
 
 @pytest.fixture

@@ -280,6 +280,17 @@ class TestHostileInput:
         assert res.returncode == code, res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("bound,code", [
+        ("100000000000", 3), (str(cli.MAX_PRIMES_BELOW + 1), 3), ("3", 2), ("-5", 2)])
+    def test_table_prime_bound_out_of_range(self, bound, code):
+        """Below 4 no odd prime is checked, and a vacuous pass is refused; above
+        the cap the trial-division prime list is refused before it starts."""
+        start = time.perf_counter()
+        res = run_subprocess("table", "--primes-below", bound)
+        assert res.returncode == code, res.stderr
+        assert time.perf_counter() - start < 5
+        assert "Traceback" not in res.stderr and res.stdout == ""
+
     @pytest.mark.parametrize("command,label", [
         ("proot-classify", "A99"), ("proot-classify", "D99999"), ("proot-check", "D99999")])
     def test_oversized_root_lattice_ends_quickly(self, tmp_path, command, label):

@@ -42,7 +42,6 @@ from k3lat.prootpair import (
 from k3lat.rootsys import (
     Isometry,
     acts_trivially_on_disc,
-    aut_group,
     build,
     group_closure,
     named_elements,
@@ -50,6 +49,8 @@ from k3lat.rootsys import (
     t_sublattice,
     weights,
 )
+
+from conftest import aut_group, is_identity
 
 
 def cycle_isometry(n):
@@ -157,6 +158,17 @@ class TestVerdict:
         assert v.is_pseudo and not v.is_full and v.fixed_rank == 2
         v = verdict(D4, [NM["gx"]], 5)
         assert not v.is_pseudo
+
+    @pytest.mark.parametrize("matrix", [
+        ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), ((1, 0), (0, 1)),
+    ], ids=["not-an-isometry", "2x2-for-D4"])
+    @pytest.mark.parametrize("call", [
+        lambda g: verdict(D4, g, 3), lambda g: sharp(D4, g, 3),
+        lambda g: fixed_sublattice(D4, g)], ids=["verdict", "sharp", "fixed"])
+    def test_matrix_list_is_checked(self, call, matrix):
+        # a plain matrix is checked against the Gram form, as IsometryGroup does
+        with pytest.raises(ValueError):
+            call([matrix])
 
     def test_witness_is_a_root_in_sharp(self):
         v = verdict(D4, [NM["g"]], 3)
@@ -313,7 +325,7 @@ class TestClassify:
             for e in out.entries:
                 assert e.order in (1, 2)
                 if e.order == 2:
-                    g = next(g for g in e.generators if not g.is_identity())
+                    g = next(g for g in e.generators if not is_identity(g))
                     # single sign flip: fixed rank 4, determinant -1
                     assert fixed_sublattice(build("D5"), [g]).rank == 4
 
@@ -512,6 +524,51 @@ class TestConjugacySearch:
         per_subgroup = Counter(cyclic_subgroup(uni, g) for g in chosen)
         for g in good:
             assert per_subgroup[cyclic_subgroup(uni, g)] == 1
+
+
+def first_bfs_path(uni, rep):
+    """Oracle: the first path to rep of the breadth-first walk that extends
+    every subgroup of rep by each of its cyclic generators in order."""
+    return subgroup_bfs(uni, _cyclic_generators(uni, rep), None, lambda keys: True)[rep]
+
+
+def least_generator_calls(monkeypatch, label, p):
+    """(universe, class rep, generators) of every _least_generators call
+    that classify(label, p) makes."""
+    calls, least = [], prootpair._least_generators
+    monkeypatch.setattr(prootpair, "_least_generators",
+                        lambda uni, rep: calls.append((uni, rep, least(uni, rep))) or calls[-1][2])
+    classify(label, p)
+    return calls
+
+
+class TestLeastGenerators:
+    """Each class is named by the least combination of its cyclic generators
+    that generates it, which is the first path of the walk over its
+    subgroups."""
+
+    @pytest.mark.parametrize("label,p", [
+        *((f"A{m}", p) for m in range(1, 8) for p in (3, 5, 7)),
+        *((label, p) for label in ("D4", "D5", "E6") for p in (3, 5, 7, 11, 13)),
+        ("E8", 3), ("E8", 5),
+    ])
+    def test_match_first_bfs_path(self, monkeypatch, label, p):
+        calls = least_generator_calls(monkeypatch, label, p)
+        assert calls
+        for uni, rep, gens in calls:
+            assert gens == first_bfs_path(uni, rep)
+
+    def test_e6_closure_count(self, monkeypatch):
+        # the largest class of E6 at p = 3, |K| = 54 with 32 cyclic
+        # generators, is named after 997 closures
+        uni, rep, _ = max(least_generator_calls(monkeypatch, "E6", 3),
+                          key=lambda call: len(call[1]))
+        closures, closure = [], prootpair.group_closure
+        monkeypatch.setattr(prootpair, "group_closure",
+                            lambda *args: closures.append(args) or closure(*args))
+        prootpair._least_generators(uni, rep)
+        assert len(rep) == 54 and len(_cyclic_generators(uni, rep)) == 32
+        assert len(closures) <= 1000
 
 
 def bfs_class_sweep(conj_gens, elements):
@@ -799,7 +856,7 @@ class TestPaperInvariants:
                 # simpler, each nontrivial Weyl element has zero fixed rank
                 # in the reflection representation plus the trivial line.
                 for g in gens_w:
-                    if not g.is_identity():
+                    if not is_identity(g):
                         assert not _weyl_perm_has_fixed_point(datum, g, m)
 
     def test_coprime_pseudo_pairs_have_rootless_covariant(self):

@@ -19,7 +19,6 @@ from k3lat.rootsys import (
     IsometryGroup,
     a4_a4_pieces,
     acts_trivially_on_disc,
-    aut_group,
     breadth_first,
     build,
     named_elements,
@@ -31,6 +30,8 @@ from k3lat.rootsys import (
     weights,
     weyl_group,
 )
+
+from conftest import aut_group, is_identity
 
 
 class TestBuild:
@@ -115,7 +116,7 @@ class TestReflections:
         a2 = build("A2")
         s = reflection(a2, (1, 0))
         assert s.apply((1, 0)) == (-1, 0)
-        assert (s * s).is_identity()
+        assert is_identity(s * s)
 
     def test_inverse_of_reflection_is_itself(self):
         s = reflection(build("A2"), (1, 0))
