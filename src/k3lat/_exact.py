@@ -1,8 +1,9 @@
 """Exact integer/rational linear algebra and elementary number theory.
 
-Linear algebra: HNF, SNF, kernels, determinants, echelon forms mod p, the
-inverse (mat_inv, the only Gauss-Jordan elimination), the one Lagrange
-diagonalisation of a symmetric form (quadratic_completion, behind
+Linear algebra: HNF, SNF, kernels, determinants, the reduced echelon form
+mod p (modp_echelon, whose rows give the check forms of a span), the
+inverse (mat_inv, the only Gauss-Jordan elimination over Q), the one
+Lagrange diagonalisation of a symmetric form (quadratic_completion, behind
 signatures) and the integral LLL reduction of a positive definite Gram
 matrix (lll_reduce, behind short vectors), on tuples of tuples with int or
 Fraction entries.  Number theory: capped trial-division factoring and
@@ -187,25 +188,32 @@ def kernel_int(m: Mat) -> Mat:
     return ker
 
 
-def modp_reduce(row, basis, pivots, p: int) -> list:
-    """A row of residues mod p reduced against echelon rows with the given pivots."""
-    for prow, pc in zip(basis, pivots):
-        if row[pc]:
-            f = row[pc] * pow(prow[pc], -1, p) % p
-            row = [(a - f * b) % p for a, b in zip(row, prow)]
-    return row
-
-
 def modp_echelon(rows, p: int):
-    """Row echelon basis mod p: (pivot rows, their pivot columns)."""
+    """Reduced echelon basis mod p: (rows, their pivot columns).
+
+    Each row has 1 at its own pivot column and every other row 0 there, so a
+    vector v lies in the span iff v[j] equals sum_i v[pivot_i] * row_i[j] mod p
+    at every column j.  Pivots are in the order their rows were found.
+    """
     basis = []
     pivots = []
     for row in rows:
-        row = modp_reduce([x % p for x in row], basis, pivots, p)
+        row = [x % p for x in row]
+        for prow, pc in zip(basis, pivots):
+            f = row[pc]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, prow)]
         nz = next((i for i, a in enumerate(row) if a), None)
-        if nz is not None:
-            basis.append(row)
-            pivots.append(nz)
+        if nz is None:
+            continue
+        inv = pow(row[nz], -1, p)
+        row = [a * inv % p for a in row]
+        for i, prow in enumerate(basis):
+            f = prow[nz]
+            if f:
+                basis[i] = [(a - f * b) % p for a, b in zip(prow, row)]
+        basis.append(row)
+        pivots.append(nz)
     return basis, pivots
 
 

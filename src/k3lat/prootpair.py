@@ -11,10 +11,13 @@ by perm_mul: root permutations for the D and E types, and for A_m the
 signed permutations of S_{m+1} x {+-1} on m+3 points.  The conjugacy
 classes of D4, D5, E6 and the E8 scope come from one lazy class sweep,
 which stops once the class sizes add up to the group order, so Aut(R) is
-never closed.  Subgroup closures are rootsys.group_closure, and the
-conjugates of a subgroup and the walk of the sweep are
-rootsys.breadth_first; the class orbit of one element and the cyclic
-extension walk of classify keep loops of their own.
+never closed.  These classes do not depend on p: they are built once per
+root datum and process, and each classify call does only the work that
+depends on p.  A root lies in a sharp span mod p iff every check form of
+the span's reduced echelon basis vanishes on it.  Subgroup closures are
+rootsys.group_closure, and the conjugates of a subgroup and the walk of the
+sweep are rootsys.breadth_first; the class orbit of one element and the
+cyclic extension walk of classify keep loops of their own.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
 from . import _exact as ex
@@ -90,9 +93,24 @@ def sharp(datum: RootDatum, group, p: int) -> Sublattice:
 
 
 def _root_in_span(datum: RootDatum, basis, pivots, p):
-    """The first root of the datum inside the span mod p, or None."""
-    return next((r for r in datum.roots
-                 if not any(ex.modp_reduce([x % p for x in r], basis, pivots, p))), None)
+    """The first root of the datum inside the span mod p, or None.
+
+    The basis is in reduced echelon form (ex.modp_echelon), so a vector v lies
+    in the span iff h_j . v = v[j] - sum_i basis_i[j] v[pivot_i] is 0 mod p
+    for every non-pivot column j, where h_j are the check forms of the span.
+    The roots are filtered by one check form at a time, in datum order, until
+    none is left.
+    """
+    roots = datum.roots
+    pivot_set = set(pivots)
+    for j in range(datum.rank):
+        if j in pivot_set:
+            continue
+        terms = [(pc, row[j]) for row, pc in zip(basis, pivots) if row[j]]
+        roots = [r for r in roots if (r[j] - sum(c * r[pc] for pc, c in terms)) % p == 0]
+        if not roots:
+            return None
+    return roots[0]
 
 
 @dataclass(frozen=True)
@@ -380,7 +398,10 @@ def classify(datum_or_label, p: int) -> ClassifyResult:
     the group that stops once the class sizes add up to its order: for
     Aut(E6) and Aut(D5) = W(R) x {+-1} the walk is of W(R), and each class
     of W(R) adds its negative; Aut(D4) is walked itself.  Only the
-    order-25 group <a, b> of the E8 scope is closed, for its order.
+    order-25 group <a, b> of the E8 scope is closed, for its order.  The
+    classes are built at the first call for a root datum and kept
+    (_search_universe); every call decides the good classes, grows the
+    subgroups and names them at its own p.
     """
     is_datum = isinstance(datum_or_label, RootDatum)
     kind, m = parse_label(datum_or_label.label if is_datum else datum_or_label)
@@ -400,9 +421,14 @@ def classify(datum_or_label, p: int) -> ClassifyResult:
     return _classify_universe(datum, p, _search_universe(datum), partial, note)
 
 
+@lru_cache(maxsize=None)
 def _search_universe(datum) -> _Universe:
     """The group classify searches, with its conjugacy classes: Aut(R) for
-    A_m (m <= 7), D4, D5 and E6, and the group <a, b> for E8."""
+    A_m (m <= 7), D4, D5 and E6, and the group <a, b> for E8.
+
+    Built once per root datum and kept: the classes do not depend on p, and
+    build caches the datum by label, so at most eleven universes exist.
+    """
     if datum.label.startswith("A"):
         return _signed_sym_universe(datum)
     if datum.label in _WEYL_PAIR_REFLECTION:

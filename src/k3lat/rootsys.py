@@ -150,7 +150,9 @@ class RootDatum:
 
 
 def _check_isometry(datum: RootDatum, m) -> Isometry:
-    iso = Isometry(ex.to_mat(m))
+    """m, a matrix or an Isometry, as an Isometry of the datum; ValueError
+    unless it is a square matrix of the datum's rank preserving the Gram form."""
+    iso = Isometry(ex.to_mat(m.matrix if isinstance(m, Isometry) else m))
     g = datum.gram
     if len(iso.matrix) != datum.rank or any(len(r) != datum.rank for r in iso.matrix):
         raise ValueError(f"{datum.label} isometries are {datum.rank}x{datum.rank} matrices")
@@ -334,10 +336,7 @@ class IsometryGroup:
 
     def __init__(self, datum: RootDatum, generators):
         self.datum = datum
-        self.generators = tuple(
-            g if isinstance(g, Isometry) else _check_isometry(datum, g)
-            for g in generators
-        )
+        self.generators = tuple(_check_isometry(datum, g) for g in generators)
         self._elements_perm = None
 
     def closure_perms(self, cap: int = DEFAULT_GROUP_CAP):

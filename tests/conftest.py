@@ -1,6 +1,7 @@
 """Shared helpers: random even Gram matrices, a memory cap for child
-processes, a brute-force finite-quadratic-form isomorphism oracle and the
-fully closed Aut(R), used to cross-check the fast paths."""
+processes, a brute-force finite-quadratic-form isomorphism oracle, the
+fully closed Aut(R) and the forward-only echelon mod p with its per-root
+span scan, used to cross-check the fast paths."""
 
 from __future__ import annotations
 
@@ -153,6 +154,37 @@ def aut_group(datum) -> IsometryGroup:
     grp = IsometryGroup(datum, aut_generators(datum))
     grp.closure_perms(AUT_GROUP_CAP)
     return grp
+
+
+def modp_reduce_oracle(row, basis, pivots, p: int) -> list:
+    """A row of residues mod p reduced against echelon rows with the given
+    pivots, dividing by each pivot entry (the rows need not be reduced)."""
+    for prow, pc in zip(basis, pivots):
+        if row[pc]:
+            f = row[pc] * pow(prow[pc], -1, p) % p
+            row = [(a - f * b) % p for a, b in zip(row, prow)]
+    return row
+
+
+def modp_echelon_oracle(rows, p: int):
+    """Row echelon basis mod p by forward elimination alone: (rows, pivots).
+    Each row is 0 at the pivots before its own, but neither normalised nor
+    cleared above; the oracle for the reduced ex.modp_echelon."""
+    basis, pivots = [], []
+    for row in rows:
+        row = modp_reduce_oracle([x % p for x in row], basis, pivots, p)
+        nz = next((i for i, a in enumerate(row) if a), None)
+        if nz is not None:
+            basis.append(row)
+            pivots.append(nz)
+    return basis, pivots
+
+
+def root_in_span_oracle(datum, basis, pivots, p: int):
+    """The first root of the datum that reduces to zero mod p against the
+    echelon rows, one root at a time."""
+    return next((r for r in datum.roots
+                 if not any(modp_reduce_oracle([x % p for x in r], basis, pivots, p))), None)
 
 
 def is_identity(iso) -> bool:

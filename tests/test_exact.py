@@ -8,6 +8,8 @@ from hypothesis import assume, given, strategies as st
 
 from k3lat import _exact as ex
 
+from conftest import modp_echelon_oracle, modp_reduce_oracle
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "k3lat"
 
 
@@ -167,6 +169,24 @@ def test_gauss_jordan_inverse(rows):
         ex.mat_inv(singular)
     assume(ex.det_int(m) != 0)
     assert ex.mat_mul(m, ex.mat_inv(m)) == ex.identity(n)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 13]),
+       st.integers(1, 8).flatmap(lambda n: st.lists(
+           st.lists(st.integers(-20, 20), min_size=n, max_size=n), max_size=10)))
+def test_modp_echelon_is_reduced_and_spans_as_the_oracle(p, rows):
+    basis, pivots = ex.modp_echelon(rows, p)
+    old_basis, old_pivots = modp_echelon_oracle(rows, p)
+    # the same pivots, and each basis in the span of the other: the same span
+    assert pivots == old_pivots and len(basis) == len(old_basis)
+    for row in basis:
+        assert not any(modp_reduce_oracle(row, old_basis, old_pivots, p))
+    for row in old_basis:
+        assert not any(modp_reduce_oracle(row, basis, pivots, p))
+    # reduced: 1 at each pivot, 0 in that column of every other row
+    for i, pc in enumerate(pivots):
+        assert [row[pc] for row in basis] == [int(k == i) for k in range(len(basis))]
+    assert all(0 <= x < p for row in basis for x in row)
 
 
 def test_no_float_square_root_in_the_package():

@@ -27,8 +27,10 @@ from k3lat.prootpair import (
     _good_elements,
     _in_sublattice,
     _perm_inv,
+    _root_in_span,
     _rootless,
     _search_universe,
+    _sharp_span_modp,
     _signed_sym_universe,
     _Universe,
     _weyl_times_sign_universe,
@@ -42,15 +44,17 @@ from k3lat.prootpair import (
 from k3lat.rootsys import (
     Isometry,
     acts_trivially_on_disc,
+    aut_generators,
     build,
     group_closure,
     named_elements,
     perm_mul,
+    simple_reflections,
     t_sublattice,
     weights,
 )
 
-from conftest import aut_group, is_identity
+from conftest import aut_group, is_identity, modp_echelon_oracle, root_in_span_oracle
 
 
 def cycle_isometry(n):
@@ -542,16 +546,19 @@ def least_generator_calls(monkeypatch, label, p):
     return calls
 
 
+LEAST_GENERATOR_CASES = [
+    *((f"A{m}", p) for m in range(1, 8) for p in (3, 5, 7)),
+    *((label, p) for label in ("D4", "D5", "E6") for p in (3, 5, 7, 11, 13)),
+    ("E8", 3), ("E8", 5),
+]
+
+
 class TestLeastGenerators:
     """Each class is named by the least combination of its cyclic generators
     that generates it, which is the first path of the walk over its
     subgroups."""
 
-    @pytest.mark.parametrize("label,p", [
-        *((f"A{m}", p) for m in range(1, 8) for p in (3, 5, 7)),
-        *((label, p) for label in ("D4", "D5", "E6") for p in (3, 5, 7, 11, 13)),
-        ("E8", 3), ("E8", 5),
-    ])
+    @pytest.mark.parametrize("label,p", LEAST_GENERATOR_CASES)
     def test_match_first_bfs_path(self, monkeypatch, label, p):
         calls = least_generator_calls(monkeypatch, label, p)
         assert calls
@@ -801,19 +808,171 @@ class TestGoodSetWorkCounts:
         assert len(visited) <= 3000
 
     def test_d4_sweep_stops_at_the_aut_order(self, monkeypatch):
-        # the classes of Aut(D4) add up to 1,152 after 279 candidates
-        uni, visited = self.walked_by_sweep(monkeypatch, lambda: _search_universe(build("D4")))
+        # the classes of Aut(D4) add up to 1,152 after 279 candidates; the
+        # uncached builder, so a universe cached earlier cannot hide the walk
+        uni, visited = self.walked_by_sweep(
+            monkeypatch, lambda: _search_universe.__wrapped__(build("D4")))
         assert len(uni.reps) == 25
-        assert len(visited) <= 350
+        assert 279 <= len(visited) <= 350
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_d4_closes_no_group(self, monkeypatch, p):
-        closed = []
+        _search_universe.cache_clear()  # so this call builds the universe
+        closed, sweeps = [], []
         closure_perms = IsometryGroup.closure_perms
         monkeypatch.setattr(IsometryGroup, "closure_perms",
                             lambda grp, *args: closed.append(grp) or closure_perms(grp, *args))
+        sweep = prootpair._class_sweep
+        monkeypatch.setattr(prootpair, "_class_sweep",
+                            lambda *args, **kw: sweeps.append(args) or sweep(*args, **kw))
         assert classify("D4", p).entries
-        assert closed == []
+        assert closed == [] and len(sweeps) == 1
+
+
+PROOT_CLASSIFY_CASES = ([("D4", p) for p in (3, 5, 7, 11)]
+                        + [("D5", p) for p in (3, 5, 7)]
+                        + [(f"A{m}", p) for m in range(1, 8) for p in (3, 5, 7)]
+                        + [("E8", 5), ("E6", 5)])
+
+
+@pytest.fixture
+def fresh_universes():
+    """No universe cached by an earlier test."""
+    _search_universe.cache_clear()
+    yield
+    _search_universe.cache_clear()
+
+
+class TestUniverseCache:
+    """The classes of Aut(R) are built once per root datum and process; the
+    results do not depend on which primes ran before."""
+
+    def test_d4_primes_forward_and_reverse_agree(self, fresh_universes):
+        primes = (3, 5, 7, 11)
+        forward = [classify("D4", p) for p in primes]
+        _search_universe.cache_clear()
+        backward = [classify("D4", p) for p in reversed(primes)]
+        assert forward == backward[::-1]
+        assert _search_universe.cache_info().misses == 1
+
+    def test_label_and_datum_share_one_universe(self, fresh_universes):
+        by_label = classify("D5", 3)
+        by_datum = classify(build("D5"), 3)
+        assert by_label == by_datum
+        info = _search_universe.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_one_sweep_per_datum_over_the_bench_cases(self, fresh_universes, monkeypatch):
+        built = []
+        for name in ("_class_sweep", "_signed_sym_universe"):
+            builder = getattr(prootpair, name)
+            monkeypatch.setattr(prootpair, name, lambda *args, builder=builder, name=name, **kw:
+                                built.append((name, args[0].label)) or builder(*args, **kw))
+        first = [classify(label, p) for label, p in PROOT_CLASSIFY_CASES]
+        second = [classify(label, p) for label, p in PROOT_CLASSIFY_CASES]
+        assert first == second
+        labels = sorted({label for label, _ in PROOT_CLASSIFY_CASES})
+        assert sorted(label for _, label in built) == labels
+        assert Counter(name for name, _ in built) == {"_class_sweep": 4,
+                                                      "_signed_sym_universe": 7}
+        assert _search_universe.cache_info().currsize == len(labels) == 11
+
+    def test_universe_holds_nothing_of_p(self, fresh_universes):
+        uni = _search_universe(build("D4"))
+        before = dict(vars(uni))
+        for p in (3, 5, 7, 11):
+            classify("D4", p)
+        assert _search_universe(build("D4")) is uni
+        assert vars(uni) == before
+
+
+def random_generator_sets(datum, rng, count):
+    """count lists of 0-3 random isometries, each a random word of length
+    1-12 in generators of Aut(R) (of W(E8) and <a, b> for E8)."""
+    if datum.label == "E8":
+        nm = named_elements(datum)
+        letters = list(simple_reflections(datum)) + [nm["a"], nm["b"]]
+    else:
+        letters = aut_generators(datum)
+    out = []
+    for _ in range(count):
+        gens = []
+        for _ in range(rng.randrange(4)):
+            g = Isometry(ex.identity(datum.rank))
+            for _ in range(rng.randint(1, 12)):
+                g = g * rng.choice(letters)
+            gens.append(g)
+        out.append(gens)
+    return out
+
+
+def sharp_rows(datum, gens):
+    """The rows (g - 1)e_j of the generators, written out here."""
+    n = datum.rank
+    return [tuple(g.matrix[i][j] - (i == j) for i in range(n)) for g in gens for j in range(n)]
+
+
+class TestCheckForms:
+    """The root in the sharp span found by check forms against the per-root
+    reduction over the forward-only echelon."""
+
+    @pytest.mark.parametrize("label", [*(f"A{m}" for m in range(1, 8)), "D4", "D5", "E6", "E8"])
+    def test_random_generator_sets_match_the_per_root_scan(self, label):
+        datum = build(label)
+        rng = random.Random(f"check forms {label}")
+        outcomes = set()
+        for p in (3, 5, 7, 11, 13):
+            for gens in random_generator_sets(datum, rng, 12):
+                basis, pivots = _sharp_span_modp(datum, [g.matrix for g in gens], p)
+                got = _root_in_span(datum, basis, pivots, p)
+                want = root_in_span_oracle(datum, *modp_echelon_oracle(sharp_rows(datum, gens),
+                                                                       p), p)
+                assert got == want
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("label,p", LEAST_GENERATOR_CASES)
+    def test_every_classify_span_matches_the_per_root_scan(self, monkeypatch, label, p):
+        # every span classify decides, pseudo or not, and each entry's witness
+        spans, find = [], prootpair._root_in_span
+
+        def recorded(datum, basis, pivots, p):
+            spans.append((datum, basis, pivots, find(datum, basis, pivots, p)))
+            return spans[-1][-1]
+
+        monkeypatch.setattr(prootpair, "_root_in_span", recorded)
+        out = classify(label, p)
+        assert {got is None for *_, got in spans} == {True, False}
+        for datum, basis, pivots, got in spans:
+            assert got == root_in_span_oracle(datum, basis, pivots, p)
+        datum = build(label)
+        for entry in out.entries:
+            rows = sharp_rows(datum, entry.generators)
+            want = root_in_span_oracle(datum, *modp_echelon_oracle(rows, p), p)
+            assert entry.verdict.witness_root is None and want is None
+
+
+class TestIsometryInput:
+    """Every generator is checked, an Isometry instance as much as a matrix."""
+
+    NOT_ISOMETRY = Isometry(((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    WRONG_SIZE = Isometry(((1, 0), (0, 1)))
+
+    @pytest.mark.parametrize("iso,message", [(NOT_ISOMETRY, "Gram form"),
+                                             (WRONG_SIZE, "4x4 matrices")])
+    def test_verdict_refuses(self, iso, message):
+        with pytest.raises(ValueError, match=message):
+            verdict(D4, [iso], 3)
+
+    @pytest.mark.parametrize("iso", [NOT_ISOMETRY, WRONG_SIZE])
+    def test_p_group_check_refuses(self, iso):
+        with pytest.raises(ValueError):
+            p_group_check(D4, [iso], 3)
+
+    def test_isometry_group_refuses(self):
+        with pytest.raises(ValueError, match="Gram form"):
+            IsometryGroup(D4, [NM["x"], self.NOT_ISOMETRY])
+        assert IsometryGroup(D4, [NM["x"]]).generators == (NM["x"],)
 
 
 class TestPaperInvariants:
