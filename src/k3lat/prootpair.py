@@ -96,21 +96,22 @@ def _root_in_span(datum: RootDatum, basis, pivots, p):
     """The first root of the datum inside the span mod p, or None.
 
     The basis is in reduced echelon form (ex.modp_echelon), so a vector v lies
-    in the span iff h_j . v = v[j] - sum_i basis_i[j] v[pivot_i] is 0 mod p
-    for every non-pivot column j, where h_j are the check forms of the span.
-    The roots are filtered by one check form at a time, in datum order, until
-    none is left.
+    in the span iff h_j . v is 0 mod p for every non-pivot column j, with the
+    check form h_j = e_j - sum_i basis_i[j] e_{pivot_i}.  The roots are tested
+    in datum order; most fail the first check form, which is tested inline.
     """
-    roots = datum.roots
-    pivot_set = set(pivots)
-    for j in range(datum.rank):
-        if j in pivot_set:
-            continue
-        terms = [(pc, row[j]) for row, pc in zip(basis, pivots) if row[j]]
-        roots = [r for r in roots if (r[j] - sum(c * r[pc] for pc, c in terms)) % p == 0]
-        if not roots:
-            return None
-    return roots[0]
+    checks = []
+    for j in sorted(set(range(datum.rank)) - set(pivots)):
+        check = [0] * datum.rank
+        check[j] = 1
+        for row, pc in zip(basis, pivots):
+            check[pc] = -row[j]
+        checks.append(check)
+    if not checks:  # the span is all of R/pR
+        return datum.roots[0]
+    first, rest = checks[0], checks[1:]
+    return next((r for r in datum.roots if not sum(map(operator.mul, first, r)) % p
+                 and not any(sum(map(operator.mul, h, r)) % p for h in rest)), None)
 
 
 @dataclass(frozen=True)
@@ -427,7 +428,8 @@ def _search_universe(datum) -> _Universe:
     A_m (m <= 7), D4, D5 and E6, and the group <a, b> for E8.
 
     Built once per root datum and kept: the classes do not depend on p, and
-    build caches the datum by label, so at most eleven universes exist.
+    build gives one datum per label however it is spelt, so the data build
+    makes have at most eleven universes.
     """
     if datum.label.startswith("A"):
         return _signed_sym_universe(datum)
@@ -548,6 +550,8 @@ def _classify_universe(datum, p, uni, partial, note) -> ClassifyResult:
     entries = []
     for rep in sorted(classes, key=lambda s: (len(s), tuple(sorted(s)))):
         gens = tuple(matrix_of(k) for k in _least_generators(uni, rep) or [uni.identity])
+        # the generators are made from the universe, so verdict need not check them
+        grp = IsometryGroup.of_isometries(datum, gens)
         entries.append(ClassifyEntry(generators=gens, order=len(rep),
-                                     verdict=verdict(datum, gens, p)))
+                                     verdict=verdict(datum, grp, p)))
     return ClassifyResult(datum.label, p, tuple(entries), partial, note)

@@ -169,15 +169,19 @@ def parse_label(label: str) -> tuple:
     return kind, int(num)
 
 
-@lru_cache(maxsize=None)
 def build(label: str) -> RootDatum:
     """Construct a root datum: A(m>=1), D(m>=4), E6/E7/E8.
 
-    Every root is listed, so a rank above MAX_BUILD_RANK raises
-    LimitExceeded before any work; t_sublattice(p) is thereby refused for
-    p > 25.
+    The datum is cached by the label parse_label reads, so every spelling of
+    one label ("D4", "d4", " D(4)") gives the same datum.  Every root is
+    listed, so a rank above MAX_BUILD_RANK raises LimitExceeded before any
+    work; t_sublattice(p) is thereby refused for p > 25.
     """
-    kind, m = parse_label(label)
+    return _build(*parse_label(label))
+
+
+@lru_cache(maxsize=None)
+def _build(kind: str, m: int) -> RootDatum:
     name = f"{kind}{m}"
     if kind != "E" and m > MAX_BUILD_RANK:
         raise ex.LimitExceeded(f"{name} has rank above the cap of {MAX_BUILD_RANK}")
@@ -338,6 +342,15 @@ class IsometryGroup:
         self.datum = datum
         self.generators = tuple(_check_isometry(datum, g) for g in generators)
         self._elements_perm = None
+
+    @classmethod
+    def of_isometries(cls, datum: RootDatum, isometries) -> IsometryGroup:
+        """The group generated by Isometry instances already known to preserve
+        the form, such as matrix_of_perm makes; unlike the constructor, this
+        checks nothing."""
+        grp = cls(datum, ())
+        grp.generators = tuple(isometries)
+        return grp
 
     def closure_perms(self, cap: int = DEFAULT_GROUP_CAP):
         """Materialize all elements as root permutations (breadth-first).

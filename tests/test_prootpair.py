@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from collections import Counter
@@ -8,7 +9,7 @@ from itertools import permutations
 import pytest
 
 from k3lat import _exact as ex
-from k3lat import prootpair
+from k3lat import prootpair, rootsys
 from k3lat._exact import LimitExceeded
 from k3lat.intlat import (
     IntegralLattice,
@@ -877,13 +878,27 @@ class TestUniverseCache:
                                                       "_signed_sym_universe": 7}
         assert _search_universe.cache_info().currsize == len(labels) == 11
 
+    def test_spellings_of_a_label_share_one_universe(self, fresh_universes):
+        results = [classify(label, 3) for label in ("D4", "d4", " D4", "D(4)")]
+        assert all(res == results[0] for res in results)
+        info = _search_universe.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
     def test_universe_holds_nothing_of_p(self, fresh_universes):
+        # a copy of the contents, so that a change in place shows as well as a
+        # rebound attribute; the datum and the matrix map are not copied
         uni = _search_universe(build("D4"))
-        before = dict(vars(uni))
+
+        def contents():
+            return {k: v for k, v in vars(uni).items() if k not in ("datum", "matrix")}
+
+        before = copy.deepcopy(contents())
         for p in (3, 5, 7, 11):
             classify("D4", p)
         assert _search_universe(build("D4")) is uni
-        assert vars(uni) == before
+        assert uni.datum is build("D4")
+        assert contents() == before
+        assert sorted(vars(uni)) == ["conj", "conj_gens", "datum", "identity", "matrix", "reps"]
 
 
 def random_generator_sets(datum, rng, count):
@@ -973,6 +988,18 @@ class TestIsometryInput:
         with pytest.raises(ValueError, match="Gram form"):
             IsometryGroup(D4, [NM["x"], self.NOT_ISOMETRY])
         assert IsometryGroup(D4, [NM["x"]]).generators == (NM["x"],)
+
+    def test_classify_checks_none_of_the_matrices_it_makes(self, fresh_universes,
+                                                          monkeypatch):
+        # its verdicts take the matrices of its own universe as they are; the
+        # universe is built first, since building it checks the named elements
+        _search_universe(build("D4"))
+        checked = []
+        check = rootsys._check_isometry
+        monkeypatch.setattr(rootsys, "_check_isometry",
+                            lambda *args: checked.append(args) or check(*args))
+        assert classify("D4", 3).entries and classify("D4", 5).entries
+        assert checked == []
 
 
 class TestPaperInvariants:

@@ -65,6 +65,11 @@ class TestBuild:
         assert e8.simple_to_ambient(th) == tuple(
             Fraction(x) for x in (1, 1, 0, 0, 0, 0, 0, 0))
 
+    def test_every_spelling_of_a_label_gives_one_datum(self):
+        d4 = build("D4")
+        assert all(build(label) is d4 for label in ("d4", " D4", "D(4)", "D04"))
+        assert d4.label == "D4"
+
     def test_unsupported_labels(self):
         for label in ("B2", "D3", "E9", "A0", "", " ", "()"):
             with pytest.raises(ValueError):
