@@ -7,8 +7,9 @@ Lagrange diagonalisation of a symmetric form (quadratic_completion, behind
 signatures) and the integral LLL reduction of a positive definite Gram
 matrix (lll_reduce, behind short vectors), on tuples of tuples with int or
 Fraction entries.  Number theory: capped trial-division factoring and
-primality (a cofactor in (10^6, 10^12] is tested by deterministic
-Miller-Rabin first), Legendre/Jacobi symbols, the least quadratic
+primality (a cofactor in (10^6, 3.3 * 10^24) is tested by deterministic
+Miller-Rabin first; one above 10^12 may be a power of such a prime, found
+by exact integer roots), Legendre/Jacobi symbols, the least quadratic
 non-residue, and p-adic valuations of ints, the pivots of the symbol
 computation in fqf, which eliminates in integers modulo p^(v_p(det)+1), or
 2^(v_2(det)+3) at p = 2.  No floating point.
@@ -417,15 +418,15 @@ def lll_reduce(gram: Mat) -> tuple[list, list, list]:
 
 _TRIAL_DIVISION_CAP = 10 ** 6
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to all of _MILLER_RABIN_BASES (Sorenson and
+# Webster 2015): below it, those bases decide primality exactly.
+_MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def _large_prime(n: int) -> bool:
-    """Is n a prime with 10^6 < n <= 10^12?  Deterministic Miller-Rabin.
-
-    The first 13 prime bases decide every n below 3.3 * 10^24 (Sorenson and
-    Webster 2015), far past 10^12.
-    """
-    if not _TRIAL_DIVISION_CAP < n <= _TRIAL_DIVISION_CAP ** 2:
+    """Is n a prime with 10^6 < n < _MILLER_RABIN_BOUND (about 3.3 * 10^24)?
+    Deterministic Miller-Rabin to the first 13 prime bases."""
+    if not _TRIAL_DIVISION_CAP < n < _MILLER_RABIN_BOUND:
         return False
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -443,14 +444,41 @@ def _large_prime(n: int) -> bool:
     return True
 
 
+def iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0 and k >= 1, by integer Newton steps from
+    above."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(n: int) -> tuple:
+    """(r, k) with r^k = n and k as large as possible, for n >= 2; k = 1
+    when n is no perfect power."""
+    for k in range(n.bit_length(), 1, -1):
+        r = iroot(n, k)
+        if r > 1 and r ** k == n:
+            return r, k
+    return n, 1
+
+
 def factor(n: int) -> dict:
     """{p: k} with |n| the product of the p^k, by trial division.
 
     Divides by d only below min(isqrt(cofactor), 10^6), and stops once the
-    cofactor is a prime in (10^6, 10^12], proven by _large_prime, at the
-    start and after each prime divided out.  Every |n| <= 10^12 is decided
-    exactly, since a composite up to 10^12 has a prime factor below 10^6;
-    a cofactor above 10^12 left undecided raises ValueError.
+    cofactor is a prime below _MILLER_RABIN_BOUND (about 3.3 * 10^24),
+    proven by _large_prime, at the start and after each prime divided out.
+    A cofactor above 10^12 that is not such a prime is decided when it is
+    the k-th power of one; any other is left undecided and raises
+    ValueError.  So every |n| <= 10^12 is decided exactly, since a
+    composite up to 10^12 has a prime factor below 10^6, and so is every
+    n whose part free of primes below 10^6 is a power of a prime below
+    3.3 * 10^24.
     """
     n = abs(n)
     if n == 0:
@@ -466,16 +494,22 @@ def factor(n: int) -> dict:
                     n //= d
                 if _large_prime(n):
                     break
-    if n > _TRIAL_DIVISION_CAP ** 2:
-        raise ValueError(f"no factor below {_TRIAL_DIVISION_CAP} of a "
-                         f"{n.bit_length()}-bit cofactor; too large to decide")
+    k = 1
+    if n > _TRIAL_DIVISION_CAP ** 2 and not _large_prime(n):
+        root, k = _perfect_power(n)
+        if not _large_prime(root):
+            raise ValueError(f"no factor below {_TRIAL_DIVISION_CAP} of a "
+                             f"{n.bit_length()}-bit cofactor; too large to decide")
+        n = root
     if n > 1:
-        out[n] = 1
+        out[n] = k
     return out
 
 
 def is_prime(n: int) -> bool:
-    """Primality, exact up to 10^12; see factor for larger n."""
+    """Primality, exact up to 10^12 and for every n below about 3.3 * 10^24
+    (see factor); a larger n raises ValueError unless a factor below 10^6
+    shows it composite."""
     return n >= 2 and factor(n) == {n: 1}
 
 

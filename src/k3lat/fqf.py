@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from . import _exact as ex
@@ -114,8 +115,15 @@ class FiniteQuadraticForm:
     def ell_p(self, p: int) -> int:
         return sum(c.rank for c in self.components if c.prime == p)
 
+    def ranks(self) -> dict:
+        """prime -> ell_p, read in one pass over the components."""
+        out: dict[int, int] = {}
+        for c in self.components:
+            out[c.prime] = out.get(c.prime, 0) + c.rank
+        return out
+
     def ell(self) -> int:
-        return max((self.ell_p(p) for p in self.primes()), default=0)
+        return max(self.ranks().values(), default=0)
 
 
 def render_symbol(q: FiniteQuadraticForm) -> str:
@@ -138,12 +146,14 @@ def render_symbol(q: FiniteQuadraticForm) -> str:
 # unit realizations
 
 
+@lru_cache(maxsize=1024)
 def _two_adic_units(rank: int, sign: int, oddity: int):
     """Odd residues mod 8 with the given count, trace and determinant class.
 
     Only the last min(rank, 3) residues are returned: the rank - 3 before
     them are 1s, counted but never listed, so the search is O(1) in the
     rank.  Returns None when no such tuple exists (invalid component data).
+    Memoised: every odd 2-adic component built calls it.
     """
     if (oddity - rank) % 2 != 0:
         return None
@@ -377,8 +387,12 @@ def negate(q: FiniteQuadraticForm) -> FiniteQuadraticForm:
     return FiniteQuadraticForm(tuple(out))
 
 
+@lru_cache(maxsize=4096)
 def _tau_odd_rank1(p: int, k: int, cls: int) -> int:
-    """Signature mod 8 of a rank-1 component (p^k)^cls at odd p."""
+    """Signature mod 8 of a rank-1 component (p^k)^cls at odd p.
+
+    Memoised, with room for both classes at each of the 1,229 primes below
+    10^4, which a table run visits once per row."""
     u = 1 if cls == 1 else ex.least_nonresidue(p)
     pk = p ** k
     a = u * (pk + 1) // 2
@@ -586,14 +600,12 @@ def _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order):
     """Isotropic subgroups H of the p-parts A_S + A_D with
     H ∩ A_S = H ∩ A_D = 0.
 
-    A_D must be elementary abelian (every modulus p), and raises ValueError
-    otherwise; then any such H is the graph of an injective homomorphism psi
-    from a subspace of A_D into the p-torsion of A_S.  Yields (order,
+    A_D must be elementary abelian (every modulus p; overlattice_candidates
+    checks it); then any such H is the graph of an injective homomorphism
+    psi from a subspace of A_D into the p-torsion of A_S.  Yields (order,
     generator tuples in combined coordinates).  Raises LimitExceeded when
     the p-torsion of A_S, or the subspaces of A_D, outgrow ENUMERATION_CAP.
     """
-    if any(m != p for m in mod_d):
-        raise ValueError(f"the D block must have scale 1 at p = {p}")
     subspaces = _subspaces(p, len(mod_d), max_order)
     yield 1, next(subspaces)  # the trivial subgroup is tried before any cap applies
     if not mod_d:
@@ -658,27 +670,36 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
     q_d, the glued search: H runs over the isotropic subgroups of the p-part
     of q + q_d with H ∩ A_q = H ∩ A_{q_d} = 0, and the forms are induced from
     q + q_d; the p-part of q_d must have scale 1, or ValueError is raised.
-    Isotropy is read from the generators of H.  A search that outgrows
-    ENUMERATION_CAP raises LimitExceeded: see _isotropic_subgroups and
-    _graph_isotropic_subgroups for what each one counts.
+    The trivial H is yielded before any subgroup search is set up, and with
+    max_order < p it is the only one.  Isotropy is read from the generators
+    of H.  A search that outgrows ENUMERATION_CAP raises LimitExceeded: see
+    _isotropic_subgroups and _graph_isotropic_subgroups for what each one
+    counts.
     """
     if p == 2:
         raise ValueError("only odd p is supported")
+    q_s = q
+    if q_d is not None:
+        if any(c.prime == p and c.scale != 1 for c in q_d.components):
+            raise ValueError(f"the D block must have scale 1 at p = {p}")
+        q = direct_sum(q, q_d)
+    yield 1, q
+    if max_order < p:
+        return
     if q_d is None:
         diag, moduli, coeffs = _realize_p_part(q, p)
         subgroup_iter = _isotropic_subgroups(p, moduli, coeffs, max_order)
     else:
-        diag_s, mod_s, coef_s = _realize_p_part(q, p)
+        diag_s, mod_s, coef_s = _realize_p_part(q_s, p)
         diag_d, mod_d, coef_d = _realize_p_part(q_d, p)
         diag, moduli = diag_s + diag_d, mod_s + mod_d
         # graph parametrization over the (small, elementary) D block
         subgroup_iter = _graph_isotropic_subgroups(
             p, mod_s, coef_s, mod_d, coef_d, max_order)
-        q = direct_sum(q, q_d)
-    away = q.away_part(p)
     if not moduli:
-        yield 1, q
         return
+    next(subgroup_iter)  # the trivial H, yielded above
+    away = q.away_part(p)
     scale = math.lcm(*moduli)
     scaled_lattice = [tuple(scale if i == j else 0 for j in range(len(moduli)))
                       for i in range(len(moduli))]
@@ -687,9 +708,6 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
     # O'Meara, section 42), so every H of one order induces the same form.
     by_order = {} if all(m == p for m in moduli) else None
     for order, gens in subgroup_iter:
-        if order == 1:
-            yield 1, q
-            continue
         if by_order is not None and order in by_order:
             yield order, by_order[order]
             continue
@@ -730,11 +748,17 @@ def _det_unit_class_two(q2: FiniteQuadraticForm) -> int:
     return prod % 8
 
 
-def _two_reachable_det_classes(q2: FiniteQuadraticForm) -> set:
-    """Unit classes mod 8 of dets of minimal-rank 2-adic lattices realizing q2."""
-    comps = list(q2.components)
+@lru_cache(maxsize=1024)
+def _two_reachable_det_classes(comps: tuple) -> frozenset:
+    """Unit classes mod 8 of dets of minimal-rank 2-adic lattices realizing
+    the 2-part with these components.
+
+    Memoised by the exact component tuple, so no two inputs share an entry
+    unless they are equal as data; every prime of a table row asks for the
+    same 2-part."""
     if not comps:
-        return {1}
+        return frozenset({1})
+    q2 = FiniteQuadraticForm(comps)
     classes = set()
     for flips in product((0, 1), repeat=len(comps)):
         variant = []
@@ -749,11 +773,14 @@ def _two_reachable_det_classes(q2: FiniteQuadraticForm) -> set:
         vform = FiniteQuadraticForm(tuple(variant))
         if vform == q2:
             classes.add(_det_unit_class_two(vform))
-    return classes
+    return frozenset(classes)
 
 
 def nikulin_exists(sig_plus: int, sig_minus: int, q: FiniteQuadraticForm) -> bool:
-    """Does an even lattice with signature (sig_plus, sig_minus) and form q exist?"""
+    """Does an even lattice with signature (sig_plus, sig_minus) and form q
+    exist?  Nikulin 1980, Thm 1.10.1: the signature class, rank n >= ell_p
+    at every p, and at each p with ell_p = n a condition on the p-adic
+    determinant class."""
     if sig_plus < 0 or sig_minus < 0:
         return False
     n = sig_plus + sig_minus
@@ -761,26 +788,21 @@ def nikulin_exists(sig_plus: int, sig_minus: int, q: FiniteQuadraticForm) -> boo
         return q.is_trivial()
     if signature_mod8(q) != (sig_plus - sig_minus) % 8:
         return False
-    if n < q.ell():
+    ranks = q.ranks()
+    if n < max(ranks.values(), default=0):
         return False
-    for p in q.primes():
-        if p == 2:
+    for p, ell in ranks.items():
+        if ell != n:
             continue
-        if n == q.ell_p(p):
-            w = _det_unit_mod(q, sig_minus, p, p)
-            target = 1
-            for c in q.components:
-                if c.prime == p:
-                    target *= c.sign
-            if ex.legendre(w, p) != target:
+        comps = tuple(c for c in q.components if c.prime == p)
+        if p == 2:
+            if (not any(c.scale == 1 and c.oddity is not None for c in comps)
+                    and _det_unit_mod(q, sig_minus, 2, 8)
+                    not in _two_reachable_det_classes(comps)):
                 return False
-    if 2 in q.primes() and n == q.ell_p(2):
-        two = q.p_part(2)
-        has_scale1_odd = any(c.scale == 1 and c.oddity is not None
-                             for c in two.components)
-        if not has_scale1_odd:
-            if _det_unit_mod(q, sig_minus, 2, 8) not in _two_reachable_det_classes(two):
-                return False
+        elif ex.legendre(_det_unit_mod(q, sig_minus, p, p), p) != math.prod(
+                c.sign for c in comps):
+            return False
     return True
 
 

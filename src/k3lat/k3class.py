@@ -56,6 +56,12 @@ def n_form(p: int, sigma: int) -> SupersingularForm:
     return SupersingularForm(p, sigma, q)
 
 
+@lru_cache(maxsize=1024)
+def _negated_n_form(p: int, sigma: int) -> FiniteQuadraticForm:
+    """-q_N, the D block primitively_embeds glues to q_S."""
+    return negate(n_form(p, sigma).q)
+
+
 def _witt_index_diag(p: int, coeffs) -> int:
     """Witt index of sum c_i x_i^2 over F_p (exhaustive hyperbolic splitting)."""
     gram = [[0] * len(coeffs) for _ in range(len(coeffs))]
@@ -185,22 +191,24 @@ def primitively_embeds(q_s: FiniteQuadraticForm, rank_s: int, p: int,
     neither block), and accepts as soon as some induced form's negation is
     realized by an even lattice of signature (1, 21 - rank_S).  Every
     candidate H counts as tried, but a form already rejected is not tested
-    again.
+    again.  H-perp/H has order |A| / |H|^2, so the trivial H's form equals
+    no later candidate's and is never put in the rejected set.
     """
     query = EmbeddingQuery(q_s, rank_s, p, sigma)
     hmax = p ** min(q_s.ell_p(p), 2 * sigma)
     sig = (1, 21 - rank_s)
     tried = 0
     rejected = set()
-    for h, q_tilde in overlattice_candidates(q_s, p, hmax, negate(n_form(p, sigma).q)):
+    for h, q_tilde in overlattice_candidates(q_s, p, hmax, _negated_n_form(p, sigma)):
         tried += 1
-        if q_tilde in rejected:
-            continue
+        if h > 1:
+            if q_tilde in rejected:
+                continue
+            rejected.add(q_tilde)
         target = negate(q_tilde)
         if nikulin_exists(sig[0], sig[1], target):
             cert = Certificate(h, q_tilde, target)
             return EmbedDecision(query, True, cert, tried)
-        rejected.add(q_tilde)
     return EmbedDecision(query, False, None, tried)
 
 

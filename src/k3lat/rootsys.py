@@ -81,13 +81,6 @@ class Isometry:
     def apply(self, v):
         return ex.mat_vec(self.matrix, tuple(v))
 
-    def inverse(self) -> "Isometry":
-        """The inverse; raises ArithmeticError when it is not integral."""
-        inv = ex.mat_inv(self.matrix)
-        if any(x.denominator != 1 for row in inv for x in row):
-            raise ArithmeticError("the inverse matrix is not integral")
-        return Isometry(tuple(tuple(int(x) for x in row) for row in inv))
-
     def order(self, cap: int = 10 ** 4) -> int:
         n = len(self.matrix)
         ident = ex.identity(n)

@@ -1,10 +1,13 @@
 """Shared helpers: random even Gram matrices, a memory cap for child
 processes, a brute-force finite-quadratic-form isomorphism oracle, the
-fully closed Aut(R) and the forward-only echelon mod p with its per-root
-span scan, used to cross-check the fast paths."""
+fully closed Aut(R), the forward-only echelon mod p with its per-root
+span scan, the Fraction inverse of an isometry, and the overlattice search
+and Nikulin test that set up every subgroup walk and read each prime's
+rank apart, used to cross-check the fast paths."""
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import resource
@@ -15,8 +18,19 @@ from pathlib import Path
 import pytest
 
 from k3lat import _exact as ex
+from k3lat.fqf import (
+    _det_unit_mod,
+    _graph_isotropic_subgroups,
+    _isotropic_subgroups,
+    _overlattice_gram,
+    _realize_p_part,
+    _two_reachable_det_classes,
+    direct_sum,
+    signature_mod8,
+    symbol_of,
+)
 from k3lat.intlat import IntegralLattice, discriminant_group
-from k3lat.rootsys import IsometryGroup, aut_generators
+from k3lat.rootsys import Isometry, IsometryGroup, aut_generators
 
 
 CHILD_ADDRESS_SPACE = 2 << 30  # bytes
@@ -185,6 +199,92 @@ def root_in_span_oracle(datum, basis, pivots, p: int):
     echelon rows, one root at a time."""
     return next((r for r in datum.roots
                  if not any(modp_reduce_oracle([x % p for x in r], basis, pivots, p))), None)
+
+
+def isometry_inverse(iso: Isometry) -> Isometry:
+    """The inverse by Gauss-Jordan over Q; ArithmeticError when it is not
+    integral."""
+    inv = ex.mat_inv(iso.matrix)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ArithmeticError("the inverse matrix is not integral")
+    return Isometry(tuple(tuple(int(x) for x in row) for row in inv))
+
+
+def overlattice_candidates_oracle(q, p: int, max_order: int, q_d=None):
+    """overlattice_candidates as it was before the trivial H came first: it
+    realizes the p-parts and sets up the subgroup walk before yielding the
+    trivial H, which it takes from the walk, and walks at every max_order."""
+    if p == 2:
+        raise ValueError("only odd p is supported")
+    if q_d is None:
+        diag, moduli, coeffs = _realize_p_part(q, p)
+        subgroup_iter = _isotropic_subgroups(p, moduli, coeffs, max_order)
+    else:
+        diag_s, mod_s, coef_s = _realize_p_part(q, p)
+        diag_d, mod_d, coef_d = _realize_p_part(q_d, p)
+        if any(m != p for m in mod_d):
+            raise ValueError(f"the D block must have scale 1 at p = {p}")
+        diag, moduli = diag_s + diag_d, mod_s + mod_d
+        subgroup_iter = _graph_isotropic_subgroups(
+            p, mod_s, coef_s, mod_d, coef_d, max_order)
+        q = direct_sum(q, q_d)
+    away = q.away_part(p)
+    if not moduli:
+        yield 1, q
+        return
+    scale = math.lcm(*moduli)
+    scaled_lattice = [tuple(scale if i == j else 0 for j in range(len(moduli)))
+                      for i in range(len(moduli))]
+    by_order = {} if all(m == p for m in moduli) else None
+    for order, gens in subgroup_iter:
+        if order == 1:
+            yield 1, q
+            continue
+        if by_order is not None and order in by_order:
+            yield order, by_order[order]
+            continue
+        rows = scaled_lattice + [tuple(x * (scale // m) for x, m in zip(g, moduli))
+                                 for g in gens]
+        basis = ex.row_hnf(ex.to_mat(rows))
+        over = IntegralLattice(_overlattice_gram(basis, diag, scale))
+        form = direct_sum(away, symbol_of(over, (p,)))
+        if by_order is not None:
+            by_order[order] = form
+        yield order, form
+
+
+def nikulin_exists_oracle(sig_plus: int, sig_minus: int, q) -> bool:
+    """nikulin_exists with ell(), primes() and ell_p read per prime, and the
+    2-adic determinant classes computed afresh."""
+    if sig_plus < 0 or sig_minus < 0:
+        return False
+    n = sig_plus + sig_minus
+    if n == 0:
+        return q.is_trivial()
+    if signature_mod8(q) != (sig_plus - sig_minus) % 8:
+        return False
+    if n < max((q.ell_p(p) for p in q.primes()), default=0):
+        return False
+    for p in q.primes():
+        if p == 2:
+            continue
+        if n == q.ell_p(p):
+            w = _det_unit_mod(q, sig_minus, p, p)
+            target = 1
+            for c in q.components:
+                if c.prime == p:
+                    target *= c.sign
+            if ex.legendre(w, p) != target:
+                return False
+    if 2 in q.primes() and n == q.ell_p(2):
+        two = q.p_part(2)
+        has_scale1_odd = any(c.scale == 1 and c.oddity is not None
+                             for c in two.components)
+        if not has_scale1_odd:
+            reachable = _two_reachable_det_classes.__wrapped__(two.components)
+            if _det_unit_mod(q, sig_minus, 2, 8) not in reachable:
+                return False
+    return True
 
 
 def is_identity(iso) -> bool:

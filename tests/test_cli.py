@@ -199,12 +199,40 @@ class TestHostileInput:
         EMBEDS_3 + ["--p", HUGE],
         ["proot-classify", "--root-lattice", "D4", "--p", HUGE],
         ["wildbound", "--p", HUGE],
-        EMBEDS_3 + ["--p", "1000000000000000003"],
-    ], ids=["embeds-huge", "proot-classify-huge", "wildbound-huge", "embeds-19-digits"])
+        # (10^9 + 7)(10^9 + 9): Miller-Rabin finds it composite, and no
+        # factor below 10^6 shows it; the prime 10^18 + 3 is decided now
+        EMBEDS_3 + ["--p", "1000000016000000063"],
+        # a prime above the range in which Miller-Rabin is proven
+        EMBEDS_3 + ["--p", "3317044064679887385962123"],
+    ], ids=["embeds-huge", "proot-classify-huge", "wildbound-huge", "embeds-19-digits",
+            "embeds-25-digits"])
     def test_undecidable_prime_is_usage_error(self, argv):
         res = run_subprocess(*argv)
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_prime_below_the_miller_rabin_bound_is_decided(self):
+        res = run_subprocess(*EMBEDS_3, "--p", "1000000000000000003")
+        assert res.returncode == 1, res.stderr
+        assert res.stdout.startswith("does not embed (p=1000000000000000003, sigma=1)")
+
+    @pytest.mark.parametrize("diag,want", [
+        ([2 * 1000000007, 2 * 1000000007], "2_6^+2 1000000007^+2"),
+        ([2 * 1000000007 * 1000000009], None),
+    ], ids=["square-of-prime", "product-of-two-primes"])
+    def test_large_prime_power_determinant(self, tmp_path, diag, want):
+        # 4 (10^9 + 7)^2 factors by an exact square root of the cofactor;
+        # 2 (10^9 + 7)(10^9 + 9) is no prime power, and stays undecided
+        path = tmp_path / "gram.json"
+        gram = [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]
+        path.write_text(json.dumps({"rank": len(diag), "gram": gram}))
+        res = run_subprocess("symbol", str(path))
+        assert "Traceback" not in res.stderr
+        if want is None:
+            assert res.returncode == 2 and "too large to decide" in res.stderr
+        else:
+            assert res.returncode == 0, res.stderr
+            assert res.stdout.strip() == want
 
     def test_huge_two_adic_rank_is_usage_error(self):
         # the 2-adic unit search counts the leading 1s of an odd component

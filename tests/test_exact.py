@@ -110,17 +110,51 @@ def test_factor_matches_a_sieve():
         assert ex.is_prime(n) == (n > 1 and spf[n] == n)
 
 
+# (10^9 + 7)(10^9 + 9): no factor below 10^6, not prime, not a perfect power
+SEMIPRIME_19_DIGITS = 1000000016000000063
+# the least prime above _MILLER_RABIN_BOUND, and the greatest below it
+PRIME_ABOVE_BOUND = 3317044064679887385962123
+PRIME_BELOW_BOUND = 3317044064679887385961813
+
+
 def test_factor_at_the_cap():
     assert ex.is_prime(999999999989)  # the largest prime below 10^12
     assert ex.factor(2 ** 40 * 999999999989) == {2: 40, 999999999989: 1}
     assert ex.factor(10 ** 400) == {2: 400, 5: 400}
-    with pytest.raises(ValueError, match="too large"):
-        ex.factor(1000000000039)  # a prime above 10^12
-    with pytest.raises(ValueError, match="too large"):
-        ex.is_prime(1000000000039)
+    # Miller-Rabin decides every cofactor below the bound, 10^12 or not
+    assert ex.is_prime(1000000000039)  # a prime above 10^12
+    assert ex.is_prime(10 ** 18 + 3) and ex.is_prime(PRIME_BELOW_BOUND)
+    assert ex._MILLER_RABIN_BOUND == 3317044064679887385961981
+    assert not ex._large_prime(ex._MILLER_RABIN_BOUND)  # composite, a strong pseudoprime
+    # a perfect power of such a prime is decided; anything else is not
+    p = 10 ** 9 + 7
+    assert ex.factor(4 * p * p) == {2: 2, p: 2}
+    assert ex.factor(3 * PRIME_BELOW_BOUND ** 3) == {3: 1, PRIME_BELOW_BOUND: 3}
+    assert ex.factor((999983 * 1000003) ** 2) == {999983: 2, 1000003: 2}
+    for n in (SEMIPRIME_19_DIGITS, PRIME_ABOVE_BOUND, PRIME_ABOVE_BOUND ** 2,
+              (p * (p + 2)) ** 3):
+        with pytest.raises(ValueError, match="too large"):
+            ex.factor(n)
+        with pytest.raises(ValueError, match="too large"):
+            ex.is_prime(n)
     with pytest.raises(ValueError):
         ex.factor(0)
     assert not ex.is_prime(0) and not ex.is_prime(1) and not ex.is_prime(-7)
+
+
+def test_integer_roots_and_perfect_powers():
+    for n in [*range(200), *(b ** k + d for b in (2, 3, 10, 999983, 10 ** 9 + 7)
+                             for k in range(1, 9) for d in (-1, 0, 1))]:
+        for k in range(1, 10):
+            r = ex.iroot(n, k)
+            assert r ** k <= n < (r + 1) ** k, (n, k)
+        if n >= 2:
+            r, k = ex._perfect_power(n)
+            assert r ** k == n
+            assert all(ex.iroot(n, j) ** j != n for j in range(k + 1, n.bit_length() + 1))
+    assert ex._perfect_power(2 ** 64) == (2, 64)
+    assert ex._perfect_power(6 ** 10) == (6, 10)
+    assert ex._perfect_power(10 ** 400 + 1) == (10 ** 400 + 1, 1)
 
 
 def factor_by_trial_division(n: int) -> dict:

@@ -20,6 +20,7 @@ from k3lat.fqf import (
     _overlattice_gram,
     _realize_p_part,
     _subspaces,
+    _tau_odd_rank1,
     _two_adic_units,
     _two_blocks,
     _two_reachable_det_classes,
@@ -43,6 +44,8 @@ from conftest import (
     child_env,
     discriminant_form_values,
     forms_isomorphic_bruteforce,
+    nikulin_exists_oracle,
+    overlattice_candidates_oracle,
     random_even_gram,
     unimodular_conjugate,
 )
@@ -430,7 +433,7 @@ class TestCanonicalSymbol:
                         for c, f in zip(q.components, flips)))
                 if oracle_class[v.components] == oracle_class[q.components]:
                     want.add(_det_unit_class_two(v))
-            assert _two_reachable_det_classes(q) == want, render_symbol(q)
+            assert _two_reachable_det_classes(q.components) == want, render_symbol(q)
 
     def test_components_and_rendering_kept_as_constructed(self):
         q1 = F(J(2, 1, 1, 1, 1))
@@ -762,6 +765,68 @@ def test_unconstrained_search_matches_whole_group_oracle(rng):
     assert checked >= 200
 
 
+def test_candidate_sequence_matches_oracle(rng):
+    # the trivial H first, then the same (|H|, form) sequence as the search
+    # that sets up every walk before its first yield: random p-parts, the
+    # same forms with the p-part dropped, and random even Grams, each at
+    # max_order 1, p - 1, p and p^2, alone and beside a scale-1 D block
+    queries = []
+    for p in (3, 5, 7):
+        for _ in range(10):
+            q = random_p_form(rng, p)
+            queries += [(q, p), (q.away_part(p), p)]
+    while len(queries) < 80:
+        q = symbol_of(random_even_gram(rng, rng.randint(2, 4)))
+        ps = [p for p in (3, 5) if q.ell_p(p) and q.p_part(p).group_order() <= 81]
+        if ps:
+            queries.append((q, rng.choice(ps)))
+    checked = nontrivial = 0
+    for q, p in queries:
+        d_block = F(J(p, 1, rng.randint(1, 2), rng.choice((1, -1))))
+        for q_d in (None, d_block):
+            for max_order in (1, p - 1, p, p * p):
+                want = [(h, render_symbol(f))
+                        for h, f in overlattice_candidates_oracle(q, p, max_order, q_d)]
+                got = [(h, render_symbol(f))
+                       for h, f in overlattice_candidates(q, p, max_order, q_d)]
+                assert got == want, (render_symbol(q), p, max_order, q_d)
+                checked += 1
+                nontrivial += len(got) > 1
+    assert checked == 8 * len(queries)
+    assert nontrivial >= 100, nontrivial
+
+
+def test_small_max_order_realizes_no_p_part(monkeypatch):
+    # with max_order < p only the trivial H is admissible, so no p-part is
+    # realized and no walk is set up, not even on a group past the cap; the
+    # D block's scale is still checked first
+    from k3lat import fqf
+    from k3lat.hmdata import load_table
+    from k3lat.k3class import n_form, primitively_embeds
+
+    def refuse(*args):
+        raise AssertionError("_realize_p_part called")
+
+    monkeypatch.setattr(fqf, "_realize_p_part", refuse)
+    for text, p in (("3^+2", 3), ("4_3^-1 3^-1 7^-1", 7), ("9^+8", 3), ("5^+1 25^-1", 5)):
+        q = parse_symbol(text)
+        q_d = negate(n_form(p, 1).q)
+        for max_order in (1, p - 1):
+            assert list(overlattice_candidates(q, p, max_order)) == [(1, q)]
+            assert list(overlattice_candidates(q, p, max_order, q_d)) == [
+                (1, direct_sum(q, q_d))]
+    with pytest.raises(ValueError, match="scale 1"):
+        next(overlattice_candidates(parse_symbol("9^+1"), 3, 1, parse_symbol("3^+1 9^-1")))
+    # every sigma = 1 table decision at a prime not dividing |A_S|
+    decisions = 0
+    for rec in load_table():
+        for p in (13, 17, 19):
+            if not rec.q_s.ell_p(p):
+                assert primitively_embeds(rec.q_s, rec.rank, p, 1).candidates_tried == 1
+                decisions += 1
+    assert decisions > 150
+
+
 @pytest.mark.parametrize("text,max_order,outcome,seconds", [
     ("9^+8", 9, "LimitExceeded", 1),  # 9^8 elements: refused before any is listed
     ("9^+5", 9, "LimitExceeded", 60),  # 9^5 elements, but too many extensions
@@ -859,6 +924,44 @@ class TestNikulin:
         verdict, seconds = res.stdout.split()
         assert verdict == "True"
         assert float(seconds) < 1
+
+    def test_matches_per_prime_oracle(self, rng):
+        # random forms with 2-parts of order <= 2^5 and odd parts at 3, 5
+        # and 7, at every signature (s+, s-) with s+ <= 3 and s- <= 9
+        two_parts = list(_two_parts(5))
+        branches = Counter()
+        for _ in range(300):
+            comps = list(rng.choice(two_parts))
+            for p in (3, 5, 7):
+                for k in rng.sample(range(1, 4), rng.randint(0, 2)):
+                    comps.append(J(p, k, rng.randint(1, 3), rng.choice((1, -1))))
+            q = F(*comps)
+            ranks = {p: q.ell_p(p) for p in q.primes()}
+            assert q.ranks() == ranks and q.ell() == max(ranks.values(), default=0)
+            for sp, sm in product(range(4), range(10)):
+                got = nikulin_exists(sp, sm, q)
+                assert got == nikulin_exists_oracle(sp, sm, q), (render_symbol(q), sp, sm)
+                if signature_mod8(q) == (sp - sm) % 8:
+                    for p, ell in ranks.items():
+                        if ell == sp + sm:
+                            branches[p == 2, got] += 1
+        # the determinant conditions, at 2 and at odd p, both pass and fail
+        assert min(branches[key] for key in product((True, False), repeat=2)) >= 30, branches
+
+    def test_memos_match_their_wrapped_functions(self):
+        for rank, sign, oddity in product(range(1, 9), (1, -1), range(8)):
+            for _ in range(2):
+                assert (_two_adic_units(rank, sign, oddity)
+                        == _two_adic_units.__wrapped__(rank, sign, oddity))
+        for p in (3, 5, 7, 11, 13, 9973):
+            for k, cls in product(range(1, 5), (1, -1)):
+                for _ in range(2):
+                    assert _tau_odd_rank1(p, k, cls) == _tau_odd_rank1.__wrapped__(p, k, cls)
+        for comps in _two_parts(5):
+            for _ in range(2):
+                got = _two_reachable_det_classes(comps)
+                assert isinstance(got, frozenset)
+                assert got == _two_reachable_det_classes.__wrapped__(comps), comps
 
     def test_det_classes_match_the_full_determinant(self, rng):
         # _det_unit_class_two against the product over the listed blocks

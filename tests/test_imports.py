@@ -77,3 +77,44 @@ def test_every_definition_is_referenced():
     unused = [f"{name}:{defined}" for name, tree in trees.items()
               for defined in sorted(defined_names(tree) - referenced)]
     assert unused == []
+
+
+# Caches that may grow without a maxsize, each with why its keys are few.
+UNBOUNDED_CACHES = {
+    "rootsys._build": "one datum per (kind, rank); the rank is capped by MAX_BUILD_RANK",
+    "rootsys._disc_lifts": "one entry per label of a datum that _build made",
+    "prootpair._search_universe": "one universe per datum that _build made",
+}
+
+
+def cache_decorators(tree):
+    """(function name, maxsize node or None) for every lru_cache or cache
+    decorator in a module; a bare @lru_cache has the bounded default."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = call.func if call else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name == "cache":
+                yield node.name, ast.Constant(None)
+            elif name == "lru_cache":
+                size = ast.Constant(128)
+                if call and call.args:
+                    size = call.args[0]
+                for kw in call.keywords if call else ():
+                    if kw.arg == "maxsize":
+                        size = kw.value
+                yield node.name, size
+
+
+def test_every_cache_is_bounded_or_listed():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func, size in cache_decorators(parse(path)):
+            bounded = (isinstance(size, ast.Constant) and isinstance(size.value, int)
+                       and not isinstance(size.value, bool))
+            found[f"{path.stem}.{func}"] = bounded
+    assert found, "no cache found: the decorator scan is broken"
+    assert sorted(k for k, bounded in found.items() if not bounded) == sorted(UNBOUNDED_CACHES)

@@ -4,6 +4,7 @@ from k3lat.fqf import FiniteQuadraticForm, isomorphic, negate, nikulin_exists, r
 from k3lat.hmdata import load_table, parse_symbol
 from k3lat.k3class import (
     EmbeddingQuery,
+    _negated_n_form,
     allowed_components,
     anisotropy_check,
     n_form,
@@ -41,6 +42,15 @@ class TestNForm:
 
     def test_signature_is_fixed(self):
         assert n_form(3, 1).signature == (1, 21)
+
+    def test_negated_form_memo_matches_wrapped(self):
+        for p in (3, 5, 7, 11, 13, 9973):
+            for sigma in (1, 2, 3, 10):
+                want = _negated_n_form.__wrapped__(p, sigma)
+                for _ in range(2):
+                    got = _negated_n_form(p, sigma)
+                    assert got == want == negate(n_form(p, sigma).q)
+                    assert got.components == want.components
 
 
 class TestAnisotropy:
