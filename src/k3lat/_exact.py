@@ -1,8 +1,7 @@
 """Exact integer/rational linear algebra and elementary number theory.
 
 Linear algebra: HNF, SNF, kernels, determinants, the reduced echelon form
-mod p (modp_echelon, whose rows give the check forms of a span), the
-inverse (mat_inv, the only Gauss-Jordan elimination over Q), the one
+mod p (modp_echelon, whose rows give the check forms of a span), the one
 Lagrange diagonalisation of a symmetric form (quadratic_completion, behind
 signatures) and the integral LLL reduction of a positive definite Gram
 matrix (lll_reduce, behind short vectors), on tuples of tuples with int or
@@ -86,28 +85,6 @@ def det_int(m: Mat) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def mat_inv(m: Mat) -> Mat:
-    """Exact inverse over the rationals by Gauss-Jordan elimination.
-
-    Raises ZeroDivisionError if m is singular.
-    """
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(y) for y in extra]
-           for row, extra in zip(m, identity(n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def _swap_rows(a, i, j):

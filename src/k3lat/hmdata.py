@@ -184,8 +184,7 @@ def load_table(path=None) -> list:
 def write_report(report: dict, path) -> None:
     """Serialize a report with stable field order (byte-identical for equal input)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(report_to_string(report))
 
 
 def report_to_string(report: dict) -> str:

@@ -89,12 +89,16 @@ class Sublattice:
 
     ambient: IntegralLattice
     basis_matrix: tuple
+    # the Hermite basis, computed once by the constructor; not compared or hashed
+    _hnf: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = ex.to_mat(self.basis_matrix)
         object.__setattr__(self, "basis_matrix", b)
-        if b and len(ex.row_hnf(b)) != len(b):
+        h = ex.row_hnf(b)
+        if len(h) != len(b):
             raise ValueError("basis rows must be linearly independent")
+        object.__setattr__(self, "_hnf", h)
 
     @classmethod
     def full(cls, lat: IntegralLattice) -> "Sublattice":
@@ -124,7 +128,7 @@ class Sublattice:
         return IntegralLattice(self.gram())
 
     def hnf_basis(self) -> tuple:
-        return ex.row_hnf(self.basis_matrix)
+        return self._hnf
 
 
 @dataclass(frozen=True)
@@ -177,19 +181,19 @@ def orthogonal_complement(lat: IntegralLattice, sub: Sublattice) -> Sublattice:
 
 
 def saturate(lat: IntegralLattice, sub: Sublattice) -> tuple:
-    """Primitive closure of sub in lat; returns (saturation, index)."""
+    """Primitive closure of sub in lat; returns (saturation, index).
+
+    From the Smith form U B V = D of the k basis rows B: U B = D V^-1, so
+    row i of U B is d_i times row i of V^-1, and the first k rows of the
+    unimodular V^-1 are a basis of the saturation.  Each is (U B)_i // d_i,
+    an exact division; the index is the product of the d_i.
+    """
     b = sub.basis_matrix
     if not b:
         return Sublattice(lat, ()), 1
-    d, u, v = ex.snf_transform(b)
-    k = sub.rank
-    vinv = ex.mat_inv(v)
-    sat_rows = ex.to_mat(tuple(tuple(int(x) for x in vinv[i]) for i in range(k)))
-    sat = Sublattice(lat, sat_rows)
-    idx = 1
-    for i in range(k):
-        idx *= d[i][i]
-    return sat, idx
+    d, u, _ = ex.snf_transform(b)
+    sat_rows = tuple(tuple(x // d[i][i] for x in row) for i, row in enumerate(ex.mat_mul(u, b)))
+    return Sublattice(lat, sat_rows), math.prod(d[i][i] for i in range(len(b)))
 
 
 def is_primitive(lat: IntegralLattice, sub: Sublattice) -> bool:

@@ -221,16 +221,19 @@ TABLE_SIGMA = 1  # the Artin invariant the paper's table conditions are stated a
 
 def reproduce_table(records, prime_set=None) -> dict:
     """Compare the sigma = 1 embedding decision against every row's prime
-    condition."""
+    condition.  The primes run outer, so each prime's N-form is made once
+    and read from the n_form cache by the other rows, however many primes."""
+    records = list(records)
     if prime_set is None:
         prime_set = odd_primes_below(200)
+    embeds_at = [[] for _ in records]
+    for p in prime_set:
+        for rec, primes in zip(records, embeds_at):
+            if primitively_embeds(rec.q_s, rec.rank, p, TABLE_SIGMA).embeds:
+                primes.append(p)
     rows = []
     passed = 0
-    for rec in records:
-        computed = []
-        for p in prime_set:
-            if primitively_embeds(rec.q_s, rec.rank, p, TABLE_SIGMA).embeds:
-                computed.append(p)
+    for rec, computed in zip(records, embeds_at):
         expected = [p for p in prime_set if rec.condition.evaluate(p)]
         ok = computed == expected
         passed += ok

@@ -4,15 +4,16 @@ Simple-root coordinates are the working basis: every isometry is an integer
 matrix M acting on column coordinate vectors, with M^T G M = G for the Gram
 matrix G in the simple basis.  Groups are enumerated as permutations of the
 root list, which is cheap; matrices are reconstructed from root images on
-demand.  Orbits and closures (the E6/E7 roots, group elements, and in
-prootpair subgroups, their conjugates and the class sweeps) share one lazy
-level-order walk, `breadth_first`; every group of permutations is closed by
-`group_closure`.
+demand.  Orbits and closures (the roots of every root lattice, group
+elements, and in prootpair subgroups, their conjugates and the class
+sweeps) share one lazy level-order walk, `breadth_first`; every group of
+permutations is closed by `group_closure`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -179,7 +180,8 @@ def _build(kind: str, m: int) -> RootDatum:
     if kind != "E" and m > MAX_BUILD_RANK:
         raise ex.LimitExceeded(f"{name} has rank above the cap of {MAX_BUILD_RANK}")
     if kind == "E" and m in (6, 7):
-        return _datum_from_cartan(name, _cartan_e(m))
+        cartan = _cartan_e(m)
+        return RootDatum(name, None, cartan, tuple(sorted(_root_orbit(cartan))))
     return _datum_from_ambient(name, *_ambient_system(kind, m))
 
 
@@ -264,43 +266,47 @@ def _doubled(vec) -> tuple:
     return tuple(out)
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError(f"{a} is not divisible by {b}")
-    return q
+def _root_orbit(gram) -> list:
+    """Every root of an irreducible simply-laced system, in simple
+    coordinates, as the W-orbit of alpha_1 in level order: every root is
+    conjugate to it.
+
+    The simple reflection s_i maps c to c - <alpha_i, c> alpha_i, so it
+    changes coordinate i alone, by the pairing (G c)_i.
+    """
+    def step(c):
+        for i, row in enumerate(gram):
+            t = sum(map(operator.mul, row, c))
+            if t:
+                img = list(c)
+                img[i] -= t
+                yield tuple(img)
+
+    return list(breadth_first(tuple(1 if j == 0 else 0 for j in range(len(gram))), step))
 
 
 def _datum_from_ambient(name, simples, amb_roots) -> RootDatum:
     """Gram matrix and simple coordinates of every root, in integers.
 
-    With S_i = 2 s_i and R = 2 r integral, G_ij = S_i . S_j / 4, and the
-    coordinates of r are G^-1 (r . s_i) = adj(G) (R . S_i) / (4 det G); every
-    division must be exact, or ArithmeticError is raised.
+    With S_i = 2 s_i integral, G_ij = S_i . S_j / 4.  Each root c of the
+    W-orbit (_root_orbit) goes into the slot of its doubled ambient vector
+    sum_i c_i S_i, and the roots are listed in the order of amb_roots.  An
+    ambient vector outside (1/2)Z^n or outside the orbit raises
+    ArithmeticError.
     """
-    n = len(simples)
     dsimples = [_doubled(s) for s in simples]
-    gram = tuple(tuple(_exact_div(ex.dot(u, v), 4) for v in dsimples) for u in dsimples)
-    det = ex.det_int(gram)
-    # Cramer's rule: det * G^-1 is the integer adjugate
-    adj = tuple(tuple(int(det * x) for x in row) for row in ex.mat_inv(gram))
-    scale = 4 * det
+    # exact: the simple roots of A_m, D_m and E8 pair integrally
+    gram = tuple(tuple(ex.dot(u, v) // 4 for v in dsimples) for u in dsimples)
+    cols = list(zip(*dsimples))
+    slot = {tuple(sum(map(operator.mul, c, col)) for col in cols): c
+            for c in _root_orbit(gram)}
     roots = []
     for r in amb_roots:
-        dr = _doubled(r)
-        pair = tuple(ex.dot(dr, s) for s in dsimples)
-        roots.append(tuple(_exact_div(ex.dot(row, pair), scale) for row in adj))
+        c = slot.get(_doubled(r))
+        if c is None:
+            raise ArithmeticError(f"ambient vector {r} is not a root of {name}")
+        roots.append(c)
     return RootDatum(name, tuple(tuple(s) for s in simples), gram, tuple(roots))
-
-
-def _datum_from_cartan(name, cartan) -> RootDatum:
-    """The roots are the W-orbit of alpha_1: in an irreducible simply-laced
-    system every root is conjugate to it."""
-    n = len(cartan)
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    refls = [_reflection_matrix(cartan, s) for s in simples]
-    roots = breadth_first(simples[0], lambda r: (ex.mat_vec(m, r) for m in refls))
-    return RootDatum(name, None, cartan, tuple(sorted(roots)))
 
 
 def _reflection_matrix(gram, alpha) -> tuple:
@@ -496,9 +502,13 @@ def t_sublattice(p: int) -> Sublattice:
 
 
 def weights(datum: RootDatum) -> tuple:
-    """Fundamental weights as rational vectors in simple coordinates."""
-    ginv = ex.mat_inv(datum.gram)
-    return tuple(tuple(ginv[i][j] for i in range(datum.rank)) for j in range(datum.rank))
+    """Fundamental weights as rational vectors in simple coordinates: the
+    columns of G^-1 = V D^-1 U, from the Smith form U G V = D."""
+    d, u, v = ex.snf_transform(datum.gram)
+    top = d[-1][-1]  # every d_i divides it
+    vd = [[x * (top // d[k][k]) for k, x in enumerate(row)] for row in v]
+    # G^-1 is symmetric, so its columns are its rows
+    return tuple(tuple(Fraction(x, top) for x in row) for row in ex.mat_mul(vd, u))
 
 
 def aut_generators(datum: RootDatum) -> list:

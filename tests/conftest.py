@@ -1,9 +1,11 @@
 """Shared helpers: random even Gram matrices, a memory cap for child
 processes, a brute-force finite-quadratic-form isomorphism oracle, the
 fully closed Aut(R), the forward-only echelon mod p with its per-root
-span scan, the Fraction inverse of an isometry, and the overlattice search
-and Nikulin test that set up every subgroup walk and read each prime's
-rank apart, used to cross-check the fast paths."""
+span scan, the Gauss-Jordan inverse over Q with the isometry inverse, the
+saturation and the A/D/E8 root data by adjugate built on it, the E6/E7
+roots by reflection matrices, and the overlattice search and Nikulin test
+that set up every subgroup walk and read each prime's rank apart, used to
+cross-check the fast paths."""
 
 from __future__ import annotations
 
@@ -30,7 +32,14 @@ from k3lat.fqf import (
     symbol_of,
 )
 from k3lat.intlat import IntegralLattice, discriminant_group
-from k3lat.rootsys import Isometry, IsometryGroup, aut_generators
+from k3lat.rootsys import (
+    Isometry,
+    IsometryGroup,
+    _doubled,
+    _reflection_matrix,
+    aut_generators,
+    breadth_first,
+)
 
 
 CHILD_ADDRESS_SPACE = 2 << 30  # bytes
@@ -201,10 +210,73 @@ def root_in_span_oracle(datum, basis, pivots, p: int):
                  if not any(modp_reduce_oracle([x % p for x in r], basis, pivots, p))), None)
 
 
+def mat_inv(m) -> tuple:
+    """Exact inverse over the rationals by Gauss-Jordan elimination.
+
+    Raises ZeroDivisionError if m is singular.
+    """
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(y) for y in extra]
+           for row, extra in zip(m, ex.identity(n))]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def saturation_oracle(basis) -> tuple:
+    """(rows, index) of the saturation of independent integer rows: the
+    first k rows of V^-1 by Gauss-Jordan, for the Smith form U B V = D."""
+    d, _, v = ex.snf_transform(basis)
+    vinv = mat_inv(v)
+    rows = tuple(tuple(int(x) for x in vinv[i]) for i in range(len(basis)))
+    return rows, math.prod(d[i][i] for i in range(len(basis)))
+
+
+def datum_by_adjugate(simples, amb_roots) -> tuple:
+    """(gram, roots) of A_m, D_m or E8 by an integer solve: with S_i = 2 s_i
+    and R = 2 r integral, G_ij = S_i . S_j / 4 and the simple coordinates of
+    r are adj(G) (R . S_i) / (4 det G), with adj(G) = det G * G^-1 from
+    Gauss-Jordan.  A division that is not exact raises ArithmeticError."""
+    def exact_div(a, b):
+        q, r = divmod(a, b)
+        if r:
+            raise ArithmeticError(f"{a} is not divisible by {b}")
+        return q
+
+    dsimples = [_doubled(s) for s in simples]
+    gram = tuple(tuple(exact_div(ex.dot(u, v), 4) for v in dsimples) for u in dsimples)
+    det = ex.det_int(gram)
+    adj = tuple(tuple(int(det * x) for x in row) for row in mat_inv(gram))
+    roots = []
+    for r in amb_roots:
+        pair = tuple(ex.dot(_doubled(r), s) for s in dsimples)
+        roots.append(tuple(exact_div(ex.dot(row, pair), 4 * det) for row in adj))
+    return gram, tuple(roots)
+
+
+def roots_by_reflection_matrices(cartan) -> tuple:
+    """The roots as the W-orbit of alpha_1 under the n x n simple
+    reflection matrices, sorted."""
+    n = len(cartan)
+    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    refls = [_reflection_matrix(cartan, s) for s in simples]
+    return tuple(sorted(breadth_first(simples[0],
+                                      lambda r: (ex.mat_vec(m, r) for m in refls))))
+
+
 def isometry_inverse(iso: Isometry) -> Isometry:
     """The inverse by Gauss-Jordan over Q; ArithmeticError when it is not
     integral."""
-    inv = ex.mat_inv(iso.matrix)
+    inv = mat_inv(iso.matrix)
     if any(x.denominator != 1 for row in inv for x in row):
         raise ArithmeticError("the inverse matrix is not integral")
     return Isometry(tuple(tuple(int(x) for x in row) for row in inv))

@@ -28,7 +28,7 @@ from k3lat.intlat import (
 )
 from k3lat.rootsys import build
 
-from conftest import cap_child_memory, child_env, random_even_gram
+from conftest import cap_child_memory, child_env, random_even_gram, saturation_oracle
 
 U = IntegralLattice(((0, 1), (1, 0)))
 A2 = IntegralLattice(((2, -1), (-1, 2)))
@@ -102,6 +102,28 @@ def test_saturate_examples():
     assert idx == 1
     sat2, idx2 = saturate(A2, sat)
     assert idx2 == 1 and sat2.hnf_basis() == sat.hnf_basis()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 8).flatmap(lambda n: st.integers(1, n).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=k, max_size=k))))
+def test_saturate_matches_the_fraction_inverse(rows):
+    basis = ex.to_mat(rows)
+    assume(len(ex.row_hnf(basis)) == len(basis))
+    n = len(basis[0])
+    lat = IntegralLattice(tuple(tuple(2 * x for x in r) for r in ex.identity(n)))
+    sat, idx = saturate(lat, Sublattice(lat, basis))
+    assert (sat.basis_matrix, idx) == saturation_oracle(basis)
+
+
+def test_sublattice_keeps_its_hermite_basis(monkeypatch):
+    sub = Sublattice(A2.direct_sum(A2), ((2, 4, 0, 0), (0, 3, 3, 0)))
+    assert sub.hnf_basis() == ex.row_hnf(sub.basis_matrix)
+    assert sub == Sublattice(sub.ambient, sub.basis_matrix)
+    calls = []
+    monkeypatch.setattr(ex, "row_hnf", lambda m: calls.append(m) or ())
+    assert membership(sub, (2, 7, 3, 0)) and not membership(sub, (1, 0, 0, 0))
+    assert sub.hnf_basis() == ((2, 1, -3, 0), (0, 3, 3, 0)) and calls == []
 
 
 def test_roots_counts():

@@ -163,6 +163,17 @@ class TestTable:
         bad = [r["no"] for r in report["rows"] if not r["pass"]]
         assert not bad, bad
 
+    def test_each_prime_makes_its_n_form_once(self):
+        # with rows outer, each row would run through all 1,050 primes and
+        # the n_form LRU (1,024 entries) would evict every N-form before the
+        # next row read it: 2,100 misses
+        primes = odd_primes_below(8400)
+        n_form.cache_clear()
+        _negated_n_form.cache_clear()
+        report = reproduce_table([record(1), record(2)], primes)
+        assert len(primes) == 1050 and report["summary"]["rows_passed"] == 2
+        assert n_form.cache_info().misses == _negated_n_form.cache_info().misses == 1050
+
     def test_report_schema(self):
         report = reproduce_table([record(170)], prime_set=[3, 7])
         row = report["rows"][0]

@@ -55,7 +55,13 @@ from k3lat.rootsys import (
     weights,
 )
 
-from conftest import aut_group, is_identity, modp_echelon_oracle, root_in_span_oracle
+from conftest import (
+    aut_group,
+    is_identity,
+    mat_inv,
+    modp_echelon_oracle,
+    root_in_span_oracle,
+)
 
 
 def cycle_isometry(n):
@@ -248,7 +254,7 @@ def in_sublattice_by_normal_equations(sub, vec):
     if not b:
         return all(x == 0 for x in vec)
     rhs = tuple(sum(Fraction(x) * y for x, y in zip(vec, row)) for row in b)
-    coeffs = ex.mat_vec(ex.mat_inv(ex.mat_mul(b, ex.transpose(b))), rhs)
+    coeffs = ex.mat_vec(mat_inv(ex.mat_mul(b, ex.transpose(b))), rhs)
     return (ex.vec_mat(coeffs, b) == tuple(Fraction(x) for x in vec)
             and all(c.denominator == 1 for c in coeffs))
 
@@ -1061,7 +1067,7 @@ class TestPaperInvariants:
 
 def _weyl_perm_has_fixed_point(datum, iso, m):
     """Does the underlying permutation of the m+1 coordinate vectors fix one?"""
-    ginv = ex.mat_inv(datum.gram)
+    ginv = mat_inv(datum.gram)
     us = []
     for i in range(m + 1):
         pair = tuple((1 if j == i else 0) - (1 if j + 1 == i else 0) for j in range(m))

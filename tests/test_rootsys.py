@@ -31,7 +31,14 @@ from k3lat.rootsys import (
     weyl_group,
 )
 
-from conftest import aut_group, is_identity, isometry_inverse
+from conftest import (
+    aut_group,
+    datum_by_adjugate,
+    is_identity,
+    isometry_inverse,
+    mat_inv,
+    roots_by_reflection_matrices,
+)
 
 
 class TestBuild:
@@ -76,27 +83,15 @@ class TestBuild:
                 build(label)
 
 
-def datum_by_fractions(simples, amb_roots):
-    """Oracle: the Gram matrix and simple coordinates by Fraction products
-    with the inverse Gram (the solve _datum_from_ambient replaced)."""
-    n = len(simples)
-    gram = ex.to_mat([[sum(Fraction(a) * Fraction(b) for a, b in zip(simples[i], simples[j]))
-                       for j in range(n)] for i in range(n)])
-    ginv = ex.mat_inv(gram)
-    roots = []
-    for r in amb_roots:
-        pair = tuple(sum(Fraction(a) * Fraction(b) for a, b in zip(r, s)) for s in simples)
-        roots.append(ex.mat_vec(ginv, pair))
-    return gram, tuple(roots)
-
-
 class TestIntegerRootData:
     @pytest.mark.parametrize("kind,m", [
-        *(("A", m) for m in range(1, 9)), *(("D", m) for m in range(4, 9)), ("E", 8),
+        *(("A", m) for m in range(1, 25)), *(("D", m) for m in range(4, 25)), ("E", 8),
     ])
     def test_matches_fraction_solve(self, kind, m):
+        # the adjugate solve that the W-orbit walk of _datum_from_ambient
+        # replaced: the same gram, the same roots in amb_roots order
         simples, amb_roots = _ambient_system(kind, m)
-        gram, roots = datum_by_fractions(simples, amb_roots)
+        gram, roots = datum_by_adjugate(simples, amb_roots)
         datum = build(f"{kind}{m}")
         assert datum.gram == gram and datum.roots == roots
         assert datum.simple_ambient == tuple(tuple(s) for s in simples)
@@ -106,9 +101,9 @@ class TestIntegerRootData:
         # (1, 0, 0) pairs to (1, 0) with the simple roots of A2, which puts it
         # at (2/3, 1/3) in simple coordinates; truncation would give (0, 0)
         simples, amb_roots = _ambient_system("A", 2)
-        assert datum_by_fractions(simples, [(1, 0, 0)])[1] == ((Fraction(2, 3), Fraction(1, 3)),)
-        with pytest.raises(ArithmeticError):
-            _datum_from_ambient("A2", simples, amb_roots + [(1, 0, 0)])
+        for solve in (datum_by_adjugate, lambda s, r: _datum_from_ambient("A2", s, r)):
+            with pytest.raises(ArithmeticError):
+                solve(simples, amb_roots + [(1, 0, 0)])
 
     def test_coordinate_outside_half_integers_raises(self):
         simples, amb_roots = _ambient_system("A", 2)
@@ -212,6 +207,8 @@ class TestBreadthFirst:
     def test_e_roots_match_the_closure_of_all_simple_roots(self, m, count):
         expected = all_simple_roots_closure(_cartan_e(m))
         assert build(f"E{m}").roots == expected and len(expected) == count
+        # and the walk of alpha_1 by n x n reflection matrices that _root_orbit replaced
+        assert roots_by_reflection_matrices(_cartan_e(m)) == expected
 
 
 class TestWeylGroups:
@@ -389,6 +386,14 @@ class TestTSublattice:
 
 
 class TestWeights:
+    @pytest.mark.parametrize("label", [*(f"A{m}" for m in range(1, 25)),
+                                       *(f"D{m}" for m in range(4, 25)), "E6", "E7", "E8"])
+    def test_matches_the_fraction_inverse(self, label):
+        datum = build(label)
+        ginv = mat_inv(datum.gram)
+        assert weights(datum) == tuple(zip(*ginv))
+        assert all(isinstance(x, Fraction) for w in weights(datum) for x in w)
+
     def test_defining_property(self):
         for label in ("A2", "D4", "E8"):
             datum = build(label)
