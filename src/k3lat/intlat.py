@@ -21,6 +21,7 @@ from importlib import resources
 from . import _exact as ex
 
 MAX_SHORT_VECTOR_RANK = 26
+MAX_GRAM_RANK = 48  # rows of a Gram file; `disc` of A_48 in a dense basis: about 1 s on 2 vCPUs
 
 
 class DegenerateLatticeError(ValueError):
@@ -317,9 +318,14 @@ def int_matrix(obj, what: str = "matrix") -> tuple:
 
 
 def gram_from_json(obj) -> IntegralLattice:
-    """Parse the Gram matrix file format {"rank": n, "gram": [[...]]}."""
+    """Parse the Gram matrix file format {"rank": n, "gram": [[...]]}.
+
+    More than MAX_GRAM_RANK rows raise LimitExceeded before any entry is
+    read."""
     if not isinstance(obj, dict) or "gram" not in obj:
         raise ValueError('a Gram file must be an object with a "gram" key')
+    if isinstance(obj["gram"], list) and len(obj["gram"]) > MAX_GRAM_RANK:
+        raise ex.LimitExceeded(f"Gram rank {len(obj['gram'])} exceeds the cap {MAX_GRAM_RANK}")
     gram = int_matrix(obj["gram"], "gram")
     rank = obj.get("rank", len(gram))
     if type(rank) is not int or rank != len(gram):

@@ -18,6 +18,7 @@ from . import _exact as ex
 from .fqf import (
     FiniteQuadraticForm,
     JordanComponent,
+    direct_sum,
     negate,
     nikulin_exists,
     overlattice_candidates,
@@ -60,6 +61,20 @@ def n_form(p: int, sigma: int) -> SupersingularForm:
 def _negated_n_form(p: int, sigma: int) -> FiniteQuadraticForm:
     """-q_N, the D block primitively_embeds glues to q_S."""
     return negate(n_form(p, sigma).q)
+
+
+@lru_cache(maxsize=1024)
+def _negated_components(comps: tuple) -> FiniteQuadraticForm:
+    """-q_S, memoised by the exact components of q_S (not by its
+    isomorphism class, since certificates render the components); it does
+    not depend on p, and a table row asks for it at every prime."""
+    return negate(FiniteQuadraticForm(comps))
+
+
+def _trivial_h_target(q_s: FiniteQuadraticForm, p: int, sigma: int) -> FiniteQuadraticForm:
+    """The form the trivial H hands to the existence test: the glued form
+    is q_S + (-q_N), so its negation is -q_S + q_N, component for component."""
+    return direct_sum(_negated_components(q_s.components), n_form(p, sigma).q)
 
 
 def _witt_index_diag(p: int, coeffs) -> int:
@@ -205,7 +220,9 @@ def primitively_embeds(q_s: FiniteQuadraticForm, rank_s: int, p: int,
             if q_tilde in rejected:
                 continue
             rejected.add(q_tilde)
-        target = negate(q_tilde)
+            target = negate(q_tilde)
+        else:
+            target = _trivial_h_target(q_s, p, sigma)
         if nikulin_exists(sig[0], sig[1], target):
             cert = Certificate(h, q_tilde, target)
             return EmbedDecision(query, True, cert, tried)

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 import time
@@ -6,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from k3lat import _exact as ex
 from k3lat import cli
 from k3lat._exact import LimitExceeded
+from k3lat.intlat import MAX_GRAM_RANK
 
 from conftest import cap_child_memory, child_env
 
@@ -244,6 +247,36 @@ class TestHostileInput:
         assert "Traceback" not in res.stderr and "exceeds 24" in res.stderr
         assert time.perf_counter() - started < 10
 
+    @pytest.mark.parametrize("rank,entry,code", [
+        (MAX_GRAM_RANK, None, 0), (MAX_GRAM_RANK + 1, None, 3), (MAX_GRAM_RANK + 1, "x", 3),
+        (500, None, 3)], ids=["at-cap", "above-cap", "above-cap-unparsed", "A500"])
+    def test_gram_rank_cap(self, tmp_path, rank, entry, code):
+        # A_rank in a dense basis (seeded); a Gram of more rows is refused
+        # before its entries are read, so non-integer entries give exit 3 too
+        # (symbol of the A_500 Cartan Gram took about 15 s without the cap)
+        rng = random.Random(rank)
+        a = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(rank)]
+             for i in range(rank)]
+        if rank <= MAX_GRAM_RANK:
+            u = [[int(i == j) for j in range(rank)] for i in range(rank)]
+            for _ in range(3 * rank):
+                i, j = rng.sample(range(rank), 2)
+                f = rng.choice((-2, -1, 1, 2))
+                u[i] = [x + f * y for x, y in zip(u[i], u[j])]
+            a = [list(row) for row in ex.mat_mul(ex.mat_mul(u, a), ex.transpose(u))]
+        if entry is not None:
+            a = [[entry] * rank for _ in range(rank)]
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps({"gram": a}))
+        for command in ("symbol", "disc"):
+            res = run_subprocess(command, str(path))
+            assert res.returncode == code, res.stderr
+            assert "Traceback" not in res.stderr
+            if code == 3:
+                assert f"exceeds the cap {MAX_GRAM_RANK}" in res.stderr
+        if code == 0:
+            assert res.stdout.startswith(f"invariant factors: [{rank + 1}]")
+
     def test_undecidable_determinant_is_usage_error(self, tmp_path):
         path = tmp_path / "gram.json"
         path.write_text(json.dumps(
@@ -404,6 +437,14 @@ class TestGoldenOutput:
     def test_embeds_every_row_at_p3(self, capsys):
         assert len(GOLDEN["embeds"]) == 67
         for want in GOLDEN["embeds"]:
+            code, out = run(capsys, want["argv"])
+            assert (code, out) == (want["exit"], want["stdout"]), want["argv"]
+
+    def test_embeds_sigma_2_non_elementary_rows_at_p3(self, capsys):
+        # recorded while every candidate of these rows built its own
+        # overlattice: the seven rows whose 3-part has scales 3 and 9
+        assert len(GOLDEN["embeds-sigma2"]) == 7
+        for want in GOLDEN["embeds-sigma2"]:
             code, out = run(capsys, want["argv"])
             assert (code, out) == (want["exit"], want["stdout"]), want["argv"]
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from k3lat import _exact as ex
 from k3lat.fqf import (
@@ -17,6 +17,8 @@ from k3lat.fqf import (
     _det_unit_class_two,
     _det_unit_mod,
     _graph_isotropic_subgroups,
+    _h_type_reader,
+    _isotropic_subgroups,
     _overlattice_gram,
     _realize_p_part,
     _subspaces,
@@ -466,33 +468,45 @@ def test_integer_overlattice_gram_matches_fraction_product(data):
             _overlattice_gram(ex.to_mat(basis), diag, scale)
 
 
-def _per_candidate_walk(q_s, q_d, p, max_order, start=0, stop=None, two_products=0):
-    """Walk the graph enumeration beside overlattice_candidates, rebuilding
+def _per_candidate_walk(q_s, q_d, p, max_order, start=0, stop=None, two_products=0,
+                        per_type=None):
+    """Walk the subgroup enumeration beside overlattice_candidates, rebuilding
     each candidate's overlattice the per-candidate way (row_hnf, then
-    _overlattice_gram, then symbol_of) and asserting that it has the form
-    the fast path yields at the same position, for the positions from start
-    to stop.  The Gram matrices at positions below `two_products` are also
+    _overlattice_gram, then symbol_of, with no form reused) and asserting
+    that the fast path yields a form with the same components at the same
+    position, for the positions from start to stop.  With q_d the walk is
+    the glued one, without it q_s's own.  With per_type only the first
+    per_type candidates of each H-type are rebuilt; the others are still
+    walked.  The Gram matrices at positions below `two_products` are also
     checked against the two-product form basis * diag * basis^T.  Returns
-    the number so checked."""
+    (Counter of the H-types rebuilt, the number of two-product checks)."""
     from itertools import islice
 
-    q = direct_sum(q_s, q_d)
+    q = q_s if q_d is None else direct_sum(q_s, q_d)
     away = q.away_part(p)
-    diag_s, mod_s, coef_s = _realize_p_part(q_s, p)
-    diag_d, mod_d, coef_d = _realize_p_part(q_d, p)
-    diag, moduli = diag_s + diag_d, mod_s + mod_d
-    scale = math.lcm(*moduli)
+    diag, moduli, coeffs = _realize_p_part(q_s, p)
+    if q_d is None:
+        walk = _isotropic_subgroups(p, moduli, coeffs, max_order)
+    else:
+        diag_d, mod_d, coef_d = _realize_p_part(q_d, p)
+        walk = _graph_isotropic_subgroups(p, moduli, coeffs, mod_d, coef_d, max_order)
+        diag, moduli, coeffs = diag + diag_d, moduli + mod_d, coeffs + coef_d
+    h_type = _h_type_reader(p, moduli, coeffs)
+    scale = math.lcm(*moduli) if moduli else 1
     lattice_rows = [tuple(scale if i == j else 0 for j in range(len(moduli)))
                     for i in range(len(moduli))]
-    walk = _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order)
     fast = overlattice_candidates(q_s, p, max_order, q_d)
-    checked = 0
+    rebuilt, two_checked = Counter(), 0
     for position, ((order, gens), (h, form)) in enumerate(
             zip(islice(walk, start, stop), islice(fast, start, stop), strict=True), start):
         where = (render_symbol(q_s), p, position)
         assert h == order, where
+        key = h_type(order, gens)
+        if per_type is not None and rebuilt[key] >= per_type:
+            continue
+        rebuilt[key] += 1
         if order == 1:
-            assert form == q, where
+            assert form.components == q.components, where
             continue
         rows = lattice_rows + [tuple(x * (scale // m) for x, m in zip(g, moduli))
                                for g in gens]
@@ -503,11 +517,11 @@ def _per_candidate_walk(q_s, q_d, p, max_order, start=0, stop=None, two_products
             s2 = scale * scale
             assert all(x % s2 == 0 for row in prod for x in row), where
             assert gram == tuple(tuple(x // s2 for x in row) for row in prod), where
-            checked += 1
+            two_checked += 1
         want = direct_sum(away, symbol_of(IntegralLattice(gram), (p,)))
         assert form == want, where
-        assert render_symbol(form) == render_symbol(want), where
-    return checked
+        assert form.components == want.components, where
+    return rebuilt, two_checked
 
 
 def test_elementary_fast_path_matches_per_candidate_overlattices():
@@ -530,14 +544,121 @@ def test_elementary_fast_path_matches_per_candidate_overlattices():
             decisions += 1
             tried = primitively_embeds(rec.q_s, rec.rank, p, 1).candidates_tried
             checked += _per_candidate_walk(rec.q_s, negate(n_form(p, 1).q), p,
-                                           p ** min(rec.q_s.ell_p(p), 2), two_products=tried)
+                                           p ** min(rec.q_s.ell_p(p), 2), two_products=tried)[1]
     assert decisions == 58
     q_s = next(rec for rec in records if rec.number == 20).q_s
     q_d = negate(n_form(5, 2).q)
-    checked += _per_candidate_walk(q_s, q_d, 5, 25, stop=500, two_products=500)
+    checked += _per_candidate_walk(q_s, q_d, 5, 25, stop=500, two_products=500)[1]
     checked += _per_candidate_walk(q_s, q_d, 5, 25, start=19345, stop=19845,
-                                   two_products=19845)
+                                   two_products=19845)[1]
     assert checked >= 600, checked
+
+
+NON_ELEMENTARY_ROWS = (15, 46, 47, 84, 85, 101, 134)  # 3-parts of scales 3 and 9
+
+
+def test_h_type_reuse_matches_per_candidate_overlattices_on_table_rows():
+    # the seven rows whose 3-part is not elementary, at p = 3: at sigma = 1
+    # every candidate of the full enumeration, at sigma = 2 the first 400
+    # candidates of each H-type of every row, rows 15 and 47 walked up to 500
+    # past the candidate their decision accepts (the full walks run to
+    # 745,461 and 55,071 candidates); in the glued search H ∩ pA lies in
+    # H ∩ A_S = 0, so an H-type is the order of H
+    from k3lat.hmdata import load_table
+    from k3lat.k3class import n_form, primitively_embeds
+
+    records = {rec.number: rec for rec in load_table()}
+    rebuilt = {}
+    for sigma, per_type in ((1, None), (2, 400)):
+        q_d = negate(n_form(3, sigma).q)
+        for no in NON_ELEMENTARY_ROWS:
+            q_s = records[no].q_s
+            stop = None
+            if sigma == 2 and no in (15, 47):
+                stop = primitively_embeds(q_s, records[no].rank, 3, 2).candidates_tried + 500
+            rebuilt[sigma, no] = _per_candidate_walk(
+                q_s, q_d, 3, 3 ** min(q_s.ell_p(3), 2 * sigma), stop=stop,
+                two_products=50, per_type=per_type)[0]
+    assert sum(sum(rebuilt[1, no].values()) for no in NON_ELEMENTARY_ROWS) == 2292 + 7
+    assert sum(sum(rebuilt[2, no].values()) for no in NON_ELEMENTARY_ROWS) >= 5000
+    types = {key for counts in rebuilt.values() for key in counts}
+    assert types == {(3 ** k, 0, 0, 1) for k in range(4)}, types
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((3, 5)), st.integers(0, 2), st.integers(1, 2),
+       st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+       st.sampled_from((None, 1, 2)), st.booleans())
+def test_h_type_reuse_matches_per_candidate_overlattices_on_random_forms(
+        p, r1, r2, signs, sigma, beside):
+    # q_S of scales p and p^2, sometimes beside a component at another
+    # prime: glued to the sigma = 1 or 2 N-form, or alone (sigma None) at
+    # |H| <= p^3, each over its first 300 candidates
+    from k3lat.k3class import n_form
+
+    comps = [J(p, 2, r2, signs[1])] + ([J(p, 1, r1, signs[0])] if r1 else [])
+    if beside:
+        comps.append(J(7, 1, 1, 1))
+    q_s = F(*comps)
+    if sigma is None:
+        q_d, max_order = None, p ** 3
+    else:
+        q_d, max_order = negate(n_form(p, sigma).q), p ** min(r1 + r2, 2 * sigma)
+    rebuilt, _ = _per_candidate_walk(q_s, q_d, p, max_order, stop=300)
+    assert sum(rebuilt.values()) >= 1
+
+
+def test_h_types_of_unglued_walks():
+    # without a D block an elementary H may meet pA: the gamma-type of
+    # H ∩ pA then takes part in the key, and a non-elementary H has none
+    rebuilt = {}
+    for text, max_order, n_types in (("9^+3", 27, 8), ("3^+1 9^-2", 81, 5),
+                                     ("5^+1 25^+2", 125, 5)):
+        q = parse_symbol(text)
+        rebuilt[text], _ = _per_candidate_walk(q, None, q.primes()[0], max_order)
+        typed = [key for key in rebuilt[text] if key is not None]
+        assert None in rebuilt[text] and len(typed) == n_types, rebuilt[text]
+    # 9^+3: H ∩ pA of rank 0, 1, 2 and 3 under gamma, of both classes
+    assert {(key[2], key[3]) for key in rebuilt["9^+3"] if key} == {
+        (0, 1), (1, 1), (1, -1), (2, 1), (2, -1), (3, 1)}
+
+
+@given(st.sampled_from((3, 5, 7)), st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.integers(0, 6), min_size=n * (n + 1) // 2,
+                       max_size=n * (n + 1) // 2).map(lambda xs: (n, xs))))
+def test_modp_quadratic_type_matches_principal_minors(p, data):
+    # oracle: a symmetric matrix of rank r has a nonsingular principal r x r
+    # minor, whose span complements the radical; its determinant's class is
+    # the class of the nondegenerate part
+    from itertools import combinations
+
+    n, upper = data
+    entries = iter(upper)
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = next(entries) % p
+    rank = len(ex.modp_echelon(gram, p)[0])
+    minors = [ex.det_int(ex.to_mat([[gram[i][j] for j in idx] for i in idx])) % p
+              for idx in combinations(range(n), rank)]
+    cls = ex.legendre(next(d for d in minors if d), p) if rank else 1
+    assert ex.modp_quadratic_type(gram, p) == (rank, cls)
+
+
+def test_scale_above_p_squared_builds_every_candidate(monkeypatch):
+    # a 27 component has no H-type, so each of the 20 candidates of 27^+1
+    # glued at sigma = 2 builds its own overlattice
+    from k3lat import fqf
+    from k3lat.k3class import n_form
+
+    q_s, q_d = parse_symbol("27^+1"), negate(n_form(3, 2).q)
+    rebuilt, _ = _per_candidate_walk(q_s, q_d, 3, 3)
+    assert rebuilt == {None: 21}
+    builds = []
+    symbol = fqf.symbol_of
+    monkeypatch.setattr(fqf, "symbol_of", lambda *a: builds.append(a) or symbol(*a))
+    assert len(list(overlattice_candidates(q_s, 3, 3, q_d))) == 21
+    assert len(builds) == 20
 
 
 def _direct_overlattice_forms(lat, p, max_order):

@@ -1,10 +1,19 @@
 import pytest
 
-from k3lat.fqf import FiniteQuadraticForm, isomorphic, negate, nikulin_exists, render_symbol
+from k3lat.fqf import (
+    FiniteQuadraticForm,
+    isomorphic,
+    negate,
+    nikulin_exists,
+    overlattice_candidates,
+    render_symbol,
+)
 from k3lat.hmdata import load_table, parse_symbol
 from k3lat.k3class import (
     EmbeddingQuery,
+    _negated_components,
     _negated_n_form,
+    _trivial_h_target,
     allowed_components,
     anisotropy_check,
     n_form,
@@ -132,6 +141,53 @@ class TestEmbeds:
         assert d.certificate.h_order == 25
         assert render_symbol(d.certificate.q_saturation) == "5^-4"
         assert render_symbol(d.certificate.q_complement) == "5^-4"
+
+    @pytest.mark.parametrize("sigma,builds", [
+        (1, {15: 1, 46: 1, 47: 2, 84: 1, 85: 2, 101: 2, 134: 1}),
+        (2, {15: 2, 46: 2, 47: 3, 84: 2, 85: 3, 101: 3, 134: 2}),
+    ])
+    def test_one_overlattice_per_h_type(self, monkeypatch, sigma, builds):
+        # the rows whose 3-part has scales 3 and 9, at p = 3: every H of one
+        # order meets pA trivially and so has one H-type, and one overlattice
+        # is built per order the decision reaches; candidates_tried as when
+        # every candidate was built (row 47 at sigma = 2: 31,312)
+        from k3lat import fqf
+
+        tried = {1: {15: 2, 46: 2, 47: 110, 84: 2, 85: 50, 101: 50, 134: 13},
+                 2: {15: 3142, 46: 382, 47: 31312, 84: 112, 85: 4582, 101: 4582, 134: 351}}
+        calls = []
+        symbol = fqf.symbol_of
+        monkeypatch.setattr(fqf, "symbol_of", lambda *a: calls.append(a) or symbol(*a))
+        got_builds, got_tried = {}, {}
+        for no in builds:
+            calls.clear()
+            rec = record(no)
+            got_tried[no] = primitively_embeds(rec.q_s, rec.rank, 3, sigma).candidates_tried
+            got_builds[no] = len(calls)
+        assert (got_builds, got_tried) == (builds, tried[sigma])
+
+    def test_trivial_h_target_is_the_negated_glued_form(self):
+        # component for component, as the certificate renders them
+        for sigma in (1, 2):
+            for p in odd_primes_below(200):
+                q_d = _negated_n_form(p, sigma)
+                for rec in RECORDS:
+                    h, q_tilde = next(overlattice_candidates(rec.q_s, p, 1, q_d))
+                    assert h == 1
+                    target = _trivial_h_target(rec.q_s, p, sigma)
+                    assert target.components == negate(q_tilde).components, (rec.number, p)
+
+    def test_negated_components_memo_matches_wrapped(self):
+        # keyed by the components as written: 2_1^+1 and 2_5^-1 are one form
+        # but keep their own components
+        forms = [rec.q_s for rec in RECORDS] + [parse_symbol("2_1^+1"), parse_symbol("2_5^-1")]
+        for q in forms:
+            want = _negated_components.__wrapped__(q.components)
+            for _ in range(2):
+                got = _negated_components(q.components)
+                assert got.components == want.components == negate(q).components
+        a, b = (_negated_components(parse_symbol(t).components) for t in ("2_1^+1", "2_5^-1"))
+        assert a == b and a.components != b.components
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
