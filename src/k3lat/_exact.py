@@ -195,36 +195,6 @@ def modp_echelon(rows, p: int):
     return basis, pivots
 
 
-def modp_quadratic_type(gram, p: int) -> tuple:
-    """(rank, Legendre class of the discriminant of the nondegenerate part)
-    of a symmetric matrix over F_p, p odd, by symmetric elimination: a
-    diagonal pivot if there is one, else e_i + e_j for an entry (i, j) off
-    a zero diagonal, whose value 2 * gram[i][j] is then nonzero."""
-    a = [[x % p for x in row] for row in gram]
-    idx = list(range(len(a)))
-    rank, disc = 0, 1
-    while True:
-        piv = next((i for i in idx if a[i][i]), None)
-        if piv is None:
-            pair = next(((i, j) for i in idx for j in idx if a[i][j]), None)
-            if pair is None:
-                return rank, legendre(disc, p)
-            piv, j = pair
-            for t in idx:
-                a[piv][t] = (a[piv][t] + a[j][t]) % p
-            for t in idx:
-                a[t][piv] = (a[t][piv] + a[t][j]) % p
-        d = a[piv][piv]
-        rank += 1
-        disc = disc * d % p
-        idx.remove(piv)
-        inv = pow(d, -1, p)
-        for t in idx:
-            f = a[t][piv] * inv % p
-            if f:
-                a[t] = [(x - f * y) % p for x, y in zip(a[t], a[piv])]
-
-
 def snf_transform(m: Mat) -> tuple[Mat, Mat, Mat]:
     """Smith normal form with transforms: returns (D, U, V) with U*m*V = D.
 

@@ -645,40 +645,6 @@ def _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order):
             yield p ** len(gens_d), combined_gens
 
 
-def _h_type_reader(p: int, moduli, coeffs, glued: bool = False):
-    """The H-type of an isotropic H: a key that fixes the form on H-perp/H.
-
-    Defined when every modulus of the p-part A is p or p^2 and H is
-    elementary: |H| with the type of H0 = H ∩ pA under the F_p form
-    gamma(px, py) = p * b(x, y) on pA (dimension, rank, class of the
-    discriminant).  The README proves that two H of one key induce
-    isomorphic forms.  Returns h_type(order, gens), None for an H without a
-    type.  In the glued search (glued=True) pA lies in A_S, which every
-    candidate meets trivially, so H0 = 0 and no echelon is needed.
-    """
-    if any(m != p and m != p * p for m in moduli):
-        return lambda order, gens: None
-    shallow = [i for i, m in enumerate(moduli) if m == p]
-    deep = [i for i, m in enumerate(moduli) if m != p]
-    gamma = [coeffs[i] for i in deep]  # gamma(p e_i, p e_i) = coeffs[i] / p
-    cut = len(shallow)
-
-    def h_type(order, gens):
-        if not deep or glued:  # H0 = 0
-            return order, 0, 0, 1
-        if any(g[i] % p for g in gens for i in deep):
-            return None  # some generator has order p^2
-        # F_p coordinates of A[p], the columns of pA last: the echelon rows
-        # pivoted there span H0
-        basis, pivots = ex.modp_echelon(
-            [[g[i] for i in shallow] + [g[i] // p for i in deep] for g in gens], p)
-        h0 = [row[cut:] for row, pc in zip(basis, pivots) if pc >= cut]
-        gram = [[sum(c * x * y for c, x, y in zip(gamma, u, v)) for v in h0] for u in h0]
-        return (order, len(h0)) + ex.modp_quadratic_type(gram, p)
-
-    return h_type
-
-
 def _overlattice_gram(basis, diag, scale: int):
     """Gram matrix of the lattice spanned by the rows of basis / scale, in the
     lattice with diagonal Gram matrix diag(diag).
@@ -706,8 +672,11 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
     q + q_d; the p-part of q_d must have scale 1, or ValueError is raised.
     The trivial H is yielded before any subgroup search is set up, and with
     max_order < p it is the only one.  Isotropy is read from the generators
-    of H.  One overlattice is built per H-type (_h_type_reader) and its form
-    yielded for every H of that type; an H without a type builds its own.
+    of H.  When H meets pA trivially, |H| fixes the form on H-perp/H
+    (README), so one overlattice is built per order and its form yielded for
+    every H of that order: in the glued search H ∩ pA lies in H ∩ A_q = 0,
+    and an elementary p-part has pA = 0.  An unglued walk of any other
+    p-part builds one overlattice per candidate.
     A search that outgrows ENUMERATION_CAP raises LimitExceeded: see
     _isotropic_subgroups and _graph_isotropic_subgroups for what each one
     counts.
@@ -728,7 +697,7 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
     else:
         diag_s, mod_s, coef_s = _realize_p_part(q_s, p)
         diag_d, mod_d, coef_d = _realize_p_part(q_d, p)
-        diag, moduli, coeffs = diag_s + diag_d, mod_s + mod_d, coef_s + coef_d
+        diag, moduli = diag_s + diag_d, mod_s + mod_d
         # graph parametrization over the (small, elementary) D block
         subgroup_iter = _graph_isotropic_subgroups(
             p, mod_s, coef_s, mod_d, coef_d, max_order)
@@ -739,19 +708,18 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
     scale = math.lcm(*moduli)
     scaled_lattice = [tuple(scale if i == j else 0 for j in range(len(moduli)))
                       for i in range(len(moduli))]
-    h_type = _h_type_reader(p, moduli, coeffs, glued=q_d is not None)
+    reuse = q_d is not None or all(m == p for m in moduli)
     forms = {}
     for order, gens in subgroup_iter:
-        key = h_type(order, gens)
-        form = forms.get(key)
+        form = forms.get(order)
         if form is None:
             rows = scaled_lattice + [tuple(x * (scale // m) for x, m in zip(g, moduli))
                                      for g in gens]
             basis = ex.row_hnf(ex.to_mat(rows))
             over = IntegralLattice(_overlattice_gram(basis, diag, scale))
             form = direct_sum(away, symbol_of(over, (p,)))
-            if key is not None:
-                forms[key] = form
+            if reuse:
+                forms[order] = form
         yield order, form
 
 

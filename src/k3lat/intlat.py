@@ -154,7 +154,8 @@ class DiscriminantGroup:
 
 
 def discriminant_group(lat: IntegralLattice) -> DiscriminantGroup:
-    """A_L = L^dual / L with generator lifts expressed in basis coordinates."""
+    """A_L = L^dual / L with generator lifts expressed in basis coordinates,
+    each reduced into [0, 1)^n: an integer shift keeps its class in A_L."""
     g = lat.gram
     if lat.rank == 0:
         return DiscriminantGroup((), ())
@@ -164,7 +165,7 @@ def discriminant_group(lat: IntegralLattice) -> DiscriminantGroup:
     for i in range(lat.rank):
         di = d[i][i]
         if di > 1:
-            col = tuple(Fraction(v[r][i], di) for r in range(lat.rank))
+            col = tuple(Fraction(v[r][i] % di, di) for r in range(lat.rank))
             orders.append(di)
             lifts.append(col)
     return DiscriminantGroup(tuple(orders), tuple(lifts))

@@ -82,6 +82,22 @@ def unimodular_conjugate(rng: random.Random, lat: IntegralLattice) -> IntegralLa
     return IntegralLattice(ex.mat_mul(ex.mat_mul(um, lat.gram), ex.transpose(um)))
 
 
+def dense_diagonal_gram(seed: int, n: int, ops: int) -> tuple:
+    """A diagonal even Gram diag(2 * randint(1, 10^4)) after `ops` random
+    congruences e_i -> e_i +- e_j: small entries, but the Smith transform of
+    such a Gram runs to thousands of digits."""
+    rng = random.Random(seed)
+    g = [[2 * rng.randint(1, 10 ** 4) if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(ops):
+        i, j = rng.sample(range(n), 2)
+        f = rng.choice((-1, 1))
+        for k in range(n):
+            g[i][k] += f * g[j][k]
+        for k in range(n):
+            g[k][i] += f * g[k][j]
+    return ex.to_mat(g)
+
+
 def discriminant_form_values(lat: IntegralLattice):
     """(orders, q-values, bilinear matrix) of A_L on its SNF generators."""
     disc = discriminant_group(lat)

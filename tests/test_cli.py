@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from k3lat import cli
 from k3lat._exact import LimitExceeded
 from k3lat.intlat import MAX_GRAM_RANK
 
-from conftest import cap_child_memory, child_env
+from conftest import cap_child_memory, child_env, dense_diagonal_gram
 
 
 @pytest.fixture
@@ -46,6 +47,18 @@ class TestDisc:
         assert code == 0
         payload = json.loads(out)
         assert payload["cyclic_orders"] == [3]
+
+    def test_dense_gram_prints_reduced_lifts(self, capsys, tmp_path):
+        # unreduced, this Gram's lifts ran past Python's 4,300-digit limit on
+        # int-to-str conversion, and the command exited 2
+        gram = dense_diagonal_gram(1, 36, 108)
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({"gram": [list(row) for row in gram]}))
+        code, out = run(capsys, ["--json", "disc", str(path)])
+        assert code == 0
+        payload = json.loads(out)
+        for d, lift in zip(payload["cyclic_orders"], payload["generator_lifts"]):
+            assert all(0 <= Fraction(x) * d < d for x in lift)
 
 
 class TestEmbeds:
@@ -445,6 +458,14 @@ class TestGoldenOutput:
         # overlattice: the seven rows whose 3-part has scales 3 and 9
         assert len(GOLDEN["embeds-sigma2"]) == 7
         for want in GOLDEN["embeds-sigma2"]:
+            code, out = run(capsys, want["argv"])
+            assert (code, out) == (want["exit"], want["stdout"]), want["argv"]
+
+    def test_embeds_sigma_2_scale_p3_at_p3(self, capsys):
+        # recorded while every candidate of a p-part with a 27 component
+        # built its own overlattice
+        assert len(GOLDEN["embeds-p3-scale"]) == 2
+        for want in GOLDEN["embeds-p3-scale"]:
             code, out = run(capsys, want["argv"])
             assert (code, out) == (want["exit"], want["stdout"]), want["argv"]
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from k3lat import _exact as ex
 from k3lat.fqf import (
@@ -17,7 +17,6 @@ from k3lat.fqf import (
     _det_unit_class_two,
     _det_unit_mod,
     _graph_isotropic_subgroups,
-    _h_type_reader,
     _isotropic_subgroups,
     _overlattice_gram,
     _realize_p_part,
@@ -469,17 +468,17 @@ def test_integer_overlattice_gram_matches_fraction_product(data):
 
 
 def _per_candidate_walk(q_s, q_d, p, max_order, start=0, stop=None, two_products=0,
-                        per_type=None):
+                        per_order=None):
     """Walk the subgroup enumeration beside overlattice_candidates, rebuilding
     each candidate's overlattice the per-candidate way (row_hnf, then
     _overlattice_gram, then symbol_of, with no form reused) and asserting
     that the fast path yields a form with the same components at the same
     position, for the positions from start to stop.  With q_d the walk is
-    the glued one, without it q_s's own.  With per_type only the first
-    per_type candidates of each H-type are rebuilt; the others are still
+    the glued one, without it q_s's own.  With per_order only the first
+    per_order candidates of each order are rebuilt; the others are still
     walked.  The Gram matrices at positions below `two_products` are also
     checked against the two-product form basis * diag * basis^T.  Returns
-    (Counter of the H-types rebuilt, the number of two-product checks)."""
+    (Counter of the orders rebuilt, the number of two-product checks)."""
     from itertools import islice
 
     q = q_s if q_d is None else direct_sum(q_s, q_d)
@@ -490,8 +489,7 @@ def _per_candidate_walk(q_s, q_d, p, max_order, start=0, stop=None, two_products
     else:
         diag_d, mod_d, coef_d = _realize_p_part(q_d, p)
         walk = _graph_isotropic_subgroups(p, moduli, coeffs, mod_d, coef_d, max_order)
-        diag, moduli, coeffs = diag + diag_d, moduli + mod_d, coeffs + coef_d
-    h_type = _h_type_reader(p, moduli, coeffs)
+        diag, moduli = diag + diag_d, moduli + mod_d
     scale = math.lcm(*moduli) if moduli else 1
     lattice_rows = [tuple(scale if i == j else 0 for j in range(len(moduli)))
                     for i in range(len(moduli))]
@@ -501,10 +499,9 @@ def _per_candidate_walk(q_s, q_d, p, max_order, start=0, stop=None, two_products
             zip(islice(walk, start, stop), islice(fast, start, stop), strict=True), start):
         where = (render_symbol(q_s), p, position)
         assert h == order, where
-        key = h_type(order, gens)
-        if per_type is not None and rebuilt[key] >= per_type:
+        if per_order is not None and rebuilt[order] >= per_order:
             continue
-        rebuilt[key] += 1
+        rebuilt[order] += 1
         if order == 1:
             assert form.components == q.components, where
             continue
@@ -560,16 +557,15 @@ NON_ELEMENTARY_ROWS = (15, 46, 47, 84, 85, 101, 134)  # 3-parts of scales 3 and 
 def test_h_type_reuse_matches_per_candidate_overlattices_on_table_rows():
     # the seven rows whose 3-part is not elementary, at p = 3: at sigma = 1
     # every candidate of the full enumeration, at sigma = 2 the first 400
-    # candidates of each H-type of every row, rows 15 and 47 walked up to 500
+    # candidates of each order of every row, rows 15 and 47 walked up to 500
     # past the candidate their decision accepts (the full walks run to
-    # 745,461 and 55,071 candidates); in the glued search H ∩ pA lies in
-    # H ∩ A_S = 0, so an H-type is the order of H
+    # 745,461 and 55,071 candidates)
     from k3lat.hmdata import load_table
     from k3lat.k3class import n_form, primitively_embeds
 
     records = {rec.number: rec for rec in load_table()}
     rebuilt = {}
-    for sigma, per_type in ((1, None), (2, 400)):
+    for sigma, per_order in ((1, None), (2, 400)):
         q_d = negate(n_form(3, sigma).q)
         for no in NON_ELEMENTARY_ROWS:
             q_s = records[no].q_s
@@ -578,11 +574,11 @@ def test_h_type_reuse_matches_per_candidate_overlattices_on_table_rows():
                 stop = primitively_embeds(q_s, records[no].rank, 3, 2).candidates_tried + 500
             rebuilt[sigma, no] = _per_candidate_walk(
                 q_s, q_d, 3, 3 ** min(q_s.ell_p(3), 2 * sigma), stop=stop,
-                two_products=50, per_type=per_type)[0]
+                two_products=50, per_order=per_order)[0]
     assert sum(sum(rebuilt[1, no].values()) for no in NON_ELEMENTARY_ROWS) == 2292 + 7
     assert sum(sum(rebuilt[2, no].values()) for no in NON_ELEMENTARY_ROWS) >= 5000
-    types = {key for counts in rebuilt.values() for key in counts}
-    assert types == {(3 ** k, 0, 0, 1) for k in range(4)}, types
+    orders = {order for counts in rebuilt.values() for order in counts}
+    assert orders == {3 ** k for k in range(4)}, orders
 
 
 @settings(max_examples=40, deadline=None)
@@ -608,57 +604,44 @@ def test_h_type_reuse_matches_per_candidate_overlattices_on_random_forms(
     assert sum(rebuilt.values()) >= 1
 
 
-def test_h_types_of_unglued_walks():
-    # without a D block an elementary H may meet pA: the gamma-type of
-    # H ∩ pA then takes part in the key, and a non-elementary H has none
-    rebuilt = {}
-    for text, max_order, n_types in (("9^+3", 27, 8), ("3^+1 9^-2", 81, 5),
-                                     ("5^+1 25^+2", 125, 5)):
-        q = parse_symbol(text)
-        rebuilt[text], _ = _per_candidate_walk(q, None, q.primes()[0], max_order)
-        typed = [key for key in rebuilt[text] if key is not None]
-        assert None in rebuilt[text] and len(typed) == n_types, rebuilt[text]
-    # 9^+3: H ∩ pA of rank 0, 1, 2 and 3 under gamma, of both classes
-    assert {(key[2], key[3]) for key in rebuilt["9^+3"] if key} == {
-        (0, 1), (1, 1), (1, -1), (2, 1), (2, -1), (3, 1)}
+@settings(max_examples=30, deadline=None)
+@example(3, {1, 3}, [(2, 1), (1, 1), (1, 1)], 2, False)  # H of order 27 from position 4,581
+@given(st.sampled_from((3, 5)),
+       st.sets(st.integers(1, 4), min_size=1, max_size=3).filter(lambda ks: max(ks) >= 3),
+       st.lists(st.tuples(st.integers(1, 2), st.sampled_from((1, -1))), min_size=3, max_size=3),
+       st.integers(1, 3), st.booleans())
+def test_order_reuse_matches_per_candidate_overlattices_at_scales_p3_and_p4(
+        p, scales, blocks, sigma, beside):
+    # q_S with a component of scale p^3 or p^4, glued to the N-form at
+    # sigma = 1, 2 or 3: H meets pA inside H ∩ A_S = 0 at every scale, so
+    # one form per order; the first 25 candidates of each order among the
+    # first 10,000 are rebuilt
+    from k3lat.k3class import n_form
+
+    comps = [J(p, k, rank, sign) for k, (rank, sign) in zip(sorted(scales), blocks)]
+    if beside:
+        comps.append(J(7, 1, 1, 1))
+    q_s = F(*comps)
+    q_d = negate(n_form(p, sigma).q)
+    max_order = p ** min(q_s.ell_p(p), 2 * sigma)
+    rebuilt, _ = _per_candidate_walk(q_s, q_d, p, max_order, stop=10000, per_order=25)
+    assert rebuilt[1] == 1
 
 
-@given(st.sampled_from((3, 5, 7)), st.integers(0, 5).flatmap(
-    lambda n: st.lists(st.integers(0, 6), min_size=n * (n + 1) // 2,
-                       max_size=n * (n + 1) // 2).map(lambda xs: (n, xs))))
-def test_modp_quadratic_type_matches_principal_minors(p, data):
-    # oracle: a symmetric matrix of rank r has a nonsingular principal r x r
-    # minor, whose span complements the radical; its determinant's class is
-    # the class of the nondegenerate part
-    from itertools import combinations
-
-    n, upper = data
-    entries = iter(upper)
-    gram = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            gram[i][j] = gram[j][i] = next(entries) % p
-    rank = len(ex.modp_echelon(gram, p)[0])
-    minors = [ex.det_int(ex.to_mat([[gram[i][j] for j in idx] for i in idx])) % p
-              for idx in combinations(range(n), rank)]
-    cls = ex.legendre(next(d for d in minors if d), p) if rank else 1
-    assert ex.modp_quadratic_type(gram, p) == (rank, cls)
-
-
-def test_scale_above_p_squared_builds_every_candidate(monkeypatch):
-    # a 27 component has no H-type, so each of the 20 candidates of 27^+1
-    # glued at sigma = 2 builds its own overlattice
+def test_scale_above_p_squared_builds_one_form_per_order(monkeypatch):
+    # the glued search reuses its forms at every scale: the 20 candidates
+    # of order 3 of 27^+1 glued at sigma = 2 share one overlattice
     from k3lat import fqf
     from k3lat.k3class import n_form
 
     q_s, q_d = parse_symbol("27^+1"), negate(n_form(3, 2).q)
     rebuilt, _ = _per_candidate_walk(q_s, q_d, 3, 3)
-    assert rebuilt == {None: 21}
+    assert rebuilt == {1: 1, 3: 20}
     builds = []
     symbol = fqf.symbol_of
     monkeypatch.setattr(fqf, "symbol_of", lambda *a: builds.append(a) or symbol(*a))
     assert len(list(overlattice_candidates(q_s, 3, 3, q_d))) == 21
-    assert len(builds) == 20
+    assert len(builds) == 1
 
 
 def _direct_overlattice_forms(lat, p, max_order):

@@ -1,5 +1,6 @@
 """Static checks on the package sources: no module imports a name it never
-uses, and no module-level function, class or constant goes unreferenced.
+uses, and no module-level function, class or constant goes unreferenced;
+and on the tests: no helper of conftest.py is left without a test.
 A name listed in a module's __all__ counts as used (a re-export);
 __init__.py is left out of the import check, since all its imports are
 re-exports, and its imports count as references."""
@@ -77,6 +78,22 @@ def test_every_definition_is_referenced():
     unused = [f"{name}:{defined}" for name, tree in trees.items()
               for defined in sorted(defined_names(tree) - referenced)]
     assert unused == []
+
+
+def test_every_conftest_helper_is_used():
+    # an oracle whose last test is deleted must go with it: every function
+    # or class in conftest.py is read, imported or taken as a fixture
+    # argument by some test module; an UPPER_CASE constant may serve
+    # conftest alone
+    tests = Path(__file__).resolve().parent
+    conftest = parse(tests / "conftest.py")
+    used = {name for name in referenced_names(conftest) if name.isupper()}
+    for path in sorted(tests.glob("test_*.py")):
+        tree = parse(path)
+        used |= referenced_names(tree)
+        used.update(a.arg for node in ast.walk(tree) if isinstance(node, ast.arguments)
+                    for a in node.args + node.kwonlyargs)
+    assert sorted(defined_names(conftest) - used) == []
 
 
 # Caches that may grow without a maxsize, each with why its keys are few.

@@ -28,7 +28,14 @@ from k3lat.intlat import (
 )
 from k3lat.rootsys import build
 
-from conftest import cap_child_memory, child_env, random_even_gram, saturation_oracle
+from conftest import (
+    cap_child_memory,
+    child_env,
+    dense_diagonal_gram,
+    random_even_gram,
+    saturation_oracle,
+    unimodular_conjugate,
+)
 
 U = IntegralLattice(((0, 1), (1, 0)))
 A2 = IntegralLattice(((2, -1), (-1, 2)))
@@ -76,6 +83,22 @@ def test_discriminant_lift_orders():
             scaled = tuple(d * x for x in lift)
             assert all(v.denominator == 1 for v in scaled)
         assert prod == abs(lat.det)
+
+
+def test_discriminant_lifts_are_reduced():
+    # each lift lies in [0, 1)^n, so its numerator over d_i lies in [0, d_i);
+    # the dense Gram's unreduced lifts ran to thousands of digits
+    rng = random.Random(6)
+    lats = [unimodular_conjugate(rng, random_even_gram(rng, rng.randint(1, 5), 4))
+            for _ in range(50)]
+    lats.append(IntegralLattice(dense_diagonal_gram(1, 20, 60)))
+    for lat in lats:
+        disc = discriminant_group(lat)
+        for d, lift in zip(disc.cyclic_orders, disc.generator_lifts):
+            assert all(0 <= x * d < d and (x * d).denominator == 1 for x in lift)
+            # a dual vector: its pairings with the basis, G x, are integral
+            assert all(sum(a * b for a, b in zip(lift, col)).denominator == 1
+                       for col in lat.gram)
 
 
 def test_orthogonal_complement_examples():

@@ -147,10 +147,10 @@ class TestEmbeds:
         (2, {15: 2, 46: 2, 47: 3, 84: 2, 85: 3, 101: 3, 134: 2}),
     ])
     def test_one_overlattice_per_h_type(self, monkeypatch, sigma, builds):
-        # the rows whose 3-part has scales 3 and 9, at p = 3: every H of one
-        # order meets pA trivially and so has one H-type, and one overlattice
-        # is built per order the decision reaches; candidates_tried as when
-        # every candidate was built (row 47 at sigma = 2: 31,312)
+        # the rows whose 3-part has scales 3 and 9, at p = 3: every glued H
+        # meets pA trivially, so one overlattice is built per order the
+        # decision reaches; candidates_tried as when every candidate was
+        # built (row 47 at sigma = 2: 31,312)
         from k3lat import fqf
 
         tried = {1: {15: 2, 46: 2, 47: 110, 84: 2, 85: 50, 101: 50, 134: 13},
