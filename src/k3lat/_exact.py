@@ -1,7 +1,8 @@
 """Exact integer/rational linear algebra and elementary number theory.
 
 Linear algebra: HNF, SNF, kernels, determinants, the reduced echelon form
-mod p (modp_echelon, whose rows give the check forms of a span), the one
+mod p (modp_echelon, whose rows give the check forms of a span), the
+isometry type of a quadratic space over F_p (modp_quadratic_type), the one
 Lagrange diagonalisation of a symmetric form (quadratic_completion, behind
 signatures) and the integral LLL reduction of a positive definite Gram
 matrix (lll_reduce, behind short vectors), on tuples of tuples with int or
@@ -17,6 +18,7 @@ computation in fqf, which eliminates in integers modulo p^(v_p(det)+1), or
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 Vec = tuple
 Mat = tuple
@@ -40,7 +42,7 @@ def transpose(m: Mat) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
@@ -91,16 +93,11 @@ def _swap_rows(a, i, j):
     a[i], a[j] = a[j], a[i]
 
 
-def row_hnf_transform(m: Mat) -> tuple[Mat, Mat]:
-    """Row Hermite normal form with transform: returns (H, U) with U*m = H.
-
-    U is unimodular.  H has positive pivots with entries above each pivot
-    reduced into [0, pivot); zero rows sink to the bottom.
-    """
-    rows = [list(r) for r in m]
+def _row_hnf_in_place(rows: list, nc: int) -> None:
+    """Row Hermite normal form of the first nc columns of rows, in place:
+    every row operation acts on the whole row, so columns past nc (an
+    identity appended by row_hnf_transform) record the transform."""
     nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    u = [list(r) for r in identity(nr)]
     r = 0
     for c in range(nc):
         piv = None
@@ -111,33 +108,40 @@ def row_hnf_transform(m: Mat) -> tuple[Mat, Mat]:
         if piv is None:
             continue
         _swap_rows(rows, r, piv)
-        _swap_rows(u, r, piv)
         # clear below via gcd steps
         for i in range(r + 1, nr):
             while rows[i][c] != 0:
                 q = rows[r][c] // rows[i][c]
                 rows[r] = [x - q * y for x, y in zip(rows[r], rows[i])]
-                u[r] = [x - q * y for x, y in zip(u[r], u[i])]
                 _swap_rows(rows, r, i)
-                _swap_rows(u, r, i)
         if rows[r][c] < 0:
             rows[r] = [-x for x in rows[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = rows[i][c] // rows[r][c]
             if q:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
         if r == nr:
             break
-    return to_mat(rows), to_mat(u)
+
+
+def row_hnf_transform(m: Mat) -> tuple[Mat, Mat]:
+    """Row Hermite normal form with transform: returns (H, U) with U*m = H.
+
+    U is unimodular.  H has positive pivots with entries above each pivot
+    reduced into [0, pivot); zero rows sink to the bottom.
+    """
+    nc = len(m[0]) if m else 0
+    rows = [list(r) + list(e) for r, e in zip(m, identity(len(m)))]
+    _row_hnf_in_place(rows, nc)
+    return to_mat(r[:nc] for r in rows), to_mat(r[nc:] for r in rows)
 
 
 def row_hnf(m: Mat) -> Mat:
-    """Nonzero rows of the row HNF of m."""
-    h, _ = row_hnf_transform(m)
-    return tuple(r for r in h if any(x != 0 for x in r))
+    """Nonzero rows of the row HNF of m (no transform is kept)."""
+    rows = [list(r) for r in m]
+    _row_hnf_in_place(rows, len(rows[0]) if rows else 0)
+    return tuple(tuple(r) for r in rows if any(x != 0 for x in r))
 
 
 def hnf_reduce(h: Mat, v: Vec) -> Vec:
@@ -195,6 +199,37 @@ def modp_echelon(rows, p: int):
     return basis, pivots
 
 
+def modp_quadratic_type(gram, p: int) -> tuple:
+    """(rank, Legendre class of the discriminant of the nondegenerate part)
+    of a symmetric matrix over F_p, p odd, by symmetric elimination: a
+    diagonal pivot if there is one, else e_i + e_j for an entry (i, j) off
+    a zero diagonal, whose value 2 * gram[i][j] is then nonzero.  With the
+    dimension this is the isometry type of the quadratic space."""
+    a = [[x % p for x in row] for row in gram]
+    idx = list(range(len(a)))
+    rank, disc = 0, 1
+    while True:
+        piv = next((i for i in idx if a[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in idx for j in idx if a[i][j]), None)
+            if pair is None:
+                return rank, legendre(disc, p)
+            piv, j = pair
+            for t in idx:
+                a[piv][t] = (a[piv][t] + a[j][t]) % p
+            for t in idx:
+                a[t][piv] = (a[t][piv] + a[t][j]) % p
+        d = a[piv][piv]
+        rank += 1
+        disc = disc * d % p
+        idx.remove(piv)
+        inv = pow(d, -1, p)
+        for t in idx:
+            f = a[t][piv] * inv % p
+            if f:
+                a[t] = [(x - f * y) % p for x, y in zip(a[t], a[piv])]
+
+
 def snf_transform(m: Mat) -> tuple[Mat, Mat, Mat]:
     """Smith normal form with transforms: returns (D, U, V) with U*m*V = D.
 
@@ -216,7 +251,8 @@ def snf_transform(m: Mat) -> tuple[Mat, Mat, Mat]:
 
     t = 0
     while t < min(nr, nc):
-        # find pivot: smallest nonzero by absolute value in remaining block
+        # find pivot: the first nonzero of least absolute value in the
+        # remaining block; a unit has the least, so the scan stops there
         piv = None
         best = None
         for i in range(t, nr):
@@ -225,6 +261,10 @@ def snf_transform(m: Mat) -> tuple[Mat, Mat, Mat]:
                 if x != 0 and (best is None or abs(x) < best):
                     best = abs(x)
                     piv = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
         pi, pj = piv
@@ -249,15 +289,11 @@ def snf_transform(m: Mat) -> tuple[Mat, Mat, Mat]:
                     dirty = True
         if dirty:
             continue
-        # ensure pivot divides the rest of the block
+        # ensure pivot divides the rest of the block (a unit divides all)
         bad = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        if best != 1:
+            bad = next((i for i in range(t + 1, nr)
+                        if any(a[i][j] % a[t][t] for j in range(t + 1, nc))), None)
         if bad is not None:
             a[t] = [x + y for x, y in zip(a[t], a[bad])]
             u[t] = [x + y for x, y in zip(u[t], u[bad])]

@@ -94,7 +94,7 @@ def criterion_2() -> CriterionResult:
     q_total_3 = direct_sum(qs, negate(k3class.n_form(3, 1).q))
     _check(res, render_symbol(q_total_3) == "4_3^-1 3^-3 7^-1",
            f"glued form at p=3 is {render_symbol(q_total_3)}")
-    saturations_3 = [f for _, f in overlattice_candidates(
+    saturations_3 = [f for _, f, _ in overlattice_candidates(
         qs, 3, 3, negate(k3class.n_form(3, 1).q))]
     wanted = hmdata.parse_symbol("4_3^-1 3^+1 7^-1")
     _check(res, any(isomorphic(f, wanted) for f in saturations_3),

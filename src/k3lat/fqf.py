@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
+from operator import mul
 
 from . import _exact as ex
 from .intlat import IntegralLattice
@@ -256,8 +257,9 @@ def _jordan(gram, p: int, k: int) -> dict:
     evens are the even 2x2 blocks "U" / "V" at p = 2.  k = v_p(det gram).
     The elimination runs in integers mod p^N, N = k + 1 (k + 3 at p = 2),
     which fixes the decomposition with its units.  Each pivot is the first
-    entry of least valuation in the upper triangle, replaced by the first
-    diagonal entry of that valuation if there is one.  With none, at odd p
+    entry of least valuation in the upper triangle (the scan stops at the
+    first unit), replaced by the first diagonal entry of that valuation if
+    there is one.  With none, at odd p
     row and column j are added to i; at p = 2 the entries (i, j) span an
     even block.  Eliminating a pivot block B of valuation v multiplies by
     adj(B) / det(B): every entry it meets is divisible by p^v, so dividing
@@ -271,10 +273,15 @@ def _jordan(gram, p: int, k: int) -> dict:
         best = where = None
         for pos, i in enumerate(idx):
             for j in idx[pos:]:
-                if a[i][j]:
-                    v = ex.valuation(a[i][j], p)
+                x = a[i][j]
+                if x:
+                    v = ex.valuation(x, p) if x % p == 0 else 0
                     if best is None or v < best:
                         best, where = v, (i, j)
+                        if v == 0:  # a unit: no entry has lower valuation
+                            break
+            if best == 0:
+                break
         i, j = where
         pv = p ** best
         units, evens = found.setdefault(best, ([], []))
@@ -596,53 +603,196 @@ def _isotropic_subgroups(p, moduli, coeffs, max_order):
         frontier = nxt
 
 
-def _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order):
-    """Isotropic subgroups H of the p-parts A_S + A_D with
-    H ∩ A_S = H ∩ A_D = 0.
+def _reduce_modp(echelon, v, p: int):
+    """v reduced mod p against echelon, a list of (pivot, row) with each row
+    1 at its pivot and 0 at the pivots before it: (pivot, row) of the rest,
+    scaled to 1 at its first nonzero entry, or None if v is in the span."""
+    for piv, row in echelon:
+        c = v[piv]
+        if c:
+            v = [(x - c * y) % p for x, y in zip(v, row)]
+    piv = next((j for j, x in enumerate(v) if x), None)
+    if piv is None:
+        return None
+    inv = pow(v[piv], -1, p)
+    return piv, [x * inv % p for x in v]
 
-    A_D must be elementary abelian (every modulus p; overlattice_candidates
-    checks it); then any such H is the graph of an injective homomorphism
-    psi from a subspace of A_D into the p-torsion of A_S.  Yields (order,
-    generator tuples in combined coordinates).  Raises LimitExceeded when
-    the p-torsion of A_S, or the subspaces of A_D, outgrow ENUMERATION_CAP.
+
+def _isometric_images(gram, buckets, weights, p: int, first: bool):
+    """Independent s_0, ..., s_(k-1) in A_S[p] with b(s_i, s_j) = gram[i][j]
+    mod p: the first tuple in bucket order (None if none) with first, else
+    their number.  b(s, t) is sum weights[j] s_j t_j over the leading,
+    scale-p coordinates; buckets maps b(s, s) to the nonzero s taking it.
+
+    Each level keeps its candidates filtered by the pairings with the images
+    chosen above it; a dependent image is dropped when chosen.  A count's
+    last level subtracts D, the number of lambda != 0 whose sum of lambda_i
+    s_i meets that level's conditions (the same for every tuple above).  The
+    first level descends from one element per orbit of the isometries of
+    A_S[p] (a count weighs it by the orbit's size): the nonzero s of one
+    value form at most two orbits, s in the radical or not (README).
     """
-    subspaces = _subspaces(p, len(mod_d), max_order)
-    yield 1, next(subspaces)  # the trivial subgroup is tried before any cap applies
-    if not mod_d:
-        return
-    if p ** sum(m % p == 0 for m in mod_s) > ENUMERATION_CAP:
-        raise ex.LimitExceeded("p-torsion enumeration cap exceeded")
-    # q- and b-values as integer numerators over n: q mod 2n, b mod n
-    n = math.lcm(*mod_s, *mod_d)
-    w_s = _value_weights(mod_s, coef_s, n)
-    w_d = _value_weights(mod_d, coef_d, n)
-    # p-torsion elements of A_S, grouped by q-value
-    by_value: dict = {}
-    for s in product(*[range(0, m, m // p) if m % p == 0 else (0,) for m in mod_s]):
-        by_value.setdefault(_qnum(w_s, s) % (2 * n), []).append(s)
-    # a p-torsion element s of A_S has F_p coordinates s[j] // steps[j]
-    steps = [m // p if m % p == 0 else 1 for m in mod_s]
+    k = len(gram)
+    levels = [buckets.get(gram[i][i]) for i in range(k)]
+    if not all(levels):
+        return None if first else 0
+    last = k - 1
+    if not first:
+        dependent = sum(
+            1 for lam in product(range(p), repeat=last)
+            if any(lam)
+            and all(sum(x * row[j] for x, row in zip(lam, gram)) % p == gram[last][j]
+                    for j in range(last))
+            and sum(lam[i] * lam[j] * gram[i][j] for i in range(last)
+                    for j in range(last)) % p == gram[last][last])
+    orbits: dict[bool, list] = {}  # in the radical -> [first element, size]
+    for s in levels[0]:
+        orbit = orbits.setdefault(not any(s[:len(weights)]), [s, 0])
+        orbit[1] += 1
+    chosen, echelon = [], []
 
-    for gens_d in subspaces:
-        targets = [-_qnum(w_d, g) % (2 * n) for g in gens_d]
-        if any(t not in by_value for t in targets):
-            continue
-        b_d = [[_bnum(w_d, g, h) for h in gens_d[:i]] for i, g in enumerate(gens_d)]
+    def descend(i, levels):
+        if i == last and not first:
+            return len(levels[0]) - dependent
+        total = 0
+        for s, size in orbits.values() if i == 0 else ((s, 1) for s in levels[0]):
+            row = _reduce_modp(echelon, s, p)
+            if row is None:
+                continue
+            if i == last:
+                return chosen + [s]
+            pairing = [w * x for w, x in zip(weights, s)]
+            rest = []
+            for cands, value in zip(levels[1:], gram[i][i + 1:]):
+                kept = [t for t in cands if sum(map(mul, pairing, t)) % p == value]
+                if not kept:
+                    break
+                rest.append(kept)
+            else:
+                chosen.append(s)
+                echelon.append(row)
+                found = descend(i + 1, rest)
+                chosen.pop()
+                echelon.pop()
+                if not first:
+                    total += size * found
+                elif found:
+                    return found
+        return None if first else total
 
-        def backtrack(i, chosen):
-            if i == len(gens_d):
-                # psi injective iff the images are independent over F_p
-                if len(ex.modp_echelon(
-                        [[x // st for x, st in zip(s, steps)] for s in chosen], p)[0]) < i:
-                    return
-                yield [s + d for s, d in zip(chosen, gens_d)]
+    return descend(0, levels)
+
+
+class _GraphWalk:
+    """The glued search over F_p (README): H is the graph of an isometric
+    embedding of (U, -b_D), U a subspace of the elementary A_D, into the
+    p-torsion A_S[p].  One _subspaces walk of A_D serves every order:
+    first_graph(k) walks it to the first U of dimension k that embeds, and
+    count(k) walks the rest of dimension k, counting the embeddings once per
+    isometry type of U.  A_S[p] is scanned once into buckets by b(s, s); a
+    first graph of dimension 1 scans only as far as it needs.  Raises
+    LimitExceeded when A_S[p], or the subspaces walked, outgrow
+    ENUMERATION_CAP.
+    """
+
+    def __init__(self, p, mod_s, coef_s, mod_d, coef_d, max_order):
+        if p ** len(mod_s) > ENUMERATION_CAP:
+            raise ex.LimitExceeded("p-torsion enumeration cap exceeded")
+        self.p = p
+        # s in F_p coordinates is sum s_j (m_j / p) e_j; the moduli ascend
+        self.steps = tuple(m // p for m in mod_s)
+        self.weights = tuple(c for m, c in zip(mod_s, coef_s) if m == p)
+        self.neg_d = tuple(-c for c in coef_d)
+        self.walk = _subspaces(p, len(mod_d), max_order)
+        next(self.walk)  # the trivial subspace
+        self.pending = next(self.walk, None)
+        self.scan = product(range(p), repeat=len(mod_s))
+        next(self.scan)  # the zero element
+        self.buckets: dict[int, list] = {}
+        self.types: dict[tuple, int] = {}  # (dim, rank, class) -> embeddings
+        self.counts: dict[int, int] = {}  # dim -> graphs of that order
+
+    def _dim(self, k):
+        """The subspaces of dimension k left in the walk (lower ones are
+        skipped); one the caller stops at stays pending."""
+        while self.pending is not None and len(self.pending) <= k:
+            if len(self.pending) == k:
+                yield self.pending
+            self.pending = next(self.walk, None)
+
+    def _gram(self, basis):
+        p, neg_d = self.p, self.neg_d
+        return [[sum(c * x * y for c, x, y in zip(neg_d, g, h)) % p for h in basis]
+                for g in basis]
+
+    def _scan(self, until=None):
+        """Scan A_S[p] on, to the first element of value `until` or the end."""
+        if self.scan is None:
+            return
+        p, weights, buckets = self.p, self.weights, self.buckets
+        for s in self.scan:
+            value = sum(w * x * x for w, x in zip(weights, s)) % p
+            buckets.setdefault(value, []).append(s)
+            if value == until:
                 return
-            for s in by_value[targets[i]]:
-                if all((_bnum(w_s, s, chosen[j]) + b_d[i][j]) % n == 0 for j in range(i)):
-                    yield from backtrack(i + 1, chosen + [s])
+        self.scan = None
 
-        for combined_gens in backtrack(0, []):
-            yield p ** len(gens_d), combined_gens
+    def _values_taken(self, gram) -> bool:
+        """Does some nonzero element of A_S[p] take each diagonal value?"""
+        return all(gram[i][i] in self.buckets for i in range(len(gram)))
+
+    def first_graph(self, k: int):
+        """Generators, in the coordinates of A_S + A_D, of the first graph of
+        order p^k in walk order, or None when there is none."""
+        p, buckets = self.p, self.buckets
+        if k > 1:
+            self._scan()
+        for basis in self._dim(k):
+            gram = self._gram(basis)
+            if k == 1:
+                if gram[0][0] not in buckets:
+                    self._scan(gram[0][0])
+                images = buckets.get(gram[0][0], [])[:1]
+            elif not self._values_taken(gram):
+                continue
+            else:
+                key = (k, *ex.modp_quadratic_type(gram, p))
+                if self.types.get(key) == 0:
+                    continue
+                images = _isometric_images(gram, buckets, self.weights, p, True)
+                if images is None:
+                    self.types[key] = 0
+            if images:
+                return [tuple(x * st for x, st in zip(s, self.steps)) + g
+                        for s, g in zip(images, basis)]
+        return None
+
+    def count(self, k: int) -> int:
+        """The number of graphs of order p^k, from the first graph's U on
+        (no U before it embeds); kept, as the walk passes once."""
+        if k not in self.counts:
+            self._scan()
+            p, buckets, total = self.p, self.buckets, 0
+            for basis in self._dim(k):
+                gram = self._gram(basis)
+                if not self._values_taken(gram):
+                    continue
+                if k == 1:
+                    total += len(buckets[gram[0][0]])
+                    continue
+                key = (k, *ex.modp_quadratic_type(gram, p))
+                n = self.types.get(key)
+                if n is None:
+                    n = self.types[key] = _isometric_images(
+                        gram, buckets, self.weights, p, False)
+                total += n
+            self.counts[k] = total
+        return self.counts[k]
+
+
+def _trivial_count() -> int:
+    """count() of the trivial H's item in the glued search."""
+    return 1
 
 
 def _overlattice_gram(basis, diag, scale: int):
@@ -664,60 +814,69 @@ def _overlattice_gram(basis, diag, scale: int):
 def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
                            q_d: FiniteQuadraticForm | None = None):
     """Forms induced on H-perp/H for isotropic H of order <= max_order in the
-    p-part, yielded as (|H|, form), the trivial H first.
+    p-part, the trivial H first; with max_order < p it is the only one, and
+    it comes before any search is set up.
 
-    Without q_d, H runs over the isotropic subgroups of q's p-part.  With
-    q_d, the glued search: H runs over the isotropic subgroups of the p-part
-    of q + q_d with H ∩ A_q = H ∩ A_{q_d} = 0, and the forms are induced from
-    q + q_d; the p-part of q_d must have scale 1, or ValueError is raised.
-    The trivial H is yielded before any subgroup search is set up, and with
-    max_order < p it is the only one.  Isotropy is read from the generators
-    of H.  When H meets pA trivially, |H| fixes the form on H-perp/H
-    (README), so one overlattice is built per order and its form yielded for
-    every H of that order: in the glued search H ∩ pA lies in H ∩ A_q = 0,
-    and an elementary p-part has pA = 0.  An unglued walk of any other
-    p-part builds one overlattice per candidate.
-    A search that outgrows ENUMERATION_CAP raises LimitExceeded: see
-    _isotropic_subgroups and _graph_isotropic_subgroups for what each one
-    counts.
+    Without q_d, each isotropic H of q's p-part is yielded as (|H|, form);
+    an elementary p-part builds one overlattice per order, any other one
+    per H.  With q_d, the glued search: H meets neither A_q nor A_{q_d}
+    (whose p-part must have scale 1, or ValueError), the forms are induced
+    from q + q_d, and |H| fixes the form (README).  Each order is yielded
+    once, ascending, as (|H|, form, count): the form from the first H in
+    walk order, and count() the number of H of that order, walked when it
+    is called or the next order is asked for.  The search stops at the
+    first order without an H.  A search past ENUMERATION_CAP raises
+    LimitExceeded (see _isotropic_subgroups and _GraphWalk).
     """
     if p == 2:
         raise ValueError("only odd p is supported")
     q_s = q
-    if q_d is not None:
+    if q_d is None:
+        yield 1, q
+    else:
         if any(c.prime == p and c.scale != 1 for c in q_d.components):
             raise ValueError(f"the D block must have scale 1 at p = {p}")
         q = direct_sum(q, q_d)
-    yield 1, q
+        yield 1, q, _trivial_count
     if max_order < p:
         return
-    if q_d is None:
-        diag, moduli, coeffs = _realize_p_part(q, p)
-        subgroup_iter = _isotropic_subgroups(p, moduli, coeffs, max_order)
-    else:
-        diag_s, mod_s, coef_s = _realize_p_part(q_s, p)
+    diag, mod_s, coef_s = _realize_p_part(q_s, p)
+    moduli = mod_s
+    if q_d is not None:
         diag_d, mod_d, coef_d = _realize_p_part(q_d, p)
-        diag, moduli = diag_s + diag_d, mod_s + mod_d
-        # graph parametrization over the (small, elementary) D block
-        subgroup_iter = _graph_isotropic_subgroups(
-            p, mod_s, coef_s, mod_d, coef_d, max_order)
+        diag, moduli = diag + diag_d, mod_s + mod_d
     if not moduli:
         return
-    next(subgroup_iter)  # the trivial H, yielded above
     away = q.away_part(p)
     scale = math.lcm(*moduli)
     scaled_lattice = [tuple(scale if i == j else 0 for j in range(len(moduli)))
                       for i in range(len(moduli))]
-    reuse = q_d is not None or all(m == p for m in moduli)
+
+    def induced_form(gens):
+        rows = scaled_lattice + [tuple(x * (scale // m) for x, m in zip(g, moduli))
+                                 for g in gens]
+        basis = ex.row_hnf(ex.to_mat(rows))
+        over = IntegralLattice(_overlattice_gram(basis, diag, scale))
+        return direct_sum(away, symbol_of(over, (p,)))
+
+    if q_d is not None:
+        if not mod_d:
+            return
+        walk = _GraphWalk(p, mod_s, coef_s, mod_d, coef_d, max_order)
+        k = 1
+        while (gens := walk.first_graph(k)) is not None:
+            yield p ** k, induced_form(gens), partial(walk.count, k)
+            walk.count(k)  # the walk passes this order now, counted or not
+            k += 1
+        return
+    subgroup_iter = _isotropic_subgroups(p, moduli, coef_s, max_order)
+    next(subgroup_iter)  # the trivial H, yielded above
+    reuse = all(m == p for m in moduli)
     forms = {}
     for order, gens in subgroup_iter:
         form = forms.get(order)
         if form is None:
-            rows = scaled_lattice + [tuple(x * (scale // m) for x, m in zip(g, moduli))
-                                     for g in gens]
-            basis = ex.row_hnf(ex.to_mat(rows))
-            over = IntegralLattice(_overlattice_gram(basis, diag, scale))
-            form = direct_sum(away, symbol_of(over, (p,)))
+            form = induced_form(gens)
             if reuse:
                 forms[order] = form
         yield order, form
@@ -728,7 +887,7 @@ def overlattice_forms(q: FiniteQuadraticForm, p: int, max_order: int,
     """Forms from overlattice_candidates, one per isomorphism class, in the
     order first seen."""
     return list(dict.fromkeys(
-        form for _, form in overlattice_candidates(q, p, max_order, q_d)))
+        item[1] for item in overlattice_candidates(q, p, max_order, q_d)))
 
 
 # ---------------------------------------------------------------------------

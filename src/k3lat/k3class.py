@@ -201,32 +201,26 @@ def primitively_embeds(q_s: FiniteQuadraticForm, rank_s: int, p: int,
                        sigma: int) -> EmbedDecision:
     """Decide a primitive embedding into the (p, sigma) lattice at form level.
 
-    Glues q_S with the negated N-form, enumerates admissible isotropic
+    Glues q_S with the negated N-form, runs over admissible isotropic
     subgroups H of the p-part (|H| <= p^min(ell_p(A_S), 2*sigma), meeting
     neither block), and accepts as soon as some induced form's negation is
-    realized by an even lattice of signature (1, 21 - rank_S).  Every
-    candidate H counts as tried, but a form already rejected is not tested
-    again.  H-perp/H has order |A| / |H|^2, so the trivial H's form equals
-    no later candidate's and is never put in the rejected set.
+    realized by an even lattice of signature (1, 21 - rank_S).  |H| fixes
+    the induced form, so the glued search yields one form per order, and
+    every H counts as tried: all H of each order rejected, and the one
+    accepted.  H-perp/H has order |A| / |H|^2, so no two orders share a
+    form.
     """
     query = EmbeddingQuery(q_s, rank_s, p, sigma)
     hmax = p ** min(q_s.ell_p(p), 2 * sigma)
     sig = (1, 21 - rank_s)
-    tried = 0
-    rejected = set()
-    for h, q_tilde in overlattice_candidates(q_s, p, hmax, _negated_n_form(p, sigma)):
-        tried += 1
-        if h > 1:
-            if q_tilde in rejected:
-                continue
-            rejected.add(q_tilde)
-            target = negate(q_tilde)
-        else:
-            target = _trivial_h_target(q_s, p, sigma)
+    passed = 0  # the H of the orders rejected so far
+    for h, q_tilde, count in overlattice_candidates(q_s, p, hmax, _negated_n_form(p, sigma)):
+        target = negate(q_tilde) if h > 1 else _trivial_h_target(q_s, p, sigma)
         if nikulin_exists(sig[0], sig[1], target):
             cert = Certificate(h, q_tilde, target)
-            return EmbedDecision(query, True, cert, tried)
-    return EmbedDecision(query, False, None, tried)
+            return EmbedDecision(query, True, cert, passed + 1)
+        passed += count() if h > 1 else 1
+    return EmbedDecision(query, False, None, passed)
 
 
 def odd_primes_below(n: int) -> list:

@@ -3,9 +3,9 @@ processes, a brute-force finite-quadratic-form isomorphism oracle, the
 fully closed Aut(R), the forward-only echelon mod p with its per-root
 span scan, the Gauss-Jordan inverse over Q with the isometry inverse, the
 saturation and the A/D/E8 root data by adjugate built on it, the E6/E7
-roots by reflection matrices, and the overlattice search and Nikulin test
-that set up every subgroup walk and read each prime's rank apart, used to
-cross-check the fast paths."""
+roots by reflection matrices, the glued search as a listing of every H,
+and the overlattice search and Nikulin test that set up every subgroup walk
+and read each prime's rank apart, used to cross-check the fast paths."""
 
 from __future__ import annotations
 
@@ -21,12 +21,16 @@ import pytest
 
 from k3lat import _exact as ex
 from k3lat.fqf import (
+    ENUMERATION_CAP,
+    _bnum,
     _det_unit_mod,
-    _graph_isotropic_subgroups,
     _isotropic_subgroups,
     _overlattice_gram,
+    _qnum,
     _realize_p_part,
+    _subspaces,
     _two_reachable_det_classes,
+    _value_weights,
     direct_sum,
     signature_mod8,
     symbol_of,
@@ -298,10 +302,62 @@ def isometry_inverse(iso: Isometry) -> Isometry:
     return Isometry(tuple(tuple(int(x) for x in row) for row in inv))
 
 
+def graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order):
+    """The glued search as a listing of every H: the isotropic subgroups H
+    of the p-parts A_S + A_D with H ∩ A_S = H ∩ A_D = 0, in the walk order
+    of the library's glued search.
+
+    A_D must be elementary abelian; then any such H is the graph of an
+    injective homomorphism psi from a subspace of A_D into the p-torsion of
+    A_S.  Yields (order, generator tuples in combined coordinates), the
+    trivial H first.  Raises LimitExceeded when the p-torsion of A_S, or the
+    subspaces of A_D, outgrow ENUMERATION_CAP.
+    """
+    subspaces = _subspaces(p, len(mod_d), max_order)
+    yield 1, next(subspaces)  # the trivial subgroup is tried before any cap applies
+    if not mod_d:
+        return
+    if p ** sum(m % p == 0 for m in mod_s) > ENUMERATION_CAP:
+        raise ex.LimitExceeded("p-torsion enumeration cap exceeded")
+    # q- and b-values as integer numerators over n: q mod 2n, b mod n
+    n = math.lcm(*mod_s, *mod_d)
+    w_s = _value_weights(mod_s, coef_s, n)
+    w_d = _value_weights(mod_d, coef_d, n)
+    # p-torsion elements of A_S, grouped by q-value
+    by_value: dict = {}
+    for s in product(*[range(0, m, m // p) if m % p == 0 else (0,) for m in mod_s]):
+        by_value.setdefault(_qnum(w_s, s) % (2 * n), []).append(s)
+    # a p-torsion element s of A_S has F_p coordinates s[j] // steps[j]
+    steps = [m // p if m % p == 0 else 1 for m in mod_s]
+
+    for gens_d in subspaces:
+        targets = [-_qnum(w_d, g) % (2 * n) for g in gens_d]
+        if any(t not in by_value for t in targets):
+            continue
+        b_d = [[_bnum(w_d, g, h) for h in gens_d[:i]] for i, g in enumerate(gens_d)]
+
+        def backtrack(i, chosen):
+            if i == len(gens_d):
+                # psi injective iff the images are independent over F_p
+                if len(ex.modp_echelon(
+                        [[x // st for x, st in zip(s, steps)] for s in chosen], p)[0]) < i:
+                    return
+                yield [s + d for s, d in zip(chosen, gens_d)]
+                return
+            for s in by_value[targets[i]]:
+                if all((_bnum(w_s, s, chosen[j]) + b_d[i][j]) % n == 0 for j in range(i)):
+                    yield from backtrack(i + 1, chosen + [s])
+
+        for combined_gens in backtrack(0, []):
+            yield p ** len(gens_d), combined_gens
+
+
 def overlattice_candidates_oracle(q, p: int, max_order: int, q_d=None):
-    """overlattice_candidates as it was before the trivial H came first: it
-    realizes the p-parts and sets up the subgroup walk before yielding the
-    trivial H, which it takes from the walk, and walks at every max_order."""
+    """overlattice_candidates as it was before the trivial H came first and
+    before the glued search went one order at a time: it realizes the
+    p-parts and sets up the subgroup walk (the listing above when glued)
+    before yielding the trivial H, which it takes from the walk, walks at
+    every max_order, and yields (|H|, form) for every H."""
     if p == 2:
         raise ValueError("only odd p is supported")
     if q_d is None:
@@ -313,7 +369,7 @@ def overlattice_candidates_oracle(q, p: int, max_order: int, q_d=None):
         if any(m != p for m in mod_d):
             raise ValueError(f"the D block must have scale 1 at p = {p}")
         diag, moduli = diag_s + diag_d, mod_s + mod_d
-        subgroup_iter = _graph_isotropic_subgroups(
+        subgroup_iter = graph_isotropic_subgroups(
             p, mod_s, coef_s, mod_d, coef_d, max_order)
         q = direct_sum(q, q_d)
     away = q.away_part(p)
@@ -339,6 +395,20 @@ def overlattice_candidates_oracle(q, p: int, max_order: int, q_d=None):
         if by_order is not None:
             by_order[order] = form
         yield order, form
+
+
+def glued_orders_oracle(q_s, p: int, max_order: int, q_d) -> list:
+    """The glued search per order, read off the listing: (|H|, form, number
+    of H) for each order that has an H, ascending, where form is the one
+    every H of that order induces (asserted, component for component)."""
+    out: dict = {}
+    for order, form in overlattice_candidates_oracle(q_s, p, max_order, q_d):
+        if order in out:
+            assert out[order][0].components == form.components, order
+            out[order][1] += 1
+        else:
+            out[order] = [form, 1]
+    return [(order, form, n) for order, (form, n) in out.items()]
 
 
 def nikulin_exists_oracle(sig_plus: int, sig_minus: int, q) -> bool:

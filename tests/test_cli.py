@@ -469,6 +469,14 @@ class TestGoldenOutput:
             code, out = run(capsys, want["argv"])
             assert (code, out) == (want["exit"], want["stdout"]), want["argv"]
 
+    def test_embeds_3_8_at_sigma_4(self, capsys):
+        # recorded while the glued search listed every H (64 s): 7,170,082
+        # candidates, accepted at |H| = 9
+        assert len(GOLDEN["embeds-item1"]) == 1
+        for want in GOLDEN["embeds-item1"]:
+            code, out = run(capsys, want["argv"])
+            assert (code, out) == (want["exit"], want["stdout"]), want["argv"]
+
     def test_proot_classify_generators_and_verdicts(self, capsys):
         # recorded before the subgroup search ran up to conjugacy: the 30
         # benchmark cases plus E6 at p = 3, 7 and E8 at p = 3; D5/11, E6/11

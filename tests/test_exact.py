@@ -223,6 +223,28 @@ def test_modp_echelon_is_reduced_and_spans_as_the_oracle(p, rows):
     assert all(0 <= x < p for row in basis for x in row)
 
 
+@given(st.sampled_from((3, 5, 7)), st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.integers(0, 6), min_size=n * (n + 1) // 2,
+                       max_size=n * (n + 1) // 2).map(lambda xs: (n, xs))))
+def test_modp_quadratic_type_matches_principal_minors(p, data):
+    # oracle: a symmetric matrix of rank r has a nonsingular principal r x r
+    # minor, whose span complements the radical; its determinant's class is
+    # the class of the nondegenerate part
+    from itertools import combinations
+
+    n, upper = data
+    entries = iter(upper)
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = next(entries) % p
+    rank = len(ex.modp_echelon(gram, p)[0])
+    minors = [ex.det_int(ex.to_mat([[gram[i][j] for j in idx] for i in idx])) % p
+              for idx in combinations(range(n), rank)]
+    cls = ex.legendre(next(d for d in minors if d), p) if rank else 1
+    assert ex.modp_quadratic_type(gram, p) == (rank, cls)
+
+
 def test_no_float_square_root_in_the_package():
     """Floating point appears only in the Gauss-sum oracle fqf.brute_force_tau."""
     sources = sorted(SRC.glob("*.py"))

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from k3lat import _exact as ex
 from k3lat.fqf import (
@@ -16,7 +16,6 @@ from k3lat.fqf import (
     _block_values,
     _det_unit_class_two,
     _det_unit_mod,
-    _graph_isotropic_subgroups,
     _isotropic_subgroups,
     _overlattice_gram,
     _realize_p_part,
@@ -45,6 +44,8 @@ from conftest import (
     child_env,
     discriminant_form_values,
     forms_isomorphic_bruteforce,
+    glued_orders_oracle,
+    graph_isotropic_subgroups,
     nikulin_exists_oracle,
     overlattice_candidates_oracle,
     random_even_gram,
@@ -467,18 +468,34 @@ def test_integer_overlattice_gram_matches_fraction_product(data):
             _overlattice_gram(ex.to_mat(basis), diag, scale)
 
 
+def _beside_glued_forms(walk, glued):
+    """((|H|, gens), (|H|, form)) for each item of the glued listing walk,
+    form being the glued search's form of that order; the glued search
+    yields one item per ascending order and is advanced only as far as the
+    walk reaches."""
+    current = None
+    for order, gens in walk:
+        while current is None or current[0] < order:
+            current = next(glued)
+        assert current[0] == order, (current[0], order)
+        yield (order, gens), current[:2]
+
+
 def _per_candidate_walk(q_s, q_d, p, max_order, start=0, stop=None, two_products=0,
                         per_order=None):
     """Walk the subgroup enumeration beside overlattice_candidates, rebuilding
     each candidate's overlattice the per-candidate way (row_hnf, then
     _overlattice_gram, then symbol_of, with no form reused) and asserting
-    that the fast path yields a form with the same components at the same
-    position, for the positions from start to stop.  With q_d the walk is
-    the glued one, without it q_s's own.  With per_order only the first
-    per_order candidates of each order are rebuilt; the others are still
-    walked.  The Gram matrices at positions below `two_products` are also
-    checked against the two-product form basis * diag * basis^T.  Returns
-    (Counter of the orders rebuilt, the number of two-product checks)."""
+    that the fast path yields a form with the same components, for the
+    positions from start to stop: at the same position without q_d, where
+    the walk is q_s's own; with q_d, where the walk is the glued listing
+    and the fast path yields one form per order, the form of the
+    candidate's order (the fast path is advanced only to the orders the
+    walk reaches).  With per_order only the first per_order candidates of
+    each order are rebuilt; the others are still walked.  The Gram matrices
+    at positions below `two_products` are also checked against the
+    two-product form basis * diag * basis^T.  Returns (Counter of the
+    orders rebuilt, the number of two-product checks)."""
     from itertools import islice
 
     q = q_s if q_d is None else direct_sum(q_s, q_d)
@@ -486,17 +503,17 @@ def _per_candidate_walk(q_s, q_d, p, max_order, start=0, stop=None, two_products
     diag, moduli, coeffs = _realize_p_part(q_s, p)
     if q_d is None:
         walk = _isotropic_subgroups(p, moduli, coeffs, max_order)
+        pairs = zip(walk, overlattice_candidates(q_s, p, max_order), strict=True)
     else:
         diag_d, mod_d, coef_d = _realize_p_part(q_d, p)
-        walk = _graph_isotropic_subgroups(p, moduli, coeffs, mod_d, coef_d, max_order)
+        walk = graph_isotropic_subgroups(p, moduli, coeffs, mod_d, coef_d, max_order)
         diag, moduli = diag + diag_d, moduli + mod_d
+        pairs = _beside_glued_forms(walk, overlattice_candidates(q_s, p, max_order, q_d))
     scale = math.lcm(*moduli) if moduli else 1
     lattice_rows = [tuple(scale if i == j else 0 for j in range(len(moduli)))
                     for i in range(len(moduli))]
-    fast = overlattice_candidates(q_s, p, max_order, q_d)
     rebuilt, two_checked = Counter(), 0
-    for position, ((order, gens), (h, form)) in enumerate(
-            zip(islice(walk, start, stop), islice(fast, start, stop), strict=True), start):
+    for position, ((order, gens), (h, form)) in enumerate(islice(pairs, start, stop), start):
         where = (render_symbol(q_s), p, position)
         assert h == order, where
         if per_order is not None and rebuilt[order] >= per_order:
@@ -629,8 +646,9 @@ def test_order_reuse_matches_per_candidate_overlattices_at_scales_p3_and_p4(
 
 
 def test_scale_above_p_squared_builds_one_form_per_order(monkeypatch):
-    # the glued search reuses its forms at every scale: the 20 candidates
-    # of order 3 of 27^+1 glued at sigma = 2 share one overlattice
+    # the glued search yields one form per order at every scale: the 20
+    # candidates of order 3 of 27^+1 glued at sigma = 2 are one item, with
+    # one overlattice and a count of 20
     from k3lat import fqf
     from k3lat.k3class import n_form
 
@@ -640,7 +658,8 @@ def test_scale_above_p_squared_builds_one_form_per_order(monkeypatch):
     builds = []
     symbol = fqf.symbol_of
     monkeypatch.setattr(fqf, "symbol_of", lambda *a: builds.append(a) or symbol(*a))
-    assert len(list(overlattice_candidates(q_s, 3, 3, q_d))) == 21
+    assert [(h, count()) for h, _, count in overlattice_candidates(q_s, 3, 3, q_d)] == [
+        (1, 1), (3, 20)]
     assert len(builds) == 1
 
 
@@ -871,9 +890,10 @@ def test_unconstrained_search_matches_whole_group_oracle(rng):
 
 def test_candidate_sequence_matches_oracle(rng):
     # the trivial H first, then the same (|H|, form) sequence as the search
-    # that sets up every walk before its first yield: random p-parts, the
-    # same forms with the p-part dropped, and random even Grams, each at
-    # max_order 1, p - 1, p and p^2, alone and beside a scale-1 D block
+    # that sets up every walk before its first yield (beside a scale-1 D
+    # block, the same (|H|, form, number of H) per order as that listing):
+    # random p-parts, the same forms with the p-part dropped, and random
+    # even Grams, each at max_order 1, p - 1, p and p^2
     queries = []
     for p in (3, 5, 7):
         for _ in range(10):
@@ -887,15 +907,19 @@ def test_candidate_sequence_matches_oracle(rng):
     checked = nontrivial = 0
     for q, p in queries:
         d_block = F(J(p, 1, rng.randint(1, 2), rng.choice((1, -1))))
-        for q_d in (None, d_block):
-            for max_order in (1, p - 1, p, p * p):
-                want = [(h, render_symbol(f))
-                        for h, f in overlattice_candidates_oracle(q, p, max_order, q_d)]
-                got = [(h, render_symbol(f))
-                       for h, f in overlattice_candidates(q, p, max_order, q_d)]
-                assert got == want, (render_symbol(q), p, max_order, q_d)
-                checked += 1
-                nontrivial += len(got) > 1
+        for max_order in (1, p - 1, p, p * p):
+            want = [(h, render_symbol(f))
+                    for h, f in overlattice_candidates_oracle(q, p, max_order)]
+            got = [(h, render_symbol(f)) for h, f in overlattice_candidates(q, p, max_order)]
+            assert got == want, (render_symbol(q), p, max_order)
+            # glued: one item per order, with its number of H
+            want = [(h, render_symbol(f), n)
+                    for h, f, n in glued_orders_oracle(q, p, max_order, d_block)]
+            got_glued = [(h, render_symbol(f), count())
+                         for h, f, count in overlattice_candidates(q, p, max_order, d_block)]
+            assert got_glued == want, (render_symbol(q), p, max_order, d_block)
+            checked += 2
+            nontrivial += (len(got) > 1) + (len(got_glued) > 1)
     assert checked == 8 * len(queries)
     assert nontrivial >= 100, nontrivial
 
@@ -917,8 +941,8 @@ def test_small_max_order_realizes_no_p_part(monkeypatch):
         q_d = negate(n_form(p, 1).q)
         for max_order in (1, p - 1):
             assert list(overlattice_candidates(q, p, max_order)) == [(1, q)]
-            assert list(overlattice_candidates(q, p, max_order, q_d)) == [
-                (1, direct_sum(q, q_d))]
+            assert [(h, f, count()) for h, f, count in overlattice_candidates(
+                q, p, max_order, q_d)] == [(1, direct_sum(q, q_d), 1)]
     with pytest.raises(ValueError, match="scale 1"):
         next(overlattice_candidates(parse_symbol("9^+1"), 3, 1, parse_symbol("3^+1 9^-1")))
     # every sigma = 1 table decision at a prime not dividing |A_S|
@@ -963,10 +987,10 @@ def test_unconstrained_search_ends_on_large_groups(text, max_order, outcome, sec
     (3, 2, "3^+2"), (3, 2, "3^+1 9^-1"), (5, 1, "5^-2"), (5, 1, "5^+1 25^-1"),
 ])
 def test_graph_walk_matches_fraction_isotropy_search(p, sigma, text):
-    """The graph walk, with its integer q- and b-values, lists exactly the
-    subgroups H with H ∩ A_S = H ∩ A_D = 0 on which q vanishes, found by
-    Fraction q-values over every subspace of the p-torsion (H ∩ A_D = 0
-    makes H elementary)."""
+    """The listing oracle of the glued search, with its integer q- and
+    b-values, lists exactly the subgroups H with H ∩ A_S = H ∩ A_D = 0 on
+    which q vanishes, found by Fraction q-values over every subspace of the
+    p-torsion (H ∩ A_D = 0 makes H elementary)."""
     from k3lat.k3class import n_form
 
     _, mod_s, coef_s = _realize_p_part(parse_symbol(text), p)
@@ -990,7 +1014,7 @@ def test_graph_walk_matches_fraction_isotropy_search(p, sigma, text):
         else:
             dropped += 1
     got = [(h, frozenset(subgroup_span(moduli, gens)))
-           for h, gens in _graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, p * p)]
+           for h, gens in graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, p * p)]
     assert all(h == len(span) for h, span in got)
     assert len({span for _, span in got}) == len(got)
     assert {span for _, span in got} == want
@@ -1000,6 +1024,81 @@ def test_graph_walk_matches_fraction_isotropy_search(p, sigma, text):
         # injectivity filter must drop them
         assert any(h == p * p for h, _ in got)
         assert dropped > 0
+
+
+def _subspace_count(p, n, k):
+    """The number of k-dimensional subspaces of F_p^n."""
+    count = 1
+    for i in range(k):
+        count = count * (p ** (n - i) - 1) // (p ** (i + 1) - 1)
+    return count
+
+
+@settings(max_examples=40, deadline=None)
+@example(3, {1, 2, 3}, [(1, 1), (2, 1), (1, 1)], 2)  # 3^+1 9^+2 27^+1: orders 3, 9
+@example(5, {1}, [(2, 1), (1, 1), (1, 1)], 2)  # 5^+2: orders 5, 25
+@example(5, {1}, [(1, 1), (1, 1), (1, 1)], 3)  # 5^+1 at sigma = 3: 3,150 H of order 5
+@given(st.sampled_from((3, 5)), st.sets(st.integers(1, 3), min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(1, 2), st.sampled_from((1, -1))), min_size=3, max_size=3),
+       st.integers(1, 3))
+def test_glued_orders_match_the_listing(p, scales, blocks, sigma):
+    # q_S of scales p to p^3 glued to the N-form at sigma = 1, 2 or 3: each
+    # order's (|H|, form, number of H) as the listing of every H gives it,
+    # up to the largest |H| <= p^3 whose listing stays small (at most
+    # 20,000 subspaces of A_D of the top dimension, 4,000 H in all)
+    from k3lat.k3class import n_form
+
+    q_s = F(*[J(p, k, rank, sign) for k, (rank, sign) in zip(sorted(scales), blocks)])
+    q_d = negate(n_form(p, sigma).q)
+    max_order, got = 1, None
+    for k in range(1, min(q_s.ell_p(p), 2 * sigma, 3) + 1):
+        if _subspace_count(p, 2 * sigma, k) > 20000:
+            break
+        items = [(h, f.components, count())
+                 for h, f, count in overlattice_candidates(q_s, p, p ** k, q_d)]
+        if sum(n for *_, n in items) > 4000:
+            break
+        max_order, got = p ** k, items
+    assume(max_order > 1)
+    want = [(h, f.components, n) for h, f, n in glued_orders_oracle(q_s, p, max_order, q_d)]
+    assert got == want, (render_symbol(q_s), p, sigma, max_order)
+
+
+def test_glued_walk_counts_the_orders_passed_and_stops_at_the_first_without_a_graph(
+        monkeypatch):
+    # a decision accepted at |H| = p^k counts the orders below it and not
+    # its own; one that embeds at no order stops at the first order without
+    # a graph, below max_order
+    from k3lat import fqf
+    from k3lat.hmdata import load_table
+    from k3lat.k3class import primitively_embeds
+
+    searched, counted = [], []
+    first_graph, count = fqf._GraphWalk.first_graph, fqf._GraphWalk.count
+
+    def record_first(walk, k):
+        searched.append(k)
+        return first_graph(walk, k)
+
+    def record_count(walk, k):
+        if k not in walk.counts:
+            counted.append(k)
+        return count(walk, k)
+
+    monkeypatch.setattr(fqf._GraphWalk, "first_graph", record_first)
+    monkeypatch.setattr(fqf._GraphWalk, "count", record_count)
+    row_20 = next(rec for rec in load_table() if rec.number == 20)
+    # row 20 (5^+4) at p = 5, sigma = 2 embeds at |H| = 25 of at most 625
+    d = primitively_embeds(row_20.q_s, row_20.rank, 5, 2)
+    assert d.embeds and d.certificate.h_order == 25
+    assert (searched, counted) == ([1, 2], [1])
+    # 3^+1 9^+2 27^+1 at p = 3, sigma = 2: |H| <= 81, but A_S[3] pairs in
+    # rank 1 only, so no U of dimension 3 (rank >= 2 in A_D) embeds
+    searched.clear()
+    counted.clear()
+    d = primitively_embeds(parse_symbol("3^+1 9^+2 27^+1"), 20, 3, 2)
+    assert not d.embeds and d.candidates_tried == 29151
+    assert (searched, counted) == ([1, 2, 3], [1, 2])
 
 
 class TestNikulin:

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from k3lat.fqf import (
@@ -25,6 +28,7 @@ from k3lat.k3class import (
 )
 
 RECORDS = load_table()
+DATA = Path(__file__).parent / "data"
 
 
 def record(no):
@@ -142,6 +146,19 @@ class TestEmbeds:
         assert render_symbol(d.certificate.q_saturation) == "5^-4"
         assert render_symbol(d.certificate.q_complement) == "5^-4"
 
+    def test_glued_sigma_2_decisions_replay(self):
+        # tests/data/glued_sigma2.json: the 62 sigma = 2 decisions with
+        # p | |A_S| at p = 3, 5 and 7 (529,671 candidates), recorded while
+        # the glued search listed every H
+        recorded = json.loads((DATA / "glued_sigma2.json").read_text())
+        assert len(recorded) == 62
+        assert sum(item["decision"]["candidates_tried"] for item in recorded) == 529671
+        for item in recorded:
+            want = item["decision"]
+            rec = record(item["row"])
+            got = primitively_embeds(rec.q_s, rec.rank, want["p"], want["sigma"]).as_dict()
+            assert got == want, item["row"]
+
     @pytest.mark.parametrize("sigma,builds", [
         (1, {15: 1, 46: 1, 47: 2, 84: 1, 85: 2, 101: 2, 134: 1}),
         (2, {15: 2, 46: 2, 47: 3, 84: 2, 85: 3, 101: 3, 134: 2}),
@@ -172,7 +189,7 @@ class TestEmbeds:
             for p in odd_primes_below(200):
                 q_d = _negated_n_form(p, sigma)
                 for rec in RECORDS:
-                    h, q_tilde = next(overlattice_candidates(rec.q_s, p, 1, q_d))
+                    h, q_tilde, _ = next(overlattice_candidates(rec.q_s, p, 1, q_d))
                     assert h == 1
                     target = _trivial_h_target(rec.q_s, p, sigma)
                     assert target.components == negate(q_tilde).components, (rec.number, p)
