@@ -1,16 +1,16 @@
 """Exact integer/rational linear algebra and elementary number theory.
 
 Linear algebra: HNF, SNF, kernels, determinants, the reduced echelon form
-mod p (modp_echelon, whose rows give the check forms of a span), the
-isometry type of a quadratic space over F_p (modp_quadratic_type), the one
+mod p (modp_echelon, whose rows give the check forms of a span), the one
 Lagrange diagonalisation of a symmetric form (quadratic_completion, behind
 signatures) and the integral LLL reduction of a positive definite Gram
 matrix (lll_reduce, behind short vectors), on tuples of tuples with int or
 Fraction entries.  Number theory: capped trial-division factoring and
 primality (a cofactor in (10^6, 3.3 * 10^24) is tested by deterministic
 Miller-Rabin first; one above 10^12 may be a power of such a prime, found
-by exact integer roots), Legendre/Jacobi symbols, the least quadratic
-non-residue, and p-adic valuations of ints, the pivots of the symbol
+by exact integer roots), Legendre/Jacobi symbols, square roots mod p
+(Tonelli-Shanks, behind the glued search's witness graphs), the least
+quadratic non-residue, and p-adic valuations of ints, the pivots of the symbol
 computation in fqf, which eliminates in integers modulo p^(v_p(det)+1), or
 2^(v_2(det)+3) at p = 2.  No floating point.
 """
@@ -197,37 +197,6 @@ def modp_echelon(rows, p: int):
         basis.append(row)
         pivots.append(nz)
     return basis, pivots
-
-
-def modp_quadratic_type(gram, p: int) -> tuple:
-    """(rank, Legendre class of the discriminant of the nondegenerate part)
-    of a symmetric matrix over F_p, p odd, by symmetric elimination: a
-    diagonal pivot if there is one, else e_i + e_j for an entry (i, j) off
-    a zero diagonal, whose value 2 * gram[i][j] is then nonzero.  With the
-    dimension this is the isometry type of the quadratic space."""
-    a = [[x % p for x in row] for row in gram]
-    idx = list(range(len(a)))
-    rank, disc = 0, 1
-    while True:
-        piv = next((i for i in idx if a[i][i]), None)
-        if piv is None:
-            pair = next(((i, j) for i in idx for j in idx if a[i][j]), None)
-            if pair is None:
-                return rank, legendre(disc, p)
-            piv, j = pair
-            for t in idx:
-                a[piv][t] = (a[piv][t] + a[j][t]) % p
-            for t in idx:
-                a[t][piv] = (a[t][piv] + a[t][j]) % p
-        d = a[piv][piv]
-        rank += 1
-        disc = disc * d % p
-        idx.remove(piv)
-        inv = pow(d, -1, p)
-        for t in idx:
-            f = a[t][piv] * inv % p
-            if f:
-                a[t] = [(x - f * y) % p for x, y in zip(a[t], a[piv])]
 
 
 def snf_transform(m: Mat) -> tuple[Mat, Mat, Mat]:
@@ -539,6 +508,27 @@ def legendre(a: int, p: int) -> int:
         return 0
     r = pow(a, (p - 1) // 2, p)
     return 1 if r == 1 else -1
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of a modulo the odd prime p, by Tonelli-Shanks;
+    ArithmeticError when a is not a square mod p."""
+    a %= p
+    if a == 0:
+        return 0
+    if legendre(a, p) != 1:
+        raise ArithmeticError(f"{a} is not a square mod {p}")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    c, t, root = pow(least_nonresidue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, root = i, b * b % p, t * b * b % p, root * b % p
+    return root
 
 
 def least_nonresidue(p: int) -> int:

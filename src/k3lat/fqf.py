@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, product
-from operator import mul
 
 from . import _exact as ex
 from .intlat import IntegralLattice
@@ -603,196 +602,116 @@ def _isotropic_subgroups(p, moduli, coeffs, max_order):
         frontier = nxt
 
 
-def _reduce_modp(echelon, v, p: int):
-    """v reduced mod p against echelon, a list of (pivot, row) with each row
-    1 at its pivot and 0 at the pivots before it: (pivot, row) of the rest,
-    scaled to 1 at its first nonzero entry, or None if v is in the span."""
-    for piv, row in echelon:
-        c = v[piv]
-        if c:
-            v = [(x - c * y) % p for x, y in zip(v, row)]
-    piv = next((j for j, x in enumerate(v) if x), None)
-    if piv is None:
-        return None
-    inv = pow(v[piv], -1, p)
-    return piv, [x * inv % p for x in v]
+def _eta(p: int, m: int, e: int) -> int:
+    """+1 when the space of even dimension m and discriminant class e over
+    F_p is split (a sum of hyperbolic planes), else -1."""
+    return 1 if e == ex.legendre(-1, p) ** (m // 2) else -1
 
 
-def _isometric_images(gram, buckets, weights, p: int, first: bool):
-    """Independent s_0, ..., s_(k-1) in A_S[p] with b(s_i, s_j) = gram[i][j]
-    mod p: the first tuple in bucket order (None if none) with first, else
-    their number.  b(s, t) is sum weights[j] s_j t_j over the leading,
-    scale-p coordinates; buckets maps b(s, s) to the nonzero s taking it.
-
-    Each level keeps its candidates filtered by the pairings with the images
-    chosen above it; a dependent image is dropped when chosen.  A count's
-    last level subtracts D, the number of lambda != 0 whose sum of lambda_i
-    s_i meets that level's conditions (the same for every tuple above).  The
-    first level descends from one element per orbit of the isometries of
-    A_S[p] (a count weighs it by the orbit's size): the nonzero s of one
-    value form at most two orbits, s in the radical or not (README).
-    """
-    k = len(gram)
-    levels = [buckets.get(gram[i][i]) for i in range(k)]
-    if not all(levels):
-        return None if first else 0
-    last = k - 1
-    if not first:
-        dependent = sum(
-            1 for lam in product(range(p), repeat=last)
-            if any(lam)
-            and all(sum(x * row[j] for x, row in zip(lam, gram)) % p == gram[last][j]
-                    for j in range(last))
-            and sum(lam[i] * lam[j] * gram[i][j] for i in range(last)
-                    for j in range(last)) % p == gram[last][last])
-    orbits: dict[bool, list] = {}  # in the radical -> [first element, size]
-    for s in levels[0]:
-        orbit = orbits.setdefault(not any(s[:len(weights)]), [s, 0])
-        orbit[1] += 1
-    chosen, echelon = [], []
-
-    def descend(i, levels):
-        if i == last and not first:
-            return len(levels[0]) - dependent
-        total = 0
-        for s, size in orbits.values() if i == 0 else ((s, 1) for s in levels[0]):
-            row = _reduce_modp(echelon, s, p)
-            if row is None:
-                continue
-            if i == last:
-                return chosen + [s]
-            pairing = [w * x for w, x in zip(weights, s)]
-            rest = []
-            for cands, value in zip(levels[1:], gram[i][i + 1:]):
-                kept = [t for t in cands if sum(map(mul, pairing, t)) % p == value]
-                if not kept:
-                    break
-                rest.append(kept)
-            else:
-                chosen.append(s)
-                echelon.append(row)
-                found = descend(i + 1, rest)
-                chosen.pop()
-                echelon.pop()
-                if not first:
-                    total += size * found
-                elif found:
-                    return found
-        return None if first else total
-
-    return descend(0, levels)
+def _singular_count(p: int, m: int, e: int) -> int:
+    """Vectors x with q(x) = 0, zero included, of the nondegenerate space of
+    dimension m >= 0 and discriminant class e over F_p."""
+    if m % 2:
+        return p ** (m - 1)
+    if m == 0:
+        return 1
+    return p ** (m - 1) + _eta(p, m, e) * (p ** (m // 2) - p ** (m // 2 - 1))
 
 
-class _GraphWalk:
-    """The glued search over F_p (README): H is the graph of an isometric
-    embedding of (U, -b_D), U a subspace of the elementary A_D, into the
-    p-torsion A_S[p].  One _subspaces walk of A_D serves every order:
-    first_graph(k) walks it to the first U of dimension k that embeds, and
-    count(k) walks the rest of dimension k, counting the embeddings once per
-    isometry type of U.  A_S[p] is scanned once into buckets by b(s, s); a
-    first graph of dimension 1 scans only as far as it needs.  Raises
-    LimitExceeded when A_S[p], or the subspaces walked, outgrow
-    ENUMERATION_CAP.
-    """
-
-    def __init__(self, p, mod_s, coef_s, mod_d, coef_d, max_order):
-        if p ** len(mod_s) > ENUMERATION_CAP:
-            raise ex.LimitExceeded("p-torsion enumeration cap exceeded")
-        self.p = p
-        # s in F_p coordinates is sum s_j (m_j / p) e_j; the moduli ascend
-        self.steps = tuple(m // p for m in mod_s)
-        self.weights = tuple(c for m, c in zip(mod_s, coef_s) if m == p)
-        self.neg_d = tuple(-c for c in coef_d)
-        self.walk = _subspaces(p, len(mod_d), max_order)
-        next(self.walk)  # the trivial subspace
-        self.pending = next(self.walk, None)
-        self.scan = product(range(p), repeat=len(mod_s))
-        next(self.scan)  # the zero element
-        self.buckets: dict[int, list] = {}
-        self.types: dict[tuple, int] = {}  # (dim, rank, class) -> embeddings
-        self.counts: dict[int, int] = {}  # dim -> graphs of that order
-
-    def _dim(self, k):
-        """The subspaces of dimension k left in the walk (lower ones are
-        skipped); one the caller stops at stays pending."""
-        while self.pending is not None and len(self.pending) <= k:
-            if len(self.pending) == k:
-                yield self.pending
-            self.pending = next(self.walk, None)
-
-    def _gram(self, basis):
-        p, neg_d = self.p, self.neg_d
-        return [[sum(c * x * y for c, x, y in zip(neg_d, g, h)) % p for h in basis]
-                for g in basis]
-
-    def _scan(self, until=None):
-        """Scan A_S[p] on, to the first element of value `until` or the end."""
-        if self.scan is None:
-            return
-        p, weights, buckets = self.p, self.weights, self.buckets
-        for s in self.scan:
-            value = sum(w * x * x for w, x in zip(weights, s)) % p
-            buckets.setdefault(value, []).append(s)
-            if value == until:
-                return
-        self.scan = None
-
-    def _values_taken(self, gram) -> bool:
-        """Does some nonzero element of A_S[p] take each diagonal value?"""
-        return all(gram[i][i] in self.buckets for i in range(len(gram)))
-
-    def first_graph(self, k: int):
-        """Generators, in the coordinates of A_S + A_D, of the first graph of
-        order p^k in walk order, or None when there is none."""
-        p, buckets = self.p, self.buckets
-        if k > 1:
-            self._scan()
-        for basis in self._dim(k):
-            gram = self._gram(basis)
-            if k == 1:
-                if gram[0][0] not in buckets:
-                    self._scan(gram[0][0])
-                images = buckets.get(gram[0][0], [])[:1]
-            elif not self._values_taken(gram):
-                continue
-            else:
-                key = (k, *ex.modp_quadratic_type(gram, p))
-                if self.types.get(key) == 0:
-                    continue
-                images = _isometric_images(gram, buckets, self.weights, p, True)
-                if images is None:
-                    self.types[key] = 0
-            if images:
-                return [tuple(x * st for x, st in zip(s, self.steps)) + g
-                        for s, g in zip(images, basis)]
-        return None
-
-    def count(self, k: int) -> int:
-        """The number of graphs of order p^k, from the first graph's U on
-        (no U before it embeds); kept, as the walk passes once."""
-        if k not in self.counts:
-            self._scan()
-            p, buckets, total = self.p, self.buckets, 0
-            for basis in self._dim(k):
-                gram = self._gram(basis)
-                if not self._values_taken(gram):
-                    continue
-                if k == 1:
-                    total += len(buckets[gram[0][0]])
-                    continue
-                key = (k, *ex.modp_quadratic_type(gram, p))
-                n = self.types.get(key)
-                if n is None:
-                    n = self.types[key] = _isometric_images(
-                        gram, buckets, self.weights, p, False)
-                total += n
-            self.counts[k] = total
-        return self.counts[k]
+def _orthogonal_order(p: int, n: int, e: int) -> int:
+    """|O(n, e)|, the isometries of the nondegenerate space of dimension n
+    and discriminant class e over F_p (Artin 1957, ch. III)."""
+    if n == 0:
+        return 1
+    m = n // 2
+    if n % 2:
+        return 2 * p ** (m * m) * math.prod(p ** (2 * i) - 1 for i in range(1, m + 1))
+    return (2 * p ** (m * (m - 1)) * (p ** m - _eta(p, n, e))
+            * math.prod(p ** (2 * i) - 1 for i in range(1, m)))
 
 
-def _trivial_count() -> int:
-    """count() of the trivial H's item in the glued search."""
-    return 1
+def _embeddings(p: int, n: int, d: int, j: int, w: int, e: int) -> int:
+    """Isometric injections of a space of type (n, d, j), a nondegenerate
+    part of dimension n and class d beside a radical of dimension j, into the
+    nondegenerate space of type (w, e): those of the nondegenerate part, then
+    ordered bases of a totally singular j-space in its complement."""
+    c, ce = w - n, e * d
+    if c < max(0, 2 * j) or (c, ce) == (0, -1):
+        return 0
+    count = _orthogonal_order(p, w, e) // _orthogonal_order(p, c, ce)
+    chi = ex.legendre(-1, p)
+    for t in range(j):
+        count *= p ** t * (_singular_count(p, c - 2 * t, ce * chi ** t) - 1)
+    return count
+
+
+def _graph_terms(p: int, k: int, v: tuple, w: tuple, r: int):
+    """(term, (n, d, j, i)) over the types (n, d, j) of U, n + j = k, and the
+    dimension i of the part of U's radical that goes to R: the subspaces of
+    V of that type times the isometric injections into W_0 + R that send
+    exactly an i-dimensional part of the radical into R (README).  V and
+    W_0 are nondegenerate of type v and w; R is a radical of dimension r."""
+    for j in range(k + 1):
+        n = k - j
+        for d in (1, -1) if n else (1,):
+            isometries = (_orthogonal_order(p, n, d) * p ** (n * j)
+                          * math.prod(p ** j - p ** t for t in range(j)))
+            subs = _embeddings(p, n, d, j, *v) // isometries
+            for i in range(min(j, r) + 1) if subs else ():
+                kernels = math.prod(p ** (j - t) - 1 for t in range(i)) // math.prod(
+                    p ** (t + 1) - 1 for t in range(i))
+                to_r = p ** (r * (k - i)) * math.prod(p ** r - p ** t for t in range(i))
+                yield subs * kernels * _embeddings(p, n, d, j - i, *w) * to_r, (n, d, j, i)
+
+
+def _orthogonal_vectors(p: int, norms, targets) -> list:
+    """Pairwise orthogonal vectors with the norms in targets, in the F_p
+    space whose standard basis is orthogonal with the given norms.  The
+    orthogonal basis of the complement is kept.  A target a is y1^2 c1 on
+    its last vector f1 when a / c1 is a square; otherwise it is written as
+    c1 y1^2 + c2 y2^2 on two of its vectors f1, f2, which give way to
+    -c2 y2 f1 + c1 y1 f2, of norm c1 c2 a.  By Witt's theorem this never
+    dead-ends when the targets span a space that embeds; a dead end is an
+    internal error (sqrt_mod's ArithmeticError)."""
+    dim = len(norms)
+    rest = [([int(i == j) for i in range(dim)], c % p) for j, c in enumerate(norms)]
+    out = []
+    for a in targets:
+        f1, c1 = rest.pop()
+        if not rest or ex.legendre(a * c1, p) == 1:
+            y1 = ex.sqrt_mod(a * pow(c1, -1, p), p)
+            out.append([y1 * x % p for x in f1])
+            continue
+        f2, c2 = rest.pop()
+        inv = pow(c2, -1, p)
+        y1 = next(y for y in range(p) if ex.legendre((a - c1 * y * y) * inv, p) >= 0)
+        y2 = ex.sqrt_mod((a - c1 * y1 * y1) * inv, p)
+        out.append([(y1 * x + y2 * z) % p for x, z in zip(f1, f2)])
+        rest.append(([(c1 * y1 * z - c2 * y2 * x) % p for x, z in zip(f1, f2)],
+                     c1 * c2 * a % p))
+    return out
+
+
+def _graph_witness(p, mod_s, coef_s, coef_d, n, d, j, i) -> list:
+    """Generators, in the coordinates of A_S + A_D, of the graph of one
+    isometric injection psi of a U of type (n, d, j) into A_S[p] = W_0 + R
+    that sends i of U's radical vectors into R.  U is spanned in V by
+    orthogonal vectors of norms 1, ..., 1, d' and the sums e + f of pairs of
+    norms 1, -1, each sum a radical vector; W_0 gets the same norms with
+    j - i pairs, and the last i radical vectors go to distinct generators
+    of R."""
+    diag = [1] * (n - 1) + [1 if d == 1 else ex.least_nonresidue(p)] if n else []
+    w = mod_s.count(p)  # W_0 holds the leading coordinates, as the moduli ascend
+
+    def basis(vectors):
+        pairs = zip(vectors[n::2], vectors[n + 1::2])
+        return vectors[:n] + [[(x + y) % p for x, y in zip(e, f)] for e, f in pairs]
+
+    images = [v + [0] * (len(mod_s) - w)
+              for v in basis(_orthogonal_vectors(p, coef_s[:w], diag + [1, -1] * (j - i)))]
+    images += [[m // p if c == t else 0 for c, m in enumerate(mod_s)] for t in range(w, w + i)]
+    u = basis(_orthogonal_vectors(p, [-c for c in coef_d], diag + [1, -1] * j))
+    return [tuple(s) + tuple(g) for s, g in zip(images, u)]
 
 
 def _overlattice_gram(basis, diag, scale: int):
@@ -819,14 +738,16 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
 
     Without q_d, each isotropic H of q's p-part is yielded as (|H|, form);
     an elementary p-part builds one overlattice per order, any other one
-    per H.  With q_d, the glued search: H meets neither A_q nor A_{q_d}
-    (whose p-part must have scale 1, or ValueError), the forms are induced
-    from q + q_d, and |H| fixes the form (README).  Each order is yielded
-    once, ascending, as (|H|, form, count): the form from the first H in
-    walk order, and count() the number of H of that order, walked when it
-    is called or the next order is asked for.  The search stops at the
-    first order without an H.  A search past ENUMERATION_CAP raises
-    LimitExceeded (see _isotropic_subgroups and _GraphWalk).
+    per H; a search past ENUMERATION_CAP raises LimitExceeded (see
+    _isotropic_subgroups).  With q_d, the glued search: H meets neither A_q
+    nor A_{q_d} (whose p-part must have scale 1, or ValueError), the forms
+    are induced from q + q_d, and |H| fixes the form (README).  Each order
+    is yielded once, ascending, as (|H|, form, count): count, an int, is
+    the number of H of that order, summed over the isometry types of U in
+    closed form (_graph_terms), and the form comes from one witness graph
+    built for the first type that has one (_graph_witness).  The search
+    stops at the first order without an H, and walks nothing, so it has no
+    cap.
     """
     if p == 2:
         raise ValueError("only odd p is supported")
@@ -837,7 +758,7 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
         if any(c.prime == p and c.scale != 1 for c in q_d.components):
             raise ValueError(f"the D block must have scale 1 at p = {p}")
         q = direct_sum(q, q_d)
-        yield 1, q, _trivial_count
+        yield 1, q, 1
     if max_order < p:
         return
     diag, mod_s, coef_s = _realize_p_part(q_s, p)
@@ -860,14 +781,18 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
         return direct_sum(away, symbol_of(over, (p,)))
 
     if q_d is not None:
-        if not mod_d:
-            return
-        walk = _GraphWalk(p, mod_s, coef_s, mod_d, coef_d, max_order)
-        k = 1
-        while (gens := walk.first_graph(k)) is not None:
-            yield p ** k, induced_form(gens), partial(walk.count, k)
-            walk.count(k)  # the walk passes this order now, counted or not
-            k += 1
+        w_norms = [c for m, c in zip(mod_s, coef_s) if m == p]
+        v = len(coef_d), ex.legendre(math.prod(-c for c in coef_d), p)
+        w = len(w_norms), ex.legendre(math.prod(w_norms), p)
+        for k in range(1, v[0] + 1):
+            if p ** k > max_order:
+                return
+            terms = list(_graph_terms(p, k, v, w, len(mod_s) - w[0]))
+            count = sum(t for t, _ in terms)
+            if not count:
+                return
+            tau = next(tau for t, tau in terms if t)
+            yield p ** k, induced_form(_graph_witness(p, mod_s, coef_s, coef_d, *tau)), count
         return
     subgroup_iter = _isotropic_subgroups(p, moduli, coef_s, max_order)
     next(subgroup_iter)  # the trivial H, yielded above

@@ -219,7 +219,7 @@ def primitively_embeds(q_s: FiniteQuadraticForm, rank_s: int, p: int,
         if nikulin_exists(sig[0], sig[1], target):
             cert = Certificate(h, q_tilde, target)
             return EmbedDecision(query, True, cert, passed + 1)
-        passed += count() if h > 1 else 1
+        passed += count
     return EmbedDecision(query, False, None, passed)
 
 

@@ -3,9 +3,11 @@ processes, a brute-force finite-quadratic-form isomorphism oracle, the
 fully closed Aut(R), the forward-only echelon mod p with its per-root
 span scan, the Gauss-Jordan inverse over Q with the isometry inverse, the
 saturation and the A/D/E8 root data by adjugate built on it, the E6/E7
-roots by reflection matrices, the glued search as a listing of every H,
-and the overlattice search and Nikulin test that set up every subgroup walk
-and read each prime's rank apart, used to cross-check the fast paths."""
+roots by reflection matrices, the glued search as a listing of every H and
+as a walk of A_D's subspaces with a backtrack per isometry type of U (with
+the F_p type of a Gram matrix it keys on), and the overlattice search and
+Nikulin test that set up every subgroup walk and read each prime's rank
+apart, used to cross-check the fast paths."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import random
 import resource
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -352,6 +355,23 @@ def graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order):
             yield p ** len(gens_d), combined_gens
 
 
+def induced_form_oracle(q_s, p: int, gens, q_d=None):
+    """The form on H-perp/H for the H that gens span, in the coordinates of
+    the realized p-parts of q_s (and q_d after them): a Hermite form, one
+    Gram product and symbol_of at p, beside q's (q_s + q_d's) away part."""
+    diag, moduli, _ = _realize_p_part(q_s, p)
+    q = q_s
+    if q_d is not None:
+        diag_d, mod_d, _ = _realize_p_part(q_d, p)
+        diag, moduli, q = diag + diag_d, moduli + mod_d, direct_sum(q_s, q_d)
+    scale = math.lcm(*moduli)
+    rows = [tuple(scale if i == j else 0 for j in range(len(moduli)))
+            for i in range(len(moduli))]
+    rows += [tuple(x * (scale // m) for x, m in zip(g, moduli)) for g in gens]
+    over = IntegralLattice(_overlattice_gram(ex.row_hnf(ex.to_mat(rows)), diag, scale))
+    return direct_sum(q.away_part(p), symbol_of(over, (p,)))
+
+
 def overlattice_candidates_oracle(q, p: int, max_order: int, q_d=None):
     """overlattice_candidates as it was before the trivial H came first and
     before the glued search went one order at a time: it realizes the
@@ -360,6 +380,7 @@ def overlattice_candidates_oracle(q, p: int, max_order: int, q_d=None):
     every max_order, and yields (|H|, form) for every H."""
     if p == 2:
         raise ValueError("only odd p is supported")
+    q_s = q
     if q_d is None:
         diag, moduli, coeffs = _realize_p_part(q, p)
         subgroup_iter = _isotropic_subgroups(p, moduli, coeffs, max_order)
@@ -368,17 +389,13 @@ def overlattice_candidates_oracle(q, p: int, max_order: int, q_d=None):
         diag_d, mod_d, coef_d = _realize_p_part(q_d, p)
         if any(m != p for m in mod_d):
             raise ValueError(f"the D block must have scale 1 at p = {p}")
-        diag, moduli = diag_s + diag_d, mod_s + mod_d
+        moduli = mod_s + mod_d
         subgroup_iter = graph_isotropic_subgroups(
             p, mod_s, coef_s, mod_d, coef_d, max_order)
         q = direct_sum(q, q_d)
-    away = q.away_part(p)
     if not moduli:
         yield 1, q
         return
-    scale = math.lcm(*moduli)
-    scaled_lattice = [tuple(scale if i == j else 0 for j in range(len(moduli)))
-                      for i in range(len(moduli))]
     by_order = {} if all(m == p for m in moduli) else None
     for order, gens in subgroup_iter:
         if order == 1:
@@ -387,11 +404,7 @@ def overlattice_candidates_oracle(q, p: int, max_order: int, q_d=None):
         if by_order is not None and order in by_order:
             yield order, by_order[order]
             continue
-        rows = scaled_lattice + [tuple(x * (scale // m) for x, m in zip(g, moduli))
-                                 for g in gens]
-        basis = ex.row_hnf(ex.to_mat(rows))
-        over = IntegralLattice(_overlattice_gram(basis, diag, scale))
-        form = direct_sum(away, symbol_of(over, (p,)))
+        form = induced_form_oracle(q_s, p, gens, q_d)
         if by_order is not None:
             by_order[order] = form
         yield order, form
@@ -409,6 +422,237 @@ def glued_orders_oracle(q_s, p: int, max_order: int, q_d) -> list:
         else:
             out[order] = [form, 1]
     return [(order, form, n) for order, (form, n) in out.items()]
+
+
+def modp_quadratic_type(gram, p: int) -> tuple:
+    """(rank, Legendre class of the discriminant of the nondegenerate part)
+    of a symmetric matrix over F_p, p odd, by symmetric elimination: a
+    diagonal pivot if there is one, else e_i + e_j for an entry (i, j) off
+    a zero diagonal, whose value 2 * gram[i][j] is then nonzero.  With the
+    dimension this is the isometry type of the quadratic space."""
+    a = [[x % p for x in row] for row in gram]
+    idx = list(range(len(a)))
+    rank, disc = 0, 1
+    while True:
+        piv = next((i for i in idx if a[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in idx for j in idx if a[i][j]), None)
+            if pair is None:
+                return rank, ex.legendre(disc, p)
+            piv, j = pair
+            for t in idx:
+                a[piv][t] = (a[piv][t] + a[j][t]) % p
+            for t in idx:
+                a[t][piv] = (a[t][piv] + a[t][j]) % p
+        d = a[piv][piv]
+        rank += 1
+        disc = disc * d % p
+        idx.remove(piv)
+        inv = pow(d, -1, p)
+        for t in idx:
+            f = a[t][piv] * inv % p
+            if f:
+                a[t] = [(x - f * y) % p for x, y in zip(a[t], a[piv])]
+
+
+class GraphWalk:
+    """The glued search as a walk of A_D's subspaces, the way the library
+    ran it before it counted by isometry types: H is the graph of an
+    isometric embedding of (U, -b_D), U a subspace of the elementary A_D,
+    into the p-torsion A_S[p].  One _subspaces walk of A_D serves every
+    order: first_graph(k) walks it to the first U of dimension k that
+    embeds, and count(k) walks the rest of dimension k, counting the
+    embeddings once per isometry type of U (modp_quadratic_type) by a
+    backtrack.  A_S[p] is scanned once into buckets by b(s, s).  Raises
+    LimitExceeded when A_S[p], or the subspaces walked, outgrow
+    ENUMERATION_CAP.  orders() gives (|H|, form, number of H) per order.
+    """
+
+    def __init__(self, p, mod_s, coef_s, mod_d, coef_d, max_order):
+        if p ** len(mod_s) > ENUMERATION_CAP:
+            raise ex.LimitExceeded("p-torsion enumeration cap exceeded")
+        self.p = p
+        # s in F_p coordinates is sum s_j (m_j / p) e_j; the moduli ascend
+        self.steps = tuple(m // p for m in mod_s)
+        self.weights = tuple(c for m, c in zip(mod_s, coef_s) if m == p)
+        self.neg_d = tuple(-c for c in coef_d)
+        self.walk = _subspaces(p, len(mod_d), max_order)
+        next(self.walk)  # the trivial subspace
+        self.pending = next(self.walk, None)
+        self.scan = product(range(p), repeat=len(mod_s))
+        next(self.scan)  # the zero element
+        self.buckets: dict[int, list] = {}
+        self.types: dict[tuple, int] = {}  # (dim, rank, class) -> embeddings
+        self.counts: dict[int, int] = {}  # dim -> graphs of that order
+
+    @classmethod
+    def orders(cls, q_s, p: int, max_order: int, q_d) -> list:
+        """(|H|, form, number of H) for each order of the glued search, the
+        trivial H first, up to the first order without a graph."""
+        _, mod_s, coef_s = _realize_p_part(q_s, p)
+        _, mod_d, coef_d = _realize_p_part(q_d, p)
+        walk = cls(p, mod_s, coef_s, mod_d, coef_d, max_order)
+        out, k = [(1, direct_sum(q_s, q_d), 1)], 1
+        while (gens := walk.first_graph(k)) is not None:
+            out.append((p ** k, induced_form_oracle(q_s, p, gens, q_d), walk.count(k)))
+            k += 1
+        return out
+
+    def _dim(self, k):
+        """The subspaces of dimension k left in the walk (lower ones are
+        skipped); one the caller stops at stays pending."""
+        while self.pending is not None and len(self.pending) <= k:
+            if len(self.pending) == k:
+                yield self.pending
+            self.pending = next(self.walk, None)
+
+    def _gram(self, basis):
+        p, neg_d = self.p, self.neg_d
+        return [[sum(c * x * y for c, x, y in zip(neg_d, g, h)) % p for h in basis]
+                for g in basis]
+
+    def _scan(self, until=None):
+        """Scan A_S[p] on, to the first element of value `until` or the end."""
+        if self.scan is None:
+            return
+        p, weights, buckets = self.p, self.weights, self.buckets
+        for s in self.scan:
+            value = sum(w * x * x for w, x in zip(weights, s)) % p
+            buckets.setdefault(value, []).append(s)
+            if value == until:
+                return
+        self.scan = None
+
+    def _values_taken(self, gram) -> bool:
+        """Does some nonzero element of A_S[p] take each diagonal value?"""
+        return all(gram[i][i] in self.buckets for i in range(len(gram)))
+
+    def first_graph(self, k: int):
+        """Generators, in the coordinates of A_S + A_D, of the first graph of
+        order p^k in walk order, or None when there is none."""
+        p, buckets = self.p, self.buckets
+        if k > 1:
+            self._scan()
+        for basis in self._dim(k):
+            gram = self._gram(basis)
+            if k == 1:
+                if gram[0][0] not in buckets:
+                    self._scan(gram[0][0])
+                images = buckets.get(gram[0][0], [])[:1]
+            elif not self._values_taken(gram):
+                continue
+            else:
+                key = (k, *modp_quadratic_type(gram, p))
+                if self.types.get(key) == 0:
+                    continue
+                images = self._isometric_images(gram, True)
+                if images is None:
+                    self.types[key] = 0
+            if images:
+                return [tuple(x * st for x, st in zip(s, self.steps)) + g
+                        for s, g in zip(images, basis)]
+        return None
+
+    def count(self, k: int) -> int:
+        """The number of graphs of order p^k, from the first graph's U on
+        (no U before it embeds); kept, as the walk passes once."""
+        if k not in self.counts:
+            self._scan()
+            p, buckets, total = self.p, self.buckets, 0
+            for basis in self._dim(k):
+                gram = self._gram(basis)
+                if not self._values_taken(gram):
+                    continue
+                if k == 1:
+                    total += len(buckets[gram[0][0]])
+                    continue
+                key = (k, *modp_quadratic_type(gram, p))
+                n = self.types.get(key)
+                if n is None:
+                    n = self.types[key] = self._isometric_images(gram, False)
+                total += n
+            self.counts[k] = total
+        return self.counts[k]
+
+    @staticmethod
+    def _reduce_modp(echelon, v, p: int):
+        """v reduced mod p against echelon, a list of (pivot, row) with each
+        row 1 at its pivot and 0 at the pivots before it: (pivot, row) of
+        the rest, scaled to 1 at its first nonzero entry, or None if v is in
+        the span."""
+        for piv, row in echelon:
+            c = v[piv]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, row)]
+        piv = next((j for j, x in enumerate(v) if x), None)
+        if piv is None:
+            return None
+        inv = pow(v[piv], -1, p)
+        return piv, [x * inv % p for x in v]
+
+    def _isometric_images(self, gram, first: bool):
+        """Independent s_0, ..., s_(k-1) in A_S[p] with b(s_i, s_j) =
+        gram[i][j] mod p: the first tuple in bucket order (None if none)
+        with first, else their number.
+
+        Each level keeps its candidates filtered by the pairings with the
+        images chosen above it; a dependent image is dropped when chosen.
+        A count's last level subtracts D, the number of lambda != 0 whose
+        sum of lambda_i s_i meets that level's conditions (the same for
+        every tuple above).  The first level descends from one element per
+        orbit of the isometries of A_S[p] (a count weighs it by the orbit's
+        size): the nonzero s of one value form at most two orbits, s in the
+        radical or not."""
+        p, weights = self.p, self.weights
+        k = len(gram)
+        levels = [self.buckets.get(gram[i][i]) for i in range(k)]
+        if not all(levels):
+            return None if first else 0
+        last = k - 1
+        if not first:
+            dependent = sum(
+                1 for lam in product(range(p), repeat=last)
+                if any(lam)
+                and all(sum(x * row[j] for x, row in zip(lam, gram)) % p == gram[last][j]
+                        for j in range(last))
+                and sum(lam[i] * lam[j] * gram[i][j] for i in range(last)
+                        for j in range(last)) % p == gram[last][last])
+        orbits: dict[bool, list] = {}  # in the radical -> [first element, size]
+        for s in levels[0]:
+            orbit = orbits.setdefault(not any(s[:len(weights)]), [s, 0])
+            orbit[1] += 1
+        chosen, echelon = [], []
+
+        def descend(i, levels):
+            if i == last and not first:
+                return len(levels[0]) - dependent
+            total = 0
+            for s, size in orbits.values() if i == 0 else ((s, 1) for s in levels[0]):
+                row = self._reduce_modp(echelon, s, p)
+                if row is None:
+                    continue
+                if i == last:
+                    return chosen + [s]
+                pairing = [w * x for w, x in zip(weights, s)]
+                rest = []
+                for cands, value in zip(levels[1:], gram[i][i + 1:]):
+                    kept = [t for t in cands if sum(map(mul, pairing, t)) % p == value]
+                    if not kept:
+                        break
+                    rest.append(kept)
+                else:
+                    chosen.append(s)
+                    echelon.append(row)
+                    found = descend(i + 1, rest)
+                    chosen.pop()
+                    echelon.pop()
+                    if not first:
+                        total += size * found
+                    elif found:
+                        return found
+            return None if first else total
+
+        return descend(0, levels)
 
 
 def nikulin_exists_oracle(sig_plus: int, sig_minus: int, q) -> bool:

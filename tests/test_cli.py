@@ -341,18 +341,24 @@ class TestHostileInput:
         assert res.returncode == 2 and "p must be an odd prime" in res.stderr, res.stderr
 
     @pytest.mark.parametrize("p,ell,rank,code", [
-        ("10007", 1, 1, 1), ("1000003", 1, 1, 3), ("1000003", 1, 2, 0), ("10007", 3, 3, 3)])
+        ("10007", 1, 1, 1), ("1000003", 1, 1, 1), ("1000003", 1, 2, 0), ("10007", 3, 3, 1),
+        ("1000033", 1, 1, 1)])
     def test_large_elementary_block_ends(self, p, ell, rank, code):
-        """(Z/p)^2 has p + 1 lines: p = 10007 is decided without spanning each
-        line element by element.  At p = 1000003 the p-torsion of A_S, which
-        the lines are matched against, is past the cap, and so is it for
-        10007^+3 with p^3 elements.  The trivial subgroup is tried first all
-        the same: for 1000003^+1 at rank 2 it is the witness, so that query
-        is decided."""
-        res = run_subprocess("embeds", "--qs", f"{p}^+{ell}", "--rank", str(rank),
+        """The glued search counts the graphs of each order from the isometry
+        types of F_p quadratic spaces and builds one witness graph per order,
+        so no query walks A_S[p] or the lines of (Z/p)^2, however large p
+        is: each is decided, with the exact number of candidates.  For
+        1000003^+1 at rank 2 the trivial subgroup is the witness.  1000033
+        is 1 mod 8, so its witness takes square roots by more than one
+        Tonelli-Shanks step."""
+        res = run_subprocess("--json", "embeds", "--qs", f"{p}^+{ell}", "--rank", str(rank),
                              "--p", p, "--sigma", "1")
         assert res.returncode == code, res.stderr
         assert "Traceback" not in res.stderr
+        tried = {("10007", 1): 10009, ("1000003", 1): 1000005, ("1000003", 2): 1,
+                 ("10007", 3): 2004303070729, ("1000033", 1): 1000035}[p, rank]
+        out = json.loads(res.stdout)
+        assert out["embeds"] == (code == 0) and out["candidates_tried"] == tried
 
     @pytest.mark.parametrize("bound,code", [
         ("100000000000", 3), (str(cli.MAX_PRIMES_BELOW + 1), 3), ("3", 2), ("-5", 2)])

@@ -8,7 +8,7 @@ from hypothesis import assume, given, strategies as st
 
 from k3lat import _exact as ex
 
-from conftest import mat_inv, modp_echelon_oracle, modp_reduce_oracle
+from conftest import mat_inv, modp_echelon_oracle, modp_quadratic_type, modp_reduce_oracle
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "k3lat"
 
@@ -80,6 +80,30 @@ def test_legendre():
     for p in (3, 5, 7, 23, 71, 191):
         squares = {x * x % p for x in range(p)}
         assert ex.least_nonresidue(p) == min(set(range(p)) - squares)
+
+
+def test_sqrt_mod_matches_the_squares():
+    # every odd prime below 1000, against the exhaustive squares; then
+    # spot checks at 10009 and 1000033, which are 1 mod 8, so that the
+    # Tonelli-Shanks loop runs more than once
+    for p in range(3, 1000, 2):
+        if not ex.is_prime(p):
+            continue
+        squares = {x * x % p for x in range(p)}
+        for a in range(p):
+            if a in squares:
+                assert ex.sqrt_mod(a, p) ** 2 % p == a, (a, p)
+            else:
+                with pytest.raises(ArithmeticError):
+                    ex.sqrt_mod(a, p)
+    rng = random.Random(7)
+    for p in (10009, 1000033):
+        assert p % 8 == 1
+        for _ in range(200):
+            x = rng.randrange(p)
+            assert ex.sqrt_mod(x * x + p, p) ** 2 % p == x * x % p
+        with pytest.raises(ArithmeticError):
+            ex.sqrt_mod(ex.least_nonresidue(p), p)
 
 
 def _smallest_prime_factors(limit: int) -> list:
@@ -242,7 +266,7 @@ def test_modp_quadratic_type_matches_principal_minors(p, data):
     minors = [ex.det_int(ex.to_mat([[gram[i][j] for j in idx] for i in idx])) % p
               for idx in combinations(range(n), rank)]
     cls = ex.legendre(next(d for d in minors if d), p) if rank else 1
-    assert ex.modp_quadratic_type(gram, p) == (rank, cls)
+    assert modp_quadratic_type(gram, p) == (rank, cls)
 
 
 def test_no_float_square_root_in_the_package():

@@ -14,16 +14,24 @@ from k3lat.fqf import (
     FiniteQuadraticForm,
     JordanComponent,
     _block_values,
+    _bnum,
     _det_unit_class_two,
     _det_unit_mod,
+    _embeddings,
+    _graph_terms,
+    _graph_witness,
     _isotropic_subgroups,
+    _orthogonal_order,
     _overlattice_gram,
+    _qnum,
     _realize_p_part,
+    _singular_count,
     _subspaces,
     _tau_odd_rank1,
     _two_adic_units,
     _two_blocks,
     _two_reachable_det_classes,
+    _value_weights,
     brute_force_tau,
     direct_sum,
     isomorphic,
@@ -40,12 +48,14 @@ from k3lat.intlat import IntegralLattice, discriminant_group
 from k3lat.rootsys import build
 
 from conftest import (
+    GraphWalk,
     cap_child_memory,
     child_env,
     discriminant_form_values,
     forms_isomorphic_bruteforce,
     glued_orders_oracle,
     graph_isotropic_subgroups,
+    induced_form_oracle,
     nikulin_exists_oracle,
     overlattice_candidates_oracle,
     random_even_gram,
@@ -632,7 +642,9 @@ def test_order_reuse_matches_per_candidate_overlattices_at_scales_p3_and_p4(
     # q_S with a component of scale p^3 or p^4, glued to the N-form at
     # sigma = 1, 2 or 3: H meets pA inside H ∩ A_S = 0 at every scale, so
     # one form per order; the first 25 candidates of each order among the
-    # first 10,000 are rebuilt
+    # first 10,000 are rebuilt, up to the largest |H| whose listing walks at
+    # most 20,000 subspaces of A_D of the top dimension and matches each
+    # against at most 10^6 tuples of A_S[p]
     from k3lat.k3class import n_form
 
     comps = [J(p, k, rank, sign) for k, (rank, sign) in zip(sorted(scales), blocks)]
@@ -640,7 +652,12 @@ def test_order_reuse_matches_per_candidate_overlattices_at_scales_p3_and_p4(
         comps.append(J(7, 1, 1, 1))
     q_s = F(*comps)
     q_d = negate(n_form(p, sigma).q)
-    max_order = p ** min(q_s.ell_p(p), 2 * sigma)
+    ell, max_order = q_s.ell_p(p), 1
+    for k in range(1, min(ell, 2 * sigma) + 1):
+        subspaces = _subspace_count(p, 2 * sigma, k)
+        if subspaces > 20000 or subspaces * p ** (ell * k) > 10 ** 6:
+            break
+        max_order = p ** k
     rebuilt, _ = _per_candidate_walk(q_s, q_d, p, max_order, stop=10000, per_order=25)
     assert rebuilt[1] == 1
 
@@ -658,7 +675,7 @@ def test_scale_above_p_squared_builds_one_form_per_order(monkeypatch):
     builds = []
     symbol = fqf.symbol_of
     monkeypatch.setattr(fqf, "symbol_of", lambda *a: builds.append(a) or symbol(*a))
-    assert [(h, count()) for h, _, count in overlattice_candidates(q_s, 3, 3, q_d)] == [
+    assert [(h, count) for h, _, count in overlattice_candidates(q_s, 3, 3, q_d)] == [
         (1, 1), (3, 20)]
     assert len(builds) == 1
 
@@ -915,7 +932,7 @@ def test_candidate_sequence_matches_oracle(rng):
             # glued: one item per order, with its number of H
             want = [(h, render_symbol(f), n)
                     for h, f, n in glued_orders_oracle(q, p, max_order, d_block)]
-            got_glued = [(h, render_symbol(f), count())
+            got_glued = [(h, render_symbol(f), count)
                          for h, f, count in overlattice_candidates(q, p, max_order, d_block)]
             assert got_glued == want, (render_symbol(q), p, max_order, d_block)
             checked += 2
@@ -941,8 +958,8 @@ def test_small_max_order_realizes_no_p_part(monkeypatch):
         q_d = negate(n_form(p, 1).q)
         for max_order in (1, p - 1):
             assert list(overlattice_candidates(q, p, max_order)) == [(1, q)]
-            assert [(h, f, count()) for h, f, count in overlattice_candidates(
-                q, p, max_order, q_d)] == [(1, direct_sum(q, q_d), 1)]
+            assert list(overlattice_candidates(q, p, max_order, q_d)) == [
+                (1, direct_sum(q, q_d), 1)]
     with pytest.raises(ValueError, match="scale 1"):
         next(overlattice_candidates(parse_symbol("9^+1"), 3, 1, parse_symbol("3^+1 9^-1")))
     # every sigma = 1 table decision at a prime not dividing |A_S|
@@ -1038,67 +1055,181 @@ def _subspace_count(p, n, k):
 @example(3, {1, 2, 3}, [(1, 1), (2, 1), (1, 1)], 2)  # 3^+1 9^+2 27^+1: orders 3, 9
 @example(5, {1}, [(2, 1), (1, 1), (1, 1)], 2)  # 5^+2: orders 5, 25
 @example(5, {1}, [(1, 1), (1, 1), (1, 1)], 3)  # 5^+1 at sigma = 3: 3,150 H of order 5
-@given(st.sampled_from((3, 5)), st.sets(st.integers(1, 3), min_size=1, max_size=3),
+@example(7, {1, 2}, [(2, -1), (1, 1), (1, 1)], 2)  # 7^-2 49^+1: the walk to 7^3
+@given(st.sampled_from((3, 5, 7)), st.sets(st.integers(1, 3), min_size=1, max_size=3),
        st.lists(st.tuples(st.integers(1, 2), st.sampled_from((1, -1))), min_size=3, max_size=3),
        st.integers(1, 3))
 def test_glued_orders_match_the_listing(p, scales, blocks, sigma):
     # q_S of scales p to p^3 glued to the N-form at sigma = 1, 2 or 3: each
     # order's (|H|, form, number of H) as the listing of every H gives it,
     # up to the largest |H| <= p^3 whose listing stays small (at most
-    # 20,000 subspaces of A_D of the top dimension, 4,000 H in all)
+    # 20,000 subspaces of A_D of the top dimension, 4,000 H in all); and as
+    # the subspace walk of A_D with one backtrack per isometry type of U
+    # gives it (the glued search before it counted types in closed form),
+    # up to the largest |H| whose walk stays small (A_S[p] of at most
+    # 20,000 elements, at most 20,000 subspaces of A_D of the top dimension)
     from k3lat.k3class import n_form
 
     q_s = F(*[J(p, k, rank, sign) for k, (rank, sign) in zip(sorted(scales), blocks)])
     q_d = negate(n_form(p, sigma).q)
-    max_order, got = 1, None
-    for k in range(1, min(q_s.ell_p(p), 2 * sigma, 3) + 1):
+    max_order, walk_order, got = 1, 1, None
+    for k in range(1, min(q_s.ell_p(p), 2 * sigma) + 1):
         if _subspace_count(p, 2 * sigma, k) > 20000:
             break
-        items = [(h, f.components, count())
+        walk_order = p ** k
+        items = [(h, f.components, count)
                  for h, f, count in overlattice_candidates(q_s, p, p ** k, q_d)]
-        if sum(n for *_, n in items) > 4000:
-            break
-        max_order, got = p ** k, items
+        if k <= 3 and sum(n for *_, n in items) <= 4000 and max_order == p ** (k - 1):
+            max_order, got = p ** k, items
     assume(max_order > 1)
     want = [(h, f.components, n) for h, f, n in glued_orders_oracle(q_s, p, max_order, q_d)]
     assert got == want, (render_symbol(q_s), p, sigma, max_order)
+    if p ** q_s.ell_p(p) <= 20000:
+        got = [(h, f.components, n)
+               for h, f, n in overlattice_candidates(q_s, p, walk_order, q_d)]
+        want = [(h, f.components, n) for h, f, n in GraphWalk.orders(q_s, p, walk_order, q_d)]
+        assert got == want, (render_symbol(q_s), p, sigma, walk_order)
 
 
-def test_glued_walk_counts_the_orders_passed_and_stops_at_the_first_without_a_graph(
-        monkeypatch):
+def _isometric_tuples(p, norms, gram) -> int:
+    """Exhaustive count of the independent tuples v_1, ..., v_k of F_p^w,
+    under sum norms[i] x_i y_i, with b(v_a, v_b) = gram[a][b] mod p."""
+    def b(x, y):
+        return sum(c * s * t for c, s, t in zip(norms, x, y)) % p
+
+    by_norm: dict = {}
+    for v in product(range(p), repeat=len(norms)):
+        by_norm.setdefault(b(v, v), []).append(v)
+
+    def extend(chosen):
+        a = len(chosen)
+        if a == len(gram):
+            return int(len(ex.modp_echelon(chosen, p)[0]) == a)
+        return sum(extend(chosen + [v]) for v in by_norm.get(gram[a][a] % p, [])
+                   if all(b(v, u) == gram[a][c] % p for c, u in enumerate(chosen)))
+
+    return extend([])
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_type_counts_match_exhaustive_counts(p):
+    # for each nondegenerate space (w, e) with p^w <= 10^6: the singular
+    # vectors and the vectors of each norm by an exhaustive histogram,
+    # |O(w, e)| from |O(w - 1, 1)| by the orbit of one norm, and Emb of every
+    # type (n, d, j) of dimension k with p^(w k) <= 10^6 against the
+    # isometric tuples, counted one by one for k >= 2
+    nonres = ex.least_nonresidue(p)
+    checked = 0
+    for w in range(1, 13):
+        if p ** w > 10 ** 6:
+            break
+        for e in (1, -1):
+            norms = [1] * (w - 1) + [1 if e == 1 else nonres]
+            hist = Counter({0: 1})
+            for c in norms:
+                step = Counter()
+                for value, m in hist.items():
+                    for x in range(p):
+                        step[(value + c * x * x) % p] += m
+                hist = step
+            assert sum(hist.values()) == p ** w
+            assert _singular_count(p, w, e) == hist[0]
+            # O(w, e) acts transitively on the vectors of norm norms[-1],
+            # with the isometries of their complement, of class 1, as stabilisers
+            assert _orthogonal_order(p, w, e) == hist[norms[-1]] * _orthogonal_order(p, w - 1, 1)
+            for k in range(1, w + 2):
+                if p ** (w * k) > 10 ** 6:
+                    break
+                for j in range(k + 1):
+                    n = k - j
+                    for d in (1, -1) if n else (1,):
+                        diag = [1] * (n - 1) + [1 if d == 1 else nonres] if n else []
+                        if k == 1:
+                            want = hist[diag[0]] if n else hist[0] - 1
+                        else:
+                            gram = [[diag[a] if a == c and a < n else 0 for c in range(k)]
+                                    for a in range(k)]
+                            want = _isometric_tuples(p, norms, gram)
+                        assert _embeddings(p, n, d, j, w, e) == want, (w, e, n, d, j)
+                        if (n, d, j) == (w, e, 0):
+                            assert _orthogonal_order(p, w, e) == want
+                        checked += 1
+    assert checked >= 40
+
+
+def _witness_checks(q_s, p, sigma) -> int:
+    """Build the witness graph of every nonzero type term of every order the
+    glued search yields for q_s against the sigma N-form, not only the one
+    the search builds: each is isotropic, its A_S and A_D parts are each
+    independent mod p (so |H| = p^k and H meets neither block), and it
+    induces the yielded form.  Returns the number of witnesses checked."""
+    from k3lat.k3class import n_form
+
+    q_d = negate(n_form(p, sigma).q)
+    _, mod_s, coef_s = _realize_p_part(q_s, p)
+    _, mod_d, coef_d = _realize_p_part(q_d, p)
+    moduli, n = mod_s + mod_d, math.lcm(*mod_s, *mod_d)
+    weights = _value_weights(moduli, coef_s + coef_d, n)
+    w_norms = [c for m, c in zip(mod_s, coef_s) if m == p]
+    v = len(coef_d), ex.legendre(math.prod(-c for c in coef_d), p)
+    w = len(w_norms), ex.legendre(math.prod(w_norms), p)
+    forms = dict((h, f) for h, f, _ in overlattice_candidates(
+        q_s, p, p ** min(q_s.ell_p(p), 2 * sigma), q_d))
+    checked = 0
+    for k in range(1, 2 * sigma + 1):
+        for term, tau in _graph_terms(p, k, v, w, len(mod_s) - w[0]):
+            if not term:
+                continue
+            gens = _graph_witness(p, mod_s, coef_s, coef_d, *tau)
+            where = (render_symbol(q_s), p, sigma, tau)
+            assert len(gens) == k, where
+            assert all(_qnum(weights, g) % (2 * n) == 0 for g in gens), where
+            assert all(_bnum(weights, g, h) % n == 0 for g in gens for h in gens), where
+            s_part = [[x // (m // p) for x, m in zip(g, mod_s)] for g in gens]
+            d_part = [g[len(mod_s):] for g in gens]
+            assert len(ex.modp_echelon(s_part, p)[0]) == k, where
+            assert len(ex.modp_echelon(d_part, p)[0]) == k, where
+            if p ** k in forms:
+                form = induced_form_oracle(q_s, p, gens, q_d)
+                assert form.components == forms[p ** k].components, where
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 10009))
+def test_glued_witnesses_are_isotropic_graphs_of_the_counted_order(p):
+    # q_S of scales p to p^3 and both signs at sigma = 1 to 3
+    checked = 0
+    for text in ("{p}^+1", "{p}^-2", "{p}^+3", "{p}^-1 {p2}^+1", "{p}^+2 {p2}^-1 {p3}^+1",
+                 "{p2}^+2", "{p}^-4", "{p2}^-1 {p3}^+1"):
+        q_s = parse_symbol(text.format(p=p, p2=p ** 2, p3=p ** 3))
+        for sigma in (1, 2, 3):
+            checked += _witness_checks(q_s, p, sigma)
+    assert checked >= 60, checked
+
+
+def test_glued_walk_counts_the_orders_passed_and_stops_at_the_first_without_a_graph():
     # a decision accepted at |H| = p^k counts the orders below it and not
     # its own; one that embeds at no order stops at the first order without
     # a graph, below max_order
-    from k3lat import fqf
     from k3lat.hmdata import load_table
-    from k3lat.k3class import primitively_embeds
+    from k3lat.k3class import n_form, primitively_embeds
 
-    searched, counted = [], []
-    first_graph, count = fqf._GraphWalk.first_graph, fqf._GraphWalk.count
-
-    def record_first(walk, k):
-        searched.append(k)
-        return first_graph(walk, k)
-
-    def record_count(walk, k):
-        if k not in walk.counts:
-            counted.append(k)
-        return count(walk, k)
-
-    monkeypatch.setattr(fqf._GraphWalk, "first_graph", record_first)
-    monkeypatch.setattr(fqf._GraphWalk, "count", record_count)
     row_20 = next(rec for rec in load_table() if rec.number == 20)
     # row 20 (5^+4) at p = 5, sigma = 2 embeds at |H| = 25 of at most 625
     d = primitively_embeds(row_20.q_s, row_20.rank, 5, 2)
     assert d.embeds and d.certificate.h_order == 25
-    assert (searched, counted) == ([1, 2], [1])
+    items = [(h, n) for h, _, n in overlattice_candidates(
+        row_20.q_s, 5, 625, negate(n_form(5, 2).q))]
+    assert items == [(1, 1), (5, 19344), (25, 2399280), (125, 1872000)]
+    assert d.candidates_tried == 1 + 19344 + 1
     # 3^+1 9^+2 27^+1 at p = 3, sigma = 2: |H| <= 81, but A_S[3] pairs in
     # rank 1 only, so no U of dimension 3 (rank >= 2 in A_D) embeds
-    searched.clear()
-    counted.clear()
-    d = primitively_embeds(parse_symbol("3^+1 9^+2 27^+1"), 20, 3, 2)
+    q_s = parse_symbol("3^+1 9^+2 27^+1")
+    d = primitively_embeds(q_s, 20, 3, 2)
     assert not d.embeds and d.candidates_tried == 29151
-    assert (searched, counted) == ([1, 2, 3], [1, 2])
+    items = [(h, n) for h, _, n in overlattice_candidates(q_s, 3, 81, negate(n_form(3, 2).q))]
+    assert items == [(1, 1), (3, 1070), (9, 28080)]
 
 
 class TestNikulin:

@@ -159,6 +159,32 @@ class TestEmbeds:
             got = primitively_embeds(rec.q_s, rec.rank, want["p"], want["sigma"]).as_dict()
             assert got == want, item["row"]
 
+    def test_glued_sigma_4_decisions_replay(self):
+        # tests/data/glued_sigma4.json: the 46 table rows at p = 3, sigma = 4
+        # that the subspace walk of A_D decided (841,040 candidates),
+        # recorded with that walk, compared as JSON text so that a float
+        # count cannot pass as equal; the 21 rows it refused past
+        # ENUMERATION_CAP, and the 11 sigma = 3 cells at p = 5, 7 and 11 it
+        # refused, are decided now
+        recorded = json.loads((DATA / "glued_sigma4.json").read_text())
+        assert len(recorded) == 46
+        assert sum(item["decision"]["candidates_tried"] for item in recorded) == 841040
+        for item in recorded:
+            rec = record(item["row"])
+            got = primitively_embeds(rec.q_s, rec.rank, 3, 4).as_dict()
+            assert json.dumps(got, sort_keys=True) == json.dumps(
+                item["decision"], sort_keys=True), item["row"]
+        refused = {(no, 3, 4) for no in (7, 15, 18, 29, 35, 39, 45, 46, 47, 68, 72, 73, 84,
+                                          85, 101, 109, 118, 121, 128, 134, 163)}
+        refused |= {(20, 5, 3), (44, 5, 3), (53, 5, 3), (82, 5, 3), (122, 5, 3), (128, 5, 3),
+                    (167, 5, 3), (52, 7, 3), (77, 7, 3), (129, 7, 3), (120, 11, 3)}
+        assert {(item["row"], 3, 4) for item in recorded}.isdisjoint(refused)
+        for no, p, sigma in sorted(refused):
+            rec = record(no)
+            d = primitively_embeds(rec.q_s, rec.rank, p, sigma)
+            assert type(d.candidates_tried) is int and d.candidates_tried > 1, (no, p, sigma)
+            assert d.embeds == (d.certificate is not None), (no, p, sigma)
+
     @pytest.mark.parametrize("sigma,builds", [
         (1, {15: 1, 46: 1, 47: 2, 84: 1, 85: 2, 101: 2, 134: 1}),
         (2, {15: 2, 46: 2, 47: 3, 84: 2, 85: 3, 101: 3, 134: 2}),
