@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from . import _exact as ex
 from .intlat import IntegralLattice
@@ -516,62 +516,25 @@ def _elem_add(moduli, a, b):
 ENUMERATION_CAP = 500000  # subgroups, elements or extensions one search may list
 
 
-def _subspaces(p: int, n: int, max_order: int):
-    """Reduced-echelon bases of the subspaces of F_p^n of order <= max_order:
-    the zero space first, then by increasing dimension.
-
-    Raises LimitExceeded past ENUMERATION_CAP nonzero subspaces."""
-    yield []
-    count = 0
-    dim = 1
-    while dim <= n and p ** dim <= max_order:
-        for pivots in combinations(range(n), dim):
-            slots = [(r, c) for r, piv in enumerate(pivots)
-                     for c in range(piv + 1, n) if c not in pivots]
-            for fill in product(range(p), repeat=len(slots)):
-                count += 1
-                if count > ENUMERATION_CAP:
-                    raise ex.LimitExceeded("subgroup enumeration cap exceeded")
-                rows = [[0] * n for _ in range(dim)]
-                for r, piv in enumerate(pivots):
-                    rows[r][piv] = 1
-                for (r, c), v in zip(slots, fill):
-                    rows[r][c] = v
-                yield [tuple(r) for r in rows]
-        dim += 1
-
-
-def _isotropic_subgroups(p, moduli, coeffs, max_order):
-    """Isotropic subgroups H of order <= max_order of the p-group with the
-    given moduli and q-value numerators, trivial first; yields (|H|, gens).
+def _isotropic_subgroups(moduli, coeffs, max_order):
+    """The nontrivial isotropic subgroups H of order <= max_order of the
+    p-group with the given moduli and q-value numerators, grown breadth first
+    by its isotropic elements; yields (|H|, gens).
 
     H = <g_1, ..., g_k> is isotropic iff every q(g_i) = 0 and every
     b(g_i, g_j) = 0, since q(sum a_i g_i) = sum a_i^2 q(g_i)
     + 2 sum_{i<j} a_i a_j b(g_i, g_j) mod 2; so no span is built to decide
-    it.  An elementary group is walked by echelon bases.  Any other is grown
-    breadth first by its isotropic elements; it is refused when it has more
-    than ENUMERATION_CAP elements, and so is a walk that tries more than
-    ENUMERATION_CAP extensions.
+    it.  A group of more than ENUMERATION_CAP elements is refused, and so is
+    a walk that tries more than ENUMERATION_CAP extensions.
     """
     n = math.lcm(*moduli)
     weights = _value_weights(moduli, coeffs, n)
-
-    def isotropic(gens):
-        return all(_qnum(weights, g) % (2 * n) == 0
-                   and all(_bnum(weights, g, h) % n == 0 for h in gens[:i])
-                   for i, g in enumerate(gens))
-
-    if all(m == p for m in moduli):
-        for basis in _subspaces(p, len(moduli), max_order):
-            if isotropic(basis):
-                yield p ** len(basis), basis
-        return
     if math.prod(moduli) > ENUMERATION_CAP:
         raise ex.LimitExceeded("group order exceeds the enumeration cap")
+    elements = [e for e in product(*map(range, moduli))
+                if _qnum(weights, e) % (2 * n) == 0]
     zero = tuple(0 for _ in moduli)
     trivial = frozenset([zero])
-    yield 1, []
-    elements = [e for e in product(*map(range, moduli)) if isotropic([e])]
     seen = {trivial}
     frontier = [(trivial, [])]
     tries = 0
@@ -732,43 +695,52 @@ def _overlattice_gram(basis, diag, scale: int):
 
 def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
                            q_d: FiniteQuadraticForm | None = None):
-    """Forms induced on H-perp/H for isotropic H of order <= max_order in the
-    p-part, the trivial H first; with max_order < p it is the only one, and
-    it comes before any search is set up.
+    """(|H|, form on H-perp/H, count) for the isotropic H of order <=
+    max_order in the p-part, the trivial H first as (1, q, 1); with
+    max_order < p it is the only item, and it comes before any search is
+    set up.
 
-    Without q_d, each isotropic H of q's p-part is yielded as (|H|, form);
-    an elementary p-part builds one overlattice per order, any other one
-    per H; a search past ENUMERATION_CAP raises LimitExceeded (see
-    _isotropic_subgroups).  With q_d, the glued search: H meets neither A_q
-    nor A_{q_d} (whose p-part must have scale 1, or ValueError), the forms
-    are induced from q + q_d, and |H| fixes the form (README).  Each order
-    is yielded once, ascending, as (|H|, form, count): count, an int, is
-    the number of H of that order, summed over the isometry types of U in
-    closed form (_graph_terms), and the form comes from one witness graph
-    built for the first type that has one (_graph_witness).  The search
-    stops at the first order without an H, and walks nothing, so it has no
-    cap.
+    Without q_d, on an elementary p-part of type (n, e) each order p^k is
+    one item, ascending, up to the first without an H: count is the number
+    of totally singular k-subspaces, and the form is q minus k hyperbolic
+    planes (README).  Any other p-part is walked breadth first, one item
+    per H with count 1; a walk past ENUMERATION_CAP raises LimitExceeded
+    (see _isotropic_subgroups).  With q_d, the glued search: H meets neither
+    A_q nor A_{q_d} (whose p-part must have scale 1, or ValueError), the
+    forms are induced from q + q_d, and |H| fixes the form (README).  Each
+    order is one item, ascending: count is the number of H of that order,
+    summed over the isometry types of U in closed form (_graph_terms), and
+    the form comes from one witness graph built for the first type that
+    has one (_graph_witness).  It stops at the first order without an H.
+    Neither per-order search walks anything, so neither has a cap.
     """
     if p == 2:
         raise ValueError("only odd p is supported")
     q_s = q
-    if q_d is None:
-        yield 1, q
-    else:
+    if q_d is not None:
         if any(c.prime == p and c.scale != 1 for c in q_d.components):
             raise ValueError(f"the D block must have scale 1 at p = {p}")
         q = direct_sum(q, q_d)
-        yield 1, q, 1
-    if max_order < p:
+    yield 1, q, 1
+    p_part = [c for c in q_s.components if c.prime == p]
+    if max_order < p or not p_part:
+        return
+    away = q.away_part(p)
+    if q_d is None and len(p_part) == 1 and p_part[0].scale == 1:
+        n, e = p_part[0].rank, p_part[0].sign
+        for k in range(1, n // 2 + 1):
+            count = _embeddings(p, 0, 1, k, n, e) // math.prod(p ** k - p ** t for t in range(k))
+            if p ** k > max_order or not count:
+                return
+            sign = e * ex.legendre(-1, p) ** k
+            rest = [JordanComponent(p, 1, n - 2 * k, sign)] if n > 2 * k else []
+            yield p ** k, direct_sum(away, FiniteQuadraticForm(rest)), count
         return
     diag, mod_s, coef_s = _realize_p_part(q_s, p)
     moduli = mod_s
     if q_d is not None:
         diag_d, mod_d, coef_d = _realize_p_part(q_d, p)
         diag, moduli = diag + diag_d, mod_s + mod_d
-    if not moduli:
-        return
-    away = q.away_part(p)
     scale = math.lcm(*moduli)
     scaled_lattice = [tuple(scale if i == j else 0 for j in range(len(moduli)))
                       for i in range(len(moduli))]
@@ -780,31 +752,22 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
         over = IntegralLattice(_overlattice_gram(basis, diag, scale))
         return direct_sum(away, symbol_of(over, (p,)))
 
-    if q_d is not None:
-        w_norms = [c for m, c in zip(mod_s, coef_s) if m == p]
-        v = len(coef_d), ex.legendre(math.prod(-c for c in coef_d), p)
-        w = len(w_norms), ex.legendre(math.prod(w_norms), p)
-        for k in range(1, v[0] + 1):
-            if p ** k > max_order:
-                return
-            terms = list(_graph_terms(p, k, v, w, len(mod_s) - w[0]))
-            count = sum(t for t, _ in terms)
-            if not count:
-                return
-            tau = next(tau for t, tau in terms if t)
-            yield p ** k, induced_form(_graph_witness(p, mod_s, coef_s, coef_d, *tau)), count
+    if q_d is None:
+        for order, gens in _isotropic_subgroups(mod_s, coef_s, max_order):
+            yield order, induced_form(gens), 1
         return
-    subgroup_iter = _isotropic_subgroups(p, moduli, coef_s, max_order)
-    next(subgroup_iter)  # the trivial H, yielded above
-    reuse = all(m == p for m in moduli)
-    forms = {}
-    for order, gens in subgroup_iter:
-        form = forms.get(order)
-        if form is None:
-            form = induced_form(gens)
-            if reuse:
-                forms[order] = form
-        yield order, form
+    w_norms = [c for m, c in zip(mod_s, coef_s) if m == p]
+    v = len(coef_d), ex.legendre(math.prod(-c for c in coef_d), p)
+    w = len(w_norms), ex.legendre(math.prod(w_norms), p)
+    for k in range(1, v[0] + 1):
+        if p ** k > max_order:
+            return
+        terms = list(_graph_terms(p, k, v, w, len(mod_s) - w[0]))
+        count = sum(t for t, _ in terms)
+        if not count:
+            return
+        tau = next(tau for t, tau in terms if t)
+        yield p ** k, induced_form(_graph_witness(p, mod_s, coef_s, coef_d, *tau)), count
 
 
 def overlattice_forms(q: FiniteQuadraticForm, p: int, max_order: int,

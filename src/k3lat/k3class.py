@@ -23,11 +23,10 @@ from .fqf import (
     nikulin_exists,
     overlattice_candidates,
     render_symbol,
-    _odd_unit_numerators,
+    _eta,
 )
 
 SIGNATURE = (1, 21)
-EXHAUSTIVE_WITT_LIMIT = 10 ** 5  # |A| up to which anisotropy_check also searches
 
 
 @dataclass(frozen=True)
@@ -77,78 +76,14 @@ def _trivial_h_target(q_s: FiniteQuadraticForm, p: int, sigma: int) -> FiniteQua
     return direct_sum(_negated_components(q_s.components), n_form(p, sigma).q)
 
 
-def _witt_index_diag(p: int, coeffs) -> int:
-    """Witt index of sum c_i x_i^2 over F_p (exhaustive hyperbolic splitting)."""
-    gram = [[0] * len(coeffs) for _ in range(len(coeffs))]
-    for i, c in enumerate(coeffs):
-        gram[i][i] = c % p
-    return _witt_index_gram(p, gram)
-
-
-def _witt_index_gram(p: int, gram) -> int:
-    d = len(gram)
-    if d == 0:
-        return 0
-    iso = None
-    for vec in product(range(p), repeat=d):
-        if not any(vec):
-            continue
-        q = 0
-        for i in range(d):
-            q += gram[i][i] * vec[i] * vec[i]
-            for j in range(i + 1, d):
-                q += 2 * gram[i][j] * vec[i] * vec[j]
-        if q % p == 0:
-            iso = vec
-            break
-    if iso is None:
-        return 0
-
-    def b(u, v):
-        total = 0
-        for i in range(d):
-            for j in range(d):
-                total += gram[i][j] * u[i] * v[j]
-        return total % p
-
-    w = None
-    for i in range(d):
-        e = tuple(1 if j == i else 0 for j in range(d))
-        if b(iso, e) % p:
-            w = e
-            break
-    basis = []
-    c = b(iso, w)
-    cinv = pow(c, -1, p)
-    for i in range(d):
-        e = tuple(1 if j == i else 0 for j in range(d))
-        mu = b(e, iso) * cinv % p  # kills the pairing with iso
-        lam = (b(e, w) - mu * b(w, w)) * cinv % p  # kills the pairing with w
-        u = tuple((e[k] - lam * iso[k] - mu * w[k]) % p for k in range(d))
-        basis.append(u)
-    # pick d-2 independent rows of the projected vectors
-    ech, pivots = ex.modp_echelon(basis, p)
-    sub = ech[: d - 2]
-    sub_gram = [[b(u, v) for v in sub] for u in sub]
-    return 1 + _witt_index_gram(p, sub_gram)
-
-
 def anisotropy_check(p: int, sigma: int) -> bool:
     """True iff the N-form has no totally isotropic subgroup of order p^sigma.
 
-    Uses the discriminant-class criterion, and additionally an exhaustive
-    hyperbolic-splitting search when |A| <= EXHAUSTIVE_WITT_LIMIT.
+    Its p-part is a nondegenerate F_p space of dimension n = 2 sigma, whose
+    Witt index is n/2 when it is split and n/2 - 1 when it is not (Artin
+    1957, ch. III): so the check is that the space is not split.
     """
-    form = n_form(p, sigma)
-    sign = form.q.components[0].sign
-    hyperbolic_sign = ex.legendre(-1, p) ** sigma
-    symbol_ok = sign != hyperbolic_sign
-    if p ** (2 * sigma) <= EXHAUSTIVE_WITT_LIMIT:
-        coeffs = _odd_unit_numerators(p, 2 * sigma, sign)
-        witt = _witt_index_diag(p, coeffs)
-        exhaustive_ok = witt < sigma
-        return symbol_ok and exhaustive_ok
-    return symbol_ok
+    return _eta(p, 2 * sigma, n_form(p, sigma).q.components[0].sign) == -1
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,14 @@ processes, a brute-force finite-quadratic-form isomorphism oracle, the
 fully closed Aut(R), the forward-only echelon mod p with its per-root
 span scan, the Gauss-Jordan inverse over Q with the isometry inverse, the
 saturation and the A/D/E8 root data by adjugate built on it, the E6/E7
-roots by reflection matrices, the glued search as a listing of every H and
-as a walk of A_D's subspaces with a backtrack per isometry type of U (with
-the F_p type of a Gram matrix it keys on), and the overlattice search and
-Nikulin test that set up every subgroup walk and read each prime's rank
-apart, used to cross-check the fast paths."""
+roots by reflection matrices, the exhaustive Witt index, the echelon walk
+of every subspace of F_p^n and the isotropic ones among them (the unglued
+search of an elementary p-part before it counted by type), the glued
+search as a listing of every H and as a walk of A_D's subspaces with a
+backtrack per isometry type of U (with the F_p type of a Gram matrix it
+keys on), and the overlattice search and Nikulin test that set up every
+subgroup walk and read each prime's rank apart, used to cross-check the
+fast paths."""
 
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import os
 import random
 import resource
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from operator import mul
 from pathlib import Path
 
@@ -31,7 +34,6 @@ from k3lat.fqf import (
     _overlattice_gram,
     _qnum,
     _realize_p_part,
-    _subspaces,
     _two_reachable_det_classes,
     _value_weights,
     direct_sum,
@@ -305,6 +307,98 @@ def isometry_inverse(iso: Isometry) -> Isometry:
     return Isometry(tuple(tuple(int(x) for x in row) for row in inv))
 
 
+def subspaces_oracle(p: int, n: int, max_order: int):
+    """Reduced-echelon bases of the subspaces of F_p^n of order <= max_order:
+    the zero space first, then by increasing dimension.  Raises
+    LimitExceeded past ENUMERATION_CAP nonzero subspaces."""
+    yield []
+    count = 0
+    dim = 1
+    while dim <= n and p ** dim <= max_order:
+        for pivots in combinations(range(n), dim):
+            slots = [(r, c) for r, piv in enumerate(pivots)
+                     for c in range(piv + 1, n) if c not in pivots]
+            for fill in product(range(p), repeat=len(slots)):
+                count += 1
+                if count > ENUMERATION_CAP:
+                    raise ex.LimitExceeded("subgroup enumeration cap exceeded")
+                rows = [[0] * n for _ in range(dim)]
+                for r, piv in enumerate(pivots):
+                    rows[r][piv] = 1
+                for (r, c), v in zip(slots, fill):
+                    rows[r][c] = v
+                yield [tuple(r) for r in rows]
+        dim += 1
+
+
+def isotropic_subgroups_oracle(p, moduli, coeffs, max_order):
+    """Every isotropic H of order <= max_order, the trivial H first, as the
+    library listed them before it counted the elementary p-parts by type:
+    an elementary group by its echelon bases (subspaces_oracle) with the
+    isotropic ones kept, any other by the library's breadth-first walk.
+    Yields (|H|, gens)."""
+    yield 1, []
+    if any(m != p for m in moduli):
+        yield from _isotropic_subgroups(moduli, coeffs, max_order)
+        return
+    weights = _value_weights(moduli, coeffs, p)
+    for basis in subspaces_oracle(p, len(moduli), max_order):
+        if basis and all(_qnum(weights, g) % (2 * p) == 0
+                         and all(_bnum(weights, g, h) % p == 0 for h in basis[:i])
+                         for i, g in enumerate(basis)):
+            yield p ** len(basis), basis
+
+
+def witt_index_oracle(p: int, gram) -> int:
+    """Witt index of the quadratic space over F_p with the given Gram
+    matrix, by exhaustive search: the first isotropic vector in
+    lexicographic order, a partner that pairs with it, and the same search
+    on the complement of the hyperbolic plane they span."""
+    d = len(gram)
+    if d == 0:
+        return 0
+    iso = None
+    for vec in product(range(p), repeat=d):
+        if not any(vec):
+            continue
+        q = 0
+        for i in range(d):
+            q += gram[i][i] * vec[i] * vec[i]
+            for j in range(i + 1, d):
+                q += 2 * gram[i][j] * vec[i] * vec[j]
+        if q % p == 0:
+            iso = vec
+            break
+    if iso is None:
+        return 0
+
+    def b(u, v):
+        total = 0
+        for i in range(d):
+            for j in range(d):
+                total += gram[i][j] * u[i] * v[j]
+        return total % p
+
+    w = None
+    for i in range(d):
+        e = tuple(1 if j == i else 0 for j in range(d))
+        if b(iso, e) % p:
+            w = e
+            break
+    basis = []
+    c = b(iso, w)
+    cinv = pow(c, -1, p)
+    for i in range(d):
+        e = tuple(1 if j == i else 0 for j in range(d))
+        mu = b(e, iso) * cinv % p  # kills the pairing with iso
+        lam = (b(e, w) - mu * b(w, w)) * cinv % p  # kills the pairing with w
+        u = tuple((e[k] - lam * iso[k] - mu * w[k]) % p for k in range(d))
+        basis.append(u)
+    # pick d-2 independent rows of the projected vectors
+    sub = ex.modp_echelon(basis, p)[0][: d - 2]
+    return 1 + witt_index_oracle(p, [[b(u, v) for v in sub] for u in sub])
+
+
 def graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order):
     """The glued search as a listing of every H: the isotropic subgroups H
     of the p-parts A_S + A_D with H ∩ A_S = H ∩ A_D = 0, in the walk order
@@ -316,7 +410,7 @@ def graph_isotropic_subgroups(p, mod_s, coef_s, mod_d, coef_d, max_order):
     trivial H first.  Raises LimitExceeded when the p-torsion of A_S, or the
     subspaces of A_D, outgrow ENUMERATION_CAP.
     """
-    subspaces = _subspaces(p, len(mod_d), max_order)
+    subspaces = subspaces_oracle(p, len(mod_d), max_order)
     yield 1, next(subspaces)  # the trivial subgroup is tried before any cap applies
     if not mod_d:
         return
@@ -383,7 +477,7 @@ def overlattice_candidates_oracle(q, p: int, max_order: int, q_d=None):
     q_s = q
     if q_d is None:
         diag, moduli, coeffs = _realize_p_part(q, p)
-        subgroup_iter = _isotropic_subgroups(p, moduli, coeffs, max_order)
+        subgroup_iter = isotropic_subgroups_oracle(p, moduli, coeffs, max_order)
     else:
         diag_s, mod_s, coef_s = _realize_p_part(q, p)
         diag_d, mod_d, coef_d = _realize_p_part(q_d, p)
@@ -410,12 +504,17 @@ def overlattice_candidates_oracle(q, p: int, max_order: int, q_d=None):
         yield order, form
 
 
-def glued_orders_oracle(q_s, p: int, max_order: int, q_d) -> list:
-    """The glued search per order, read off the listing: (|H|, form, number
-    of H) for each order that has an H, ascending, where form is the one
-    every H of that order induces (asserted, component for component)."""
+def orders_oracle(q_s, p: int, max_order: int, q_d=None) -> list:
+    """The items of overlattice_candidates read off the listing: where |H|
+    fixes the form (the glued search, or an elementary p-part), (|H|, form,
+    number of H) for each order that has an H, ascending, where form is the
+    one every H of that order induces (asserted, component for component);
+    on any other p-part, (|H|, form, 1) for each H."""
+    items = overlattice_candidates_oracle(q_s, p, max_order, q_d)
+    if q_d is None and any(c.prime == p and c.scale > 1 for c in q_s.components):
+        return [(order, form, 1) for order, form in items]
     out: dict = {}
-    for order, form in overlattice_candidates_oracle(q_s, p, max_order, q_d):
+    for order, form in items:
         if order in out:
             assert out[order][0].components == form.components, order
             out[order][1] += 1
@@ -459,7 +558,7 @@ class GraphWalk:
     """The glued search as a walk of A_D's subspaces, the way the library
     ran it before it counted by isometry types: H is the graph of an
     isometric embedding of (U, -b_D), U a subspace of the elementary A_D,
-    into the p-torsion A_S[p].  One _subspaces walk of A_D serves every
+    into the p-torsion A_S[p].  One subspaces_oracle walk of A_D serves every
     order: first_graph(k) walks it to the first U of dimension k that
     embeds, and count(k) walks the rest of dimension k, counting the
     embeddings once per isometry type of U (modp_quadratic_type) by a
@@ -476,7 +575,7 @@ class GraphWalk:
         self.steps = tuple(m // p for m in mod_s)
         self.weights = tuple(c for m, c in zip(mod_s, coef_s) if m == p)
         self.neg_d = tuple(-c for c in coef_d)
-        self.walk = _subspaces(p, len(mod_d), max_order)
+        self.walk = subspaces_oracle(p, len(mod_d), max_order)
         next(self.walk)  # the trivial subspace
         self.pending = next(self.walk, None)
         self.scan = product(range(p), repeat=len(mod_s))

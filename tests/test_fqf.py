@@ -26,7 +26,6 @@ from k3lat.fqf import (
     _qnum,
     _realize_p_part,
     _singular_count,
-    _subspaces,
     _tau_odd_rank1,
     _two_adic_units,
     _two_blocks,
@@ -53,12 +52,14 @@ from conftest import (
     child_env,
     discriminant_form_values,
     forms_isomorphic_bruteforce,
-    glued_orders_oracle,
     graph_isotropic_subgroups,
     induced_form_oracle,
+    isotropic_subgroups_oracle,
     nikulin_exists_oracle,
+    orders_oracle,
     overlattice_candidates_oracle,
     random_even_gram,
+    subspaces_oracle,
     unimodular_conjugate,
 )
 
@@ -478,17 +479,16 @@ def test_integer_overlattice_gram_matches_fraction_product(data):
             _overlattice_gram(ex.to_mat(basis), diag, scale)
 
 
-def _beside_glued_forms(walk, glued):
-    """((|H|, gens), (|H|, form)) for each item of the glued listing walk,
-    form being the glued search's form of that order; the glued search
-    yields one item per ascending order and is advanced only as far as the
-    walk reaches."""
+def _beside_order_items(walk, items):
+    """((|H|, gens), (|H|, form, count)) for each H of the listing walk, the
+    second being the item of that order from a search that yields one item
+    per ascending order; it is advanced only as far as the walk reaches."""
     current = None
     for order, gens in walk:
         while current is None or current[0] < order:
-            current = next(glued)
+            current = next(items)
         assert current[0] == order, (current[0], order)
-        yield (order, gens), current[:2]
+        yield (order, gens), current
 
 
 def _per_candidate_walk(q_s, q_d, p, max_order, start=0, stop=None, two_products=0,
@@ -497,33 +497,38 @@ def _per_candidate_walk(q_s, q_d, p, max_order, start=0, stop=None, two_products
     each candidate's overlattice the per-candidate way (row_hnf, then
     _overlattice_gram, then symbol_of, with no form reused) and asserting
     that the fast path yields a form with the same components, for the
-    positions from start to stop: at the same position without q_d, where
-    the walk is q_s's own; with q_d, where the walk is the glued listing
-    and the fast path yields one form per order, the form of the
-    candidate's order (the fast path is advanced only to the orders the
-    walk reaches).  With per_order only the first per_order candidates of
-    each order are rebuilt; the others are still walked.  The Gram matrices
-    at positions below `two_products` are also checked against the
-    two-product form basis * diag * basis^T.  Returns (Counter of the
-    orders rebuilt, the number of two-product checks)."""
+    positions from start to stop.  The walk is q_s's own without q_d, and
+    the glued listing with q_d.  On a p-part of higher scale without q_d,
+    the fast path's item at the same position is compared; with q_d, or on
+    an elementary p-part, the fast path yields one item per order, and the
+    item of the candidate's order is compared (the fast path is advanced
+    only to the orders the walk reaches).  With per_order only the first
+    per_order candidates of each order are rebuilt; the others are still
+    walked.  The Gram matrices at positions below `two_products` are also
+    checked against the two-product form basis * diag * basis^T.  Returns
+    (Counter of the orders rebuilt, the number of two-product checks)."""
     from itertools import islice
 
     q = q_s if q_d is None else direct_sum(q_s, q_d)
     away = q.away_part(p)
     diag, moduli, coeffs = _realize_p_part(q_s, p)
     if q_d is None:
-        walk = _isotropic_subgroups(p, moduli, coeffs, max_order)
-        pairs = zip(walk, overlattice_candidates(q_s, p, max_order), strict=True)
+        walk = isotropic_subgroups_oracle(p, moduli, coeffs, max_order)
+        items = overlattice_candidates(q_s, p, max_order)
+        if all(m == p for m in moduli):
+            pairs = _beside_order_items(walk, items)
+        else:
+            pairs = zip(walk, items, strict=True)
     else:
         diag_d, mod_d, coef_d = _realize_p_part(q_d, p)
         walk = graph_isotropic_subgroups(p, moduli, coeffs, mod_d, coef_d, max_order)
         diag, moduli = diag + diag_d, moduli + mod_d
-        pairs = _beside_glued_forms(walk, overlattice_candidates(q_s, p, max_order, q_d))
+        pairs = _beside_order_items(walk, overlattice_candidates(q_s, p, max_order, q_d))
     scale = math.lcm(*moduli) if moduli else 1
     lattice_rows = [tuple(scale if i == j else 0 for j in range(len(moduli)))
                     for i in range(len(moduli))]
     rebuilt, two_checked = Counter(), 0
-    for position, ((order, gens), (h, form)) in enumerate(islice(pairs, start, stop), start):
+    for position, ((order, gens), (h, form, _)) in enumerate(islice(pairs, start, stop), start):
         where = (render_symbol(q_s), p, position)
         assert h == order, where
         if per_order is not None and rebuilt[order] >= per_order:
@@ -608,6 +613,37 @@ def test_h_type_reuse_matches_per_candidate_overlattices_on_table_rows():
     assert orders == {3 ** k for k in range(4)}, orders
 
 
+def _glued_listing_order(q_s, p, sigma):
+    """The largest |H| <= p^min(ell_p, 2 sigma) whose glued listing walks at
+    most 20,000 subspaces of A_D of the top dimension and matches each
+    against at most 10^6 tuples of A_S[p]."""
+    ell, max_order = q_s.ell_p(p), 1
+    for k in range(1, min(ell, 2 * sigma) + 1):
+        subspaces = _subspace_count(p, 2 * sigma, k)
+        if subspaces > 20000 or subspaces * p ** (ell * k) > 10 ** 6:
+            break
+        max_order = p ** k
+    return max_order
+
+
+def _walk_bounded_order(q_s, p, top):
+    """The largest |H| <= top whose breadth-first walk of q_s's p-part tries
+    at most 10^6 span elements: to reach order p h it tries every isotropic
+    element against every isotropic H of order at most h (counted by the
+    walk to h), and spans at most p h elements per try."""
+    _, moduli, coeffs = _realize_p_part(q_s, p)
+    n = math.lcm(*moduli)
+    weights = _value_weights(moduli, coeffs, n)
+    isotropic = sum(_qnum(weights, e) % (2 * n) == 0 for e in product(*map(range, moduli)))
+    max_order = 1
+    while max_order < top:
+        below = 1 + sum(1 for _ in _isotropic_subgroups(moduli, coeffs, max_order))
+        if below * isotropic * p * max_order > 10 ** 6:
+            break
+        max_order *= p
+    return max_order
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from((3, 5)), st.integers(0, 2), st.integers(1, 2),
        st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
@@ -616,7 +652,9 @@ def test_h_type_reuse_matches_per_candidate_overlattices_on_random_forms(
         p, r1, r2, signs, sigma, beside):
     # q_S of scales p and p^2, sometimes beside a component at another
     # prime: glued to the sigma = 1 or 2 N-form, or alone (sigma None) at
-    # |H| <= p^3, each over its first 300 candidates
+    # |H| <= p^3; the first 25 candidates of each order are rebuilt, up to
+    # the largest |H| whose listing stays small (_glued_listing_order,
+    # _walk_bounded_order)
     from k3lat.k3class import n_form
 
     comps = [J(p, 2, r2, signs[1])] + ([J(p, 1, r1, signs[0])] if r1 else [])
@@ -624,11 +662,11 @@ def test_h_type_reuse_matches_per_candidate_overlattices_on_random_forms(
         comps.append(J(7, 1, 1, 1))
     q_s = F(*comps)
     if sigma is None:
-        q_d, max_order = None, p ** 3
+        q_d, max_order = None, _walk_bounded_order(q_s, p, p ** 3)
     else:
-        q_d, max_order = negate(n_form(p, sigma).q), p ** min(r1 + r2, 2 * sigma)
-    rebuilt, _ = _per_candidate_walk(q_s, q_d, p, max_order, stop=300)
-    assert sum(rebuilt.values()) >= 1
+        q_d, max_order = negate(n_form(p, sigma).q), _glued_listing_order(q_s, p, sigma)
+    rebuilt, _ = _per_candidate_walk(q_s, q_d, p, max_order, per_order=25)
+    assert rebuilt[1] == 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -642,9 +680,8 @@ def test_order_reuse_matches_per_candidate_overlattices_at_scales_p3_and_p4(
     # q_S with a component of scale p^3 or p^4, glued to the N-form at
     # sigma = 1, 2 or 3: H meets pA inside H ∩ A_S = 0 at every scale, so
     # one form per order; the first 25 candidates of each order among the
-    # first 10,000 are rebuilt, up to the largest |H| whose listing walks at
-    # most 20,000 subspaces of A_D of the top dimension and matches each
-    # against at most 10^6 tuples of A_S[p]
+    # first 10,000 are rebuilt, up to the largest |H| whose listing stays
+    # small (_glued_listing_order)
     from k3lat.k3class import n_form
 
     comps = [J(p, k, rank, sign) for k, (rank, sign) in zip(sorted(scales), blocks)]
@@ -652,12 +689,7 @@ def test_order_reuse_matches_per_candidate_overlattices_at_scales_p3_and_p4(
         comps.append(J(7, 1, 1, 1))
     q_s = F(*comps)
     q_d = negate(n_form(p, sigma).q)
-    ell, max_order = q_s.ell_p(p), 1
-    for k in range(1, min(ell, 2 * sigma) + 1):
-        subspaces = _subspace_count(p, 2 * sigma, k)
-        if subspaces > 20000 or subspaces * p ** (ell * k) > 10 ** 6:
-            break
-        max_order = p ** k
+    max_order = _glued_listing_order(q_s, p, sigma)
     rebuilt, _ = _per_candidate_walk(q_s, q_d, p, max_order, stop=10000, per_order=25)
     assert rebuilt[1] == 1
 
@@ -762,7 +794,7 @@ class TestOverlattices:
 
     def test_order_drop(self):
         q = parse_symbol("3^-3 7^-1")
-        for h, form in overlattice_candidates(q, 3, 9):
+        for h, form, _ in overlattice_candidates(q, 3, 9):
             assert form.group_order() * h * h == q.group_order()
 
     def test_mixed_scale_recovers_overlattice(self):
@@ -852,9 +884,10 @@ def whole_group_isotropic_subgroups(moduli, coeffs, max_order):
 
 
 def whole_group_candidates(q, p, max_order):
-    """Oracle for overlattice_candidates(q, p, max_order) as a multiset: the
-    whole-group search, and one overlattice (row_hnf, _overlattice_gram,
-    symbol_of) per isotropic H."""
+    """Oracle for overlattice_candidates(q, p, max_order) as a multiset of
+    (|H|, form), each item counted count times: the whole-group search, and
+    one overlattice (row_hnf, _overlattice_gram, symbol_of) per isotropic
+    H."""
     diag, moduli, coeffs = _realize_p_part(q, p)
     scale = math.lcm(*moduli)
     lattice_rows = [tuple(scale if i == j else 0 for j in range(len(moduli)))
@@ -899,16 +932,19 @@ def test_unconstrained_search_matches_whole_group_oracle(rng):
     checked = 0
     for q, p in queries:
         for max_order in (p, p * p):
-            got = Counter(overlattice_candidates(q, p, max_order))
+            got = Counter()
+            for h, form, count in overlattice_candidates(q, p, max_order):
+                got[h, form] += count
             assert got == whole_group_candidates(q, p, max_order), (render_symbol(q), p)
             checked += 1
     assert checked >= 200
 
 
 def test_candidate_sequence_matches_oracle(rng):
-    # the trivial H first, then the same (|H|, form) sequence as the search
-    # that sets up every walk before its first yield (beside a scale-1 D
-    # block, the same (|H|, form, number of H) per order as that listing):
+    # the trivial H first, then the items of the search that sets up every
+    # walk before its first yield: on an elementary p-part and beside a
+    # scale-1 D block, (|H|, form, number of H) per order of that listing,
+    # and on any other p-part its (|H|, form) for each H, with count 1:
     # random p-parts, the same forms with the p-part dropped, and random
     # even Grams, each at max_order 1, p - 1, p and p^2
     queries = []
@@ -925,13 +961,13 @@ def test_candidate_sequence_matches_oracle(rng):
     for q, p in queries:
         d_block = F(J(p, 1, rng.randint(1, 2), rng.choice((1, -1))))
         for max_order in (1, p - 1, p, p * p):
-            want = [(h, render_symbol(f))
-                    for h, f in overlattice_candidates_oracle(q, p, max_order)]
-            got = [(h, render_symbol(f)) for h, f in overlattice_candidates(q, p, max_order)]
+            want = [(h, render_symbol(f), n) for h, f, n in orders_oracle(q, p, max_order)]
+            got = [(h, render_symbol(f), count)
+                   for h, f, count in overlattice_candidates(q, p, max_order)]
             assert got == want, (render_symbol(q), p, max_order)
             # glued: one item per order, with its number of H
             want = [(h, render_symbol(f), n)
-                    for h, f, n in glued_orders_oracle(q, p, max_order, d_block)]
+                    for h, f, n in orders_oracle(q, p, max_order, d_block)]
             got_glued = [(h, render_symbol(f), count)
                          for h, f, count in overlattice_candidates(q, p, max_order, d_block)]
             assert got_glued == want, (render_symbol(q), p, max_order, d_block)
@@ -939,6 +975,33 @@ def test_candidate_sequence_matches_oracle(rng):
             nontrivial += (len(got) > 1) + (len(got_glued) > 1)
     assert checked == 8 * len(queries)
     assert nontrivial >= 100, nontrivial
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_elementary_orders_match_the_walk(p):
+    # every elementary p-part p^(+-n), alone and beside 13^+1, at max_order
+    # p, p^2 and p^n, wherever the echelon walk lists at most 20,000
+    # subspaces: one item per order, ascending, whose counts sum the walk's
+    # (|H|, form) with the same components; the first 25 H of each order
+    # also rebuild their own overlattice
+    checked = 0
+    for n in range(1, 20):
+        for max_order in sorted({p, p * p, p ** n}):
+            if sum(_subspace_count(p, n, k) for k in range(n + 1) if p ** k <= max_order) > 20000:
+                continue
+            for sign, beside in product((1, -1), ((), (J(13, 1, 1, 1),))):
+                q = F(J(p, 1, n, sign), *beside)
+                items = list(overlattice_candidates(q, p, max_order))
+                assert [h for h, _, _ in items] == sorted({h for h, _, _ in items})
+                got = Counter()
+                for h, form, count in items:
+                    got[h, form.components] += count
+                want = Counter((h, form.components) for h, form
+                               in overlattice_candidates_oracle(q, p, max_order))
+                assert got == want, (render_symbol(q), max_order)
+                _per_candidate_walk(q, None, p, max_order, per_order=25)
+                checked += 1
+    assert checked == {3: 72, 5: 52, 7: 48, 11: 44}[p], checked
 
 
 def test_small_max_order_realizes_no_p_part(monkeypatch):
@@ -957,7 +1020,7 @@ def test_small_max_order_realizes_no_p_part(monkeypatch):
         q = parse_symbol(text)
         q_d = negate(n_form(p, 1).q)
         for max_order in (1, p - 1):
-            assert list(overlattice_candidates(q, p, max_order)) == [(1, q)]
+            assert list(overlattice_candidates(q, p, max_order)) == [(1, q, 1)]
             assert list(overlattice_candidates(q, p, max_order, q_d)) == [
                 (1, direct_sum(q, q_d), 1)]
     with pytest.raises(ValueError, match="scale 1"):
@@ -1020,7 +1083,7 @@ def test_graph_walk_matches_fraction_isotropy_search(p, sigma, text):
 
     want, dropped = set(), 0
     steps = [m // p for m in moduli]
-    for basis in _subspaces(p, len(moduli), p * p):
+    for basis in subspaces_oracle(p, len(moduli), p * p):
         span = frozenset(subgroup_span(moduli, [tuple(x * st for x, st in zip(row, steps))
                                                  for row in basis]))
         # an isotropic graph: q vanishes and H ∩ A_S = 0
@@ -1082,7 +1145,7 @@ def test_glued_orders_match_the_listing(p, scales, blocks, sigma):
         if k <= 3 and sum(n for *_, n in items) <= 4000 and max_order == p ** (k - 1):
             max_order, got = p ** k, items
     assume(max_order > 1)
-    want = [(h, f.components, n) for h, f, n in glued_orders_oracle(q_s, p, max_order, q_d)]
+    want = [(h, f.components, n) for h, f, n in orders_oracle(q_s, p, max_order, q_d)]
     assert got == want, (render_symbol(q_s), p, sigma, max_order)
     if p ** q_s.ell_p(p) <= 20000:
         got = [(h, f.components, n)

@@ -3,8 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from k3lat import _exact as ex
 from k3lat.fqf import (
     FiniteQuadraticForm,
+    _eta,
+    _odd_unit_numerators,
     isomorphic,
     negate,
     nikulin_exists,
@@ -26,6 +29,8 @@ from k3lat.k3class import (
     tame_rank_bound_check,
     wild_degree_bound,
 )
+
+from conftest import witt_index_oracle
 
 RECORDS = load_table()
 DATA = Path(__file__).parent / "data"
@@ -66,6 +71,15 @@ class TestNForm:
                     assert got.components == want.components
 
 
+def diagonal_gram(coeffs):
+    return [[c if i == j else 0 for j in range(len(coeffs))] for i, c in enumerate(coeffs)]
+
+
+def witt_index_by_type(p, n, e):
+    """floor(n/2), less one when n is even and the space is not split."""
+    return n // 2 - (n % 2 == 0 and _eta(p, n, e) == -1)
+
+
 class TestAnisotropy:
     def test_small_exhaustive(self):
         for p in (3, 5, 7):
@@ -73,22 +87,60 @@ class TestAnisotropy:
                 assert anisotropy_check(p, sigma)
 
     def test_deep_exhaustive(self):
-        assert anisotropy_check(3, 5)  # |A| = 59049, full Witt-index search
+        # |A| = 3^10 = 59,049: the exhaustive search finds Witt index 4 < 5
+        sign = n_form(3, 5).q.components[0].sign
+        assert witt_index_oracle(3, diagonal_gram(_odd_unit_numerators(3, 10, sign))) == 4
+        assert anisotropy_check(3, 5)
 
     def test_witt_index_detects_hyperbolic(self):
-        from k3lat.k3class import _witt_index_diag
-
-        # x^2 - y^2 over F_5 is a hyperbolic plane
-        assert _witt_index_diag(5, (2, -2)) == 1
-        assert _witt_index_diag(5, (2, 2)) == (1 if pow(-1, 2, 5) and
-                                               pow(4, 2, 5) else 0) or True
+        # x^2 - y^2 over F_5 is a hyperbolic plane, and so is x^2 + y^2,
+        # since -1 = 2^2 is a square mod 5
+        for coeffs in ((2, -2), (2, 2)):
+            assert witt_index_oracle(5, diagonal_gram(coeffs)) == 1
+            assert witt_index_by_type(5, 2, ex.legendre(coeffs[0] * coeffs[1], 5)) == 1
         # the N-form coefficients are never hyperbolic at half dimension
-        from k3lat.fqf import _odd_unit_numerators
-
         for p, sigma in ((3, 1), (3, 2), (5, 1), (7, 1)):
             sign = n_form(p, sigma).q.components[0].sign
             coeffs = _odd_unit_numerators(p, 2 * sigma, sign)
-            assert _witt_index_diag(p, coeffs) < sigma
+            assert witt_index_oracle(p, diagonal_gram(coeffs)) < sigma
+
+    def test_witt_index_matches_the_type_formula(self):
+        # every diagonal class over F_p, p an odd prime below 50, of every
+        # dimension n >= 1 with p^n <= 10^5; at the class of the N-form of
+        # sigma = n/2, anisotropy_check reads the search's verdict
+        checked = 0
+        for p in odd_primes_below(50):
+            n = 1
+            while p ** n <= 10 ** 5:
+                for e in (1, -1):
+                    witt = witt_index_oracle(p, diagonal_gram(_odd_unit_numerators(p, n, e)))
+                    assert witt == witt_index_by_type(p, n, e), (p, n, e)
+                    if n % 2 == 0 and e == n_form(p, n // 2).q.components[0].sign:
+                        assert anisotropy_check(p, n // 2) == (witt < n // 2)
+                    checked += 1
+                n += 1
+        assert checked == 2 * 57, checked
+
+
+def test_queries_describe_negative_definite_lattices():
+    # S is negative definite: every table row, and every embeds query that
+    # golden_cli.json and glued_sigma2.json pin, passes the existence test
+    # at signature (0, rank); the positive-definite test passes only 25 of
+    # the 67 rows; and the queries that no lattice S of their rank carries
+    # fail it (the sign convention a query check would rest on)
+    assert all(nikulin_exists(0, rec.rank, rec.q_s) for rec in RECORDS)
+    assert sum(nikulin_exists(rec.rank, 0, rec.q_s) for rec in RECORDS) == 25
+    golden = json.loads((DATA / "golden_cli.json").read_text())
+    queries = [(argv[argv.index("--qs") + 1], int(argv[argv.index("--rank") + 1]))
+               for key, cases in golden.items() if key.startswith("embeds")
+               for argv in (case["argv"] for case in cases)]
+    queries += [(item["decision"]["qs"], item["decision"]["rank"])
+                for item in json.loads((DATA / "glued_sigma2.json").read_text())]
+    assert len(queries) == 77 + 62
+    for text, rank in queries:
+        assert nikulin_exists(0, rank, parse_symbol(text)), (text, rank)
+    for text, rank in (("3^+10", 1), ("9^+10", 1), ("3^+6", 8)):
+        assert not nikulin_exists(0, rank, parse_symbol(text)), (text, rank)
 
 
 class TestEmbeds:
