@@ -525,7 +525,9 @@ def _isotropic_subgroups(moduli, coeffs, max_order):
     b(g_i, g_j) = 0, since q(sum a_i g_i) = sum a_i^2 q(g_i)
     + 2 sum_{i<j} a_i a_j b(g_i, g_j) mod 2; so no span is built to decide
     it.  A group of more than ENUMERATION_CAP elements is refused, and so is
-    a walk that tries more than ENUMERATION_CAP extensions.
+    a walk that tries more than ENUMERATION_CAP extensions.  Once <H, g> is
+    built, every x with <H, x> = <H, g> is skipped: <H, g>/H is cyclic of
+    order k, so these are the x = e + t g with e in H and t prime to k.
     """
     n = math.lcm(*moduli)
     weights = _value_weights(moduli, coeffs, n)
@@ -541,22 +543,26 @@ def _isotropic_subgroups(moduli, coeffs, max_order):
     while frontier:
         nxt = []
         for elems, gens in frontier:
+            built = set()  # the x whose <H, x> is a child of H built already
             for g in elements:
                 if g in elems:
                     continue
                 tries += 1
                 if tries > ENUMERATION_CAP:
                     raise ex.LimitExceeded("subgroup extension cap exceeded")
-                if any(_bnum(weights, g, h) % n for h in gens):
+                if g in built or any(_bnum(weights, g, h) % n for h in gens):
                     continue
-                # <H, g> is the union of the cosets H + k g, 0 <= k < [<H, g> : H]
+                # <H, g> is the union of the cosets H + t g, 0 <= t < k = [<H, g> : H]
                 shifts, x = [zero], g
                 while x not in elems:
                     shifts.append(x)
                     x = _elem_add(moduli, x, g)
-                if len(elems) * len(shifts) > max_order:
+                k = len(shifts)
+                if len(elems) * k > max_order:
                     continue
-                new = frozenset(_elem_add(moduli, e, s) for e in elems for s in shifts)
+                cosets = [[_elem_add(moduli, e, s) for e in elems] for s in shifts]
+                built.update(*(c for t, c in enumerate(cosets) if math.gcd(t, k) == 1))
+                new = frozenset().union(*cosets)
                 if new in seen:
                     continue
                 seen.add(new)

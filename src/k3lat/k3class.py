@@ -10,6 +10,7 @@ form with the even-lattice existence criterion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -98,6 +99,17 @@ class EmbeddingQuery:
             raise ValueError("rank must be between 0 and 21")
         if self.rank_s + self.q_s.ell() > 24:
             raise ValueError("rank + ell(A) exceeds 24; not a Leech-side lattice")
+        if not _carried_by_a_lattice(self.q_s.components, self.rank_s):
+            raise ValueError(f"no even negative-definite lattice of rank {self.rank_s} "
+                             f"has discriminant form {render_symbol(self.q_s)}")
+
+
+@lru_cache(maxsize=1024)
+def _carried_by_a_lattice(comps: tuple, rank: int) -> bool:
+    """Does an even negative-definite lattice of the rank carry the form?
+    Memoised by the components and the rank: it does not depend on p, and a
+    table row asks at every prime."""
+    return nikulin_exists(0, rank, FiniteQuadraticForm(comps))
 
 
 @dataclass(frozen=True)
@@ -235,15 +247,6 @@ def allowed_components(p: int) -> list:
     raise ValueError("p must be an odd prime")
 
 
-def _nu_factorial(p: int, n: int) -> int:
-    v = 0
-    q = p
-    while q <= n:
-        v += n // q
-        q *= p
-    return v
-
-
 @dataclass(frozen=True)
 class WildBoundReport:
     p: int
@@ -273,7 +276,7 @@ def wild_degree_bound(p: int, table) -> WildBoundReport:
         if rank_r > MAX_ROOT_RANK:
             continue
         g_r = sum(n * c.nu_cap for n, c in zip(counts, comps))
-        g_r += sum(_nu_factorial(p, n) for n in counts)
+        g_r += sum(ex.valuation(math.factorial(n), p) for n in counts)
         obstructed = False
         if p == 11 and counts == (2,):
             # the double-A10 branch is obstructed: the p-cycle acts

@@ -6,18 +6,18 @@ The pair is pseudo when that sublattice is rootless, and full when in
 addition the fixed sublattice is zero.  Pseudo-ness is inherited by
 subgroups, which is what makes exhaustive subgroup classification feasible:
 the search only ever grows subgroups all of whose cyclic pieces are already
-pseudo.  Every group element is a permutation held as bytes and composed
-by perm_mul: root permutations for the D and E types, and for A_m the
-signed permutations of S_{m+1} x {+-1} on m+3 points.  The conjugacy
-classes of D4, D5, E6 and the E8 scope come from one lazy class sweep,
-which stops once the class sizes add up to the group order, so Aut(R) is
-never closed.  These classes do not depend on p: they are built once per
-root datum and process, and each classify call does only the work that
-depends on p.  A root lies in a sharp span mod p iff every check form of
-the span's reduced echelon basis vanishes on it.  Subgroup closures are
-rootsys.group_closure, and the conjugates of a subgroup and the walk of the
-sweep are rootsys.breadth_first; the class orbit of one element and the
-cyclic extension walk of classify keep loops of their own.
+pseudo.  Every group element is a root permutation held as bytes and
+composed by perm_mul.  The conjugacy classes of Aut(A_m) are the parabolic
+Coxeter elements and their negatives; those of D4, D5, E6 and the E8 scope
+come from one lazy class sweep, which stops once the class sizes add up to
+the group order, so Aut(R) is never closed.  These classes do not depend on
+p: they are built once per root datum and process, and each classify call
+does only the work that depends on p.  A root lies in a sharp span mod p iff
+every check form of the span's reduced echelon basis vanishes on it.
+Subgroup closures are rootsys.group_closure, and the conjugates of a
+subgroup and the walk of the sweep are rootsys.breadth_first; the class
+orbit of one element and the cyclic extension walk of classify keep loops
+of their own.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from . import _exact as ex
 from .intlat import Sublattice, discriminant_group, membership
@@ -219,10 +219,8 @@ class ClassifyResult:
 
 
 def _perm_inv(a: bytes) -> bytes:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return bytes(out)
+    """The inverse permutation: the points sorted by their images under a."""
+    return bytes(sorted(range(len(a)), key=a.__getitem__))
 
 
 def _conj_tables(perms) -> list:
@@ -260,20 +258,18 @@ _WEYL_PAIR_REFLECTION = {"E6": 0, "D5": 3}
 
 
 class _Universe:
-    """A finite group whose elements are permutations held as bytes and
-    composed by perm_mul.
+    """A finite group of root permutations of datum, held as bytes and
+    composed by perm_mul; datum.matrix_of_perm gives each its isometry.
 
-    Conjugation by the generators `conj_gens` is conjugation by Aut(R);
-    `reps` holds one element of each conjugacy class, and `matrix` maps an
-    element to its isometry in the simple-root basis.  A class is expanded
+    Conjugation by the generators `conj_gens` is conjugation by Aut(R), and
+    `reps` holds one element of each conjugacy class.  A class is expanded
     only when asked for, as the orbit of its representative.
     """
 
-    def __init__(self, datum, conj_gens, reps, matrix):
+    def __init__(self, datum, conj_gens, reps):
         self.datum = datum
         self.conj_gens = tuple(conj_gens)
         self.reps = tuple(reps)
-        self.matrix = matrix
         self.identity = bytes(range(len(self.reps[0])))
         self.conj = _conj_tables(self.conj_gens)
 
@@ -312,68 +308,48 @@ def _class_sweep(datum, gens, order: int, signed: bool) -> _Universe:
             reps.append(minus_x)
             size += len(orbit)
         if size == order:
-            return _Universe(datum, gens, reps, datum.matrix_of_perm)
+            return _Universe(datum, gens, reps)
     raise ArithmeticError(f"the {len(gens)} generators of {datum.label} generate a group "
                           f"of order {walked}, too small for order {order}")
+
+
+def _coxeter_pair(datum, reflection: int) -> list:
+    """The Coxeter element c = s_1...s_n and s_{reflection + 1} as root perms."""
+    refl = simple_reflections(datum)
+    return [datum.perm_of(reduce(operator.mul, refl)), datum.perm_of(refl[reflection])]
 
 
 def _weyl_times_sign_universe(datum, reflection: int) -> _Universe:
     """Aut(R) = W(R) x {+-1}, for E6 and D5 where -1 is not in W.
 
-    W is taken as generated by the Coxeter element c = s_1...s_n and the
-    simple reflection s = s_{reflection + 1}, which the sweep proves; -1 is
+    W is taken as generated by the Coxeter element c and the simple
+    reflection s = s_{reflection + 1}, which the sweep proves; -1 is
     central, so conjugation by c and s is conjugation by Aut(R).
     """
-    refl = simple_reflections(datum)
-    coxeter = reduce(operator.mul, refl)
-    return _class_sweep(datum, [datum.perm_of(coxeter), datum.perm_of(refl[reflection])],
+    return _class_sweep(datum, _coxeter_pair(datum, reflection),
                         2 * weyl_order(datum.label), signed=True)
 
 
-def _signed_sym_universe(datum) -> _Universe:
-    """Aut(A_m) = S_{m+1} x {+-1} as permutations of m+3 points.
+def _symmetric_times_sign_universe(datum) -> _Universe:
+    """Aut(A_m) = S_{m+1} x {+-1}, with its classes and no sweep.
 
-    With n = m+1, (w, e) permutes the points 0..n-1 by w and swaps the
-    points n and n+1 when e = -1, so perm_mul is the group law.  The sign
-    is central, so the classes are exactly the pairs (cycle type, sign),
-    each represented by consecutive cycles.  For A_1 the transposition is
-    -1 already and the sign is not doubled.
+    The classes of W = S_{m+1} are the cycle types, and each holds the
+    Coxeter element of a standard parabolic subgroup (Geck & Pfeiffer 2000,
+    3.1): cut the points 0..m into runs of the part lengths, and take the
+    product of the simple reflections s_{i+1} (swapping i, i+1) inside the
+    runs.  -1 is central and outside W for m >= 2, so each class w adds the
+    class -w; for A_1, s_1 is -1.  The Coxeter element and s_1 generate
+    S_{m+1}, so conjugation by them is conjugation by Aut(A_m).
     """
     _, m = parse_label(datum.label)
-    n = m + 1
-    signs = [bytes((n, n + 1))] + ([bytes((n + 1, n))] if m >= 2 else [])
-    conj_gens = [bytes([1, 0, *range(2, n)]) + signs[0]]
-    if n > 2:
-        conj_gens.append(bytes([*range(1, n), 0]) + signs[0])
+    refl = [datum.perm_of(s) for s in simple_reflections(datum)]
+    signs = [bytes(range(len(datum.roots)))] + ([_negation(datum)] if m >= 2 else [])
     reps = []
-    for lengths in _partitions(n, n):
-        w, start = [], 0
-        for ln in lengths:
-            w += range(start + 1, start + ln)
-            w.append(start)
-            start += ln
-        reps += (bytes(w) + s for s in signs)
-    return _Universe(datum, conj_gens, reps, lambda a: _signed_perm_matrix(a, n))
-
-
-def _signed_perm_matrix(a: bytes, n: int) -> Isometry:
-    """The isometry of A_{n-1} in the simple-root basis for the element a
-    of _signed_sym_universe: alpha_j = u_j - u_{j+1} goes to
-    e (u_{w(j)} - u_{w(j+1)})."""
-    e = 1 if a[n] == n else -1
-    m = n - 1
-    cols = []
-    for j in range(m):
-        vec = [0] * m
-        x, y = a[j], a[j + 1]
-        if x < y:
-            for k in range(x, y):
-                vec[k] = e
-        else:
-            for k in range(y, x):
-                vec[k] = -e
-        cols.append(tuple(vec))
-    return Isometry(ex.transpose(cols))
+    for lengths in _partitions(m + 1, m + 1):
+        cuts = set(accumulate(lengths))  # a run ends before each cut
+        w = reduce(perm_mul, (refl[i] for i in range(m) if i + 1 not in cuts), signs[0])
+        reps += (perm_mul(sign, w) for sign in signs)
+    return _Universe(datum, _coxeter_pair(datum, 0), reps)
 
 
 def _partitions(n, largest):
@@ -395,10 +371,12 @@ def classify(datum_or_label, p: int) -> ClassifyResult:
     built.  Subgroups of a pseudo pair are pseudo, so growing subgroups
     inside the set of elements with rootless cyclic sharp lattice is
     exhaustive; one subgroup per conjugacy class is grown, by one generator
-    per cyclic subgroup.  The conjugacy classes come from a lazy walk of
-    the group that stops once the class sizes add up to its order: for
-    Aut(E6) and Aut(D5) = W(R) x {+-1} the walk is of W(R), and each class
-    of W(R) adds its negative; Aut(D4) is walked itself.  Only the
+    per cyclic subgroup.  The classes of Aut(A_m) = S_{m+1} x {+-1} are the
+    parabolic Coxeter elements of the cycle types and their negatives; the
+    others come from a lazy walk of the group that stops once the class
+    sizes add up to its order: for Aut(E6) and Aut(D5) = W(R) x {+-1} the
+    walk is of W(R), and each class of W(R) adds its negative; Aut(D4) is
+    walked itself.  Only the
     order-25 group <a, b> of the E8 scope is closed, for its order.  The
     classes are built at the first call for a root datum and kept
     (_search_universe); every call decides the good classes, grows the
@@ -432,7 +410,7 @@ def _search_universe(datum) -> _Universe:
     makes have at most eleven universes.
     """
     if datum.label.startswith("A"):
-        return _signed_sym_universe(datum)
+        return _symmetric_times_sign_universe(datum)
     if datum.label in _WEYL_PAIR_REFLECTION:
         return _weyl_times_sign_universe(datum, _WEYL_PAIR_REFLECTION[datum.label])
     if datum.label == "D4":
@@ -508,7 +486,7 @@ def _classify_universe(datum, p, uni, partial, note) -> ClassifyResult:
 
     def matrix_of(key):
         if key not in matrices:
-            matrices[key] = uni.matrix(key)
+            matrices[key] = datum.matrix_of_perm(key)
         return matrices[key]
 
     def rootless_span(gen_keys) -> bool:

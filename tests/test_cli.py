@@ -207,7 +207,9 @@ def run_subprocess(*argv):
 
 
 HUGE = str(10 ** 400 + 1)
-EMBEDS_3 = ["embeds", "--qs", "3^+1", "--rank", "1", "--sigma", "1"]
+# 3^+1 at rank 2 is carried by an even negative-definite lattice (-A2), so
+# the hostile primes below are what ends or decides each query
+EMBEDS_3 = ["embeds", "--qs", "3^+1", "--rank", "2", "--sigma", "1"]
 
 
 class TestHostileInput:
@@ -229,8 +231,8 @@ class TestHostileInput:
 
     def test_prime_below_the_miller_rabin_bound_is_decided(self):
         res = run_subprocess(*EMBEDS_3, "--p", "1000000000000000003")
-        assert res.returncode == 1, res.stderr
-        assert res.stdout.startswith("does not embed (p=1000000000000000003, sigma=1)")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("embeds (p=1000000000000000003, sigma=1)")
 
     @pytest.mark.parametrize("diag,want", [
         ([2 * 1000000007, 2 * 1000000007], "2_6^+2 1000000007^+2"),
@@ -340,25 +342,39 @@ class TestHostileInput:
                              "--generators", str(path))
         assert res.returncode == 2 and "p must be an odd prime" in res.stderr, res.stderr
 
-    @pytest.mark.parametrize("p,ell,rank,code", [
-        ("10007", 1, 1, 1), ("1000003", 1, 1, 1), ("1000003", 1, 2, 0), ("10007", 3, 3, 1),
-        ("1000033", 1, 1, 1)])
-    def test_large_elementary_block_ends(self, p, ell, rank, code):
+    @pytest.mark.parametrize("qs,rank,h_order,tried", [
+        ("10007^+2", 20, 10007, 2), ("1000003^+2", 20, 1000003, 2),
+        ("1000003^+1", 2, 1, 1), ("10007^+3", 18, 10007, 2), ("1000033^-1", 20, 1000033, 2),
+        ("1000033^-3", 20, 1000033 ** 2, 1000100003333037028),
+    ])
+    def test_large_elementary_block_ends(self, qs, rank, h_order, tried):
         """The glued search counts the graphs of each order from the isometry
         types of F_p quadratic spaces and builds one witness graph per order,
         so no query walks A_S[p] or the lines of (Z/p)^2, however large p
         is: each is decided, with the exact number of candidates.  For
-        1000003^+1 at rank 2 the trivial subgroup is the witness.  1000033
-        is 1 mod 8, so its witness takes square roots by more than one
-        Tonelli-Shanks step."""
-        res = run_subprocess("--json", "embeds", "--qs", f"{p}^+{ell}", "--rank", str(rank),
+        1000003^+1 at rank 2 the trivial subgroup is the witness; the others
+        pass over it and embed with |H| = p or p^2.  1000033 is 1 mod 8, so
+        its witnesses take square roots by more than one Tonelli-Shanks
+        step."""
+        p = qs.split("^")[0]
+        res = run_subprocess("--json", "embeds", "--qs", qs, "--rank", str(rank),
                              "--p", p, "--sigma", "1")
-        assert res.returncode == code, res.stderr
+        assert res.returncode == 0, res.stderr
         assert "Traceback" not in res.stderr
-        tried = {("10007", 1): 10009, ("1000003", 1): 1000005, ("1000003", 2): 1,
-                 ("10007", 3): 2004303070729, ("1000033", 1): 1000035}[p, rank]
         out = json.loads(res.stdout)
-        assert out["embeds"] == (code == 0) and out["candidates_tried"] == tried
+        assert out["embeds"] and out["candidates_tried"] == tried
+        assert out["certificate"]["h_order"] == h_order
+
+    @pytest.mark.parametrize("qs,rank,sigma", [("3^+6", 8, 3), ("3^+10", 1, 1)])
+    def test_query_that_describes_no_lattice_is_usage_error(self, qs, rank, sigma):
+        """No even negative-definite lattice of the rank carries q_S, so the
+        query is refused before any search (3^+6 at rank 8, sigma 3 once
+        answered "does not embed" after 80,793,636,057 candidates)."""
+        res = run_subprocess("embeds", "--qs", qs, "--rank", str(rank), "--p", "3",
+                             "--sigma", str(sigma))
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
+        assert "no even negative-definite lattice" in res.stderr
 
     @pytest.mark.parametrize("bound,code", [
         ("100000000000", 3), (str(cli.MAX_PRIMES_BELOW + 1), 3), ("3", 2), ("-5", 2)])
@@ -398,7 +414,7 @@ class TestHostileInput:
     def test_largest_prime_below_the_cap_is_decided(self):
         res = run_subprocess("wildbound", "--p", "999999999989")
         assert res.returncode == 0 and "tame only" in res.stdout
-        assert run_subprocess(*EMBEDS_3, "--p", "999999999989").returncode == 1
+        assert run_subprocess(*EMBEDS_3, "--p", "999999999989").returncode == 0
 
 
 class TestWildbound:
@@ -486,7 +502,10 @@ class TestGoldenOutput:
     def test_proot_classify_generators_and_verdicts(self, capsys):
         # recorded before the subgroup search ran up to conjugacy: the 30
         # benchmark cases plus E6 at p = 3, 7 and E8 at p = 3; D5/11, E6/11
-        # and E6/13 recorded before E6 and D5 were classed over W(R) x {+-1}
+        # and E6/13 recorded before E6 and D5 were classed over W(R) x {+-1};
+        # A2 and A4 at p = 3, 5, 7, A5 at 3 and A6 at 3, 5, 7 re-recorded when
+        # Aut(A_m) became root permutations: only the generators moved, to an
+        # Aut(A_m)-conjugate subgroup, since the least one in byte order moved
         assert len(GOLDEN["proot-classify"]) == 36
         for want in GOLDEN["proot-classify"]:
             code, out = run(capsys, want["argv"])

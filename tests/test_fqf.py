@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -1061,6 +1063,33 @@ def test_unconstrained_search_ends_on_large_groups(text, max_order, outcome, sec
     got, elapsed = res.stdout.split()
     assert got == outcome
     assert float(elapsed) < seconds
+
+
+# (|H|, gens) of the breadth-first walk at p = 3, |H| <= 81, recorded
+# before the walk skipped the x whose <H, x> it had built from H already
+ISOTROPIC_WALKS = json.loads(
+    (Path(__file__).parent / "data" / "isotropic_walks.json").read_text())
+
+
+@pytest.mark.parametrize("text", sorted(ISOTROPIC_WALKS))
+def test_isotropic_walk_matches_the_recorded_sequence(text):
+    _, moduli, coeffs = _realize_p_part(parse_symbol(text), 3)
+    got = [[h, [list(g) for g in gens]] for h, gens in _isotropic_subgroups(moduli, coeffs, 81)]
+    assert got == ISOTROPIC_WALKS[text]
+
+
+def test_isotropic_walk_builds_each_child_once(monkeypatch):
+    # 5^+2 25^+2 at |H| <= 125: 189 subgroups, after 4,130,096 _elem_add
+    # calls while every x built its <H, x>; 53,396 since each child of H is
+    # built once
+    from k3lat import fqf
+
+    calls = []
+    add = fqf._elem_add
+    monkeypatch.setattr(fqf, "_elem_add", lambda *args: calls.append(None) or add(*args))
+    _, moduli, coeffs = _realize_p_part(parse_symbol("5^+2 25^+2"), 5)
+    assert sum(1 for _ in _isotropic_subgroups(moduli, coeffs, 125)) == 189
+    assert 5 * len(calls) <= 4130096
 
 
 @pytest.mark.parametrize("p,sigma,text", [

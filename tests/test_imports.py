@@ -135,3 +135,45 @@ def test_every_cache_is_bounded_or_listed():
             found[f"{path.stem}.{func}"] = bounded
     assert found, "no cache found: the decorator scan is broken"
     assert sorted(k for k, bounded in found.items() if not bounded) == sorted(UNBOUNDED_CACHES)
+
+
+# The functions of math that take and give ints; every other name is real.
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+# The Gauss-sum oracle is the package's floating-point computation; the only
+# other float literals are acceptance.py's wall-clock budgets (0.0, 1.0) and
+# the probability of one random draw (0.4).
+FLOAT_EXEMPT_FUNCTIONS = {"fqf.brute_force_tau"}
+FLOAT_LITERALS = {"acceptance": ["0.0", "0.4", "1.0"]}
+
+
+def float_uses(node):
+    """Every float or complex literal, float( or complex( call, use of cmath
+    and real-valued name of math under node, as source-like text."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, (float, complex)):
+            yield repr(sub.value)
+        elif isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in ("float", "complex"):
+            yield f"{sub.func.id}("
+        elif isinstance(sub, ast.Import):
+            yield from (f"import {a.name}" for a in sub.names if a.name == "cmath")
+        elif isinstance(sub, ast.ImportFrom) and sub.module in ("cmath", "math"):
+            yield from (f"from {sub.module} import {a.name}" for a in sub.names
+                        if sub.module == "cmath" or a.name not in INTEGER_MATH)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and (
+                sub.value.id == "cmath" or sub.value.id == "math"
+                and sub.attr not in INTEGER_MATH):
+            yield f"{sub.value.id}.{sub.attr}"
+
+
+def test_floating_point_only_where_listed():
+    found, exempt = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in parse(path).body:
+            uses = list(float_uses(node))
+            if f"{path.stem}.{getattr(node, 'name', '')}" in FLOAT_EXEMPT_FUNCTIONS:
+                exempt += uses
+            elif uses:
+                found.setdefault(path.stem, []).extend(uses)
+    # the scan sees the exempt oracle's floats, so an empty result is no accident
+    assert {"import cmath", "float(", "math.sqrt", "1j"} <= set(exempt)
+    assert {name: sorted(uses) for name, uses in found.items()} == FLOAT_LITERALS

@@ -4,7 +4,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 
 import pytest
 
@@ -32,7 +31,7 @@ from k3lat.prootpair import (
     _rootless,
     _search_universe,
     _sharp_span_modp,
-    _signed_sym_universe,
+    _symmetric_times_sign_universe,
     _Universe,
     _weyl_times_sign_universe,
     classify,
@@ -152,7 +151,7 @@ class TestSharpAgainstClosure:
         rng = random.Random(label)
         for k in (2, 3):
             for _ in range(8):
-                gens = [uni.matrix(x) for x in rng.sample(group_elements(label), k)]
+                gens = [uni.datum.matrix_of_perm(x) for x in rng.sample(group_elements(label), k)]
                 for p in (3, 5):
                     assert_sharp_matches_closure(uni.datum, gens, p)
 
@@ -285,7 +284,7 @@ class TestMembershipAgainstNormalEquations:
             uni = perm_universe(f"A{n}")
             elements = group_elements(f"A{n}")
             sample = random.Random(p).sample(elements, min(20, len(elements)))
-            isos += [uni.matrix(x) for x in sample]
+            isos += [uni.datum.matrix_of_perm(x) for x in sample]
         for iso in isos:
             try:
                 want = disc_action_by_normal_equations(sub, iso)
@@ -390,46 +389,35 @@ def universe_group(label):
 
 @lru_cache(maxsize=None)
 def perm_universe(label):
-    """The universe classify searches, from its lazy class sweep."""
+    """The universe classify searches: the parabolic Coxeter elements for
+    A_m, a lazy class sweep otherwise."""
     return _search_universe(build(label))
 
 
 @lru_cache(maxsize=None)
 def closed_universe(label):
-    """Oracle for D and E labels: the whole group closed (aut_group, or <a, b>
-    for E8) and swept by bfs_class_sweep, conjugating by every generator."""
+    """Oracle: the whole group closed (aut_group, or <a, b> for E8) and swept
+    by bfs_class_sweep, conjugating by every generator."""
     datum = build(label)
     conj_gens = [datum.perm_of(g) for g in universe_group(label).generators]
     classes = bfs_class_sweep(conj_gens, group_elements(label))
-    return _Universe(datum, conj_gens, [min(c) for c in classes], datum.matrix_of_perm)
+    return _Universe(datum, conj_gens, [min(c) for c in classes])
 
 
 def class_partition(uni):
     return {frozenset(uni.conjugacy_class(r)) for r in uni.reps}
 
 
-def signed_perm(w, e):
-    """(w, e) in S_n x {+-1} as bytes: w on the points 0..n-1, then the points
-    n and n+1, swapped for e = -1 (written out here, not taken from the
-    universe)."""
-    n = len(w)
-    return bytes(w) + bytes((n, n + 1) if e == 1 else (n + 1, n))
-
-
 @lru_cache(maxsize=None)
 def group_elements(label):
-    """The whole group of perm_universe(label) in a fixed order: every
-    permutation times every sign for A_m, the sorted closure otherwise."""
-    if label.startswith("A"):
-        m = int(label[1:])
-        return [signed_perm(w, e) for w in permutations(range(m + 1))
-                for e in ((1, -1) if m >= 2 else (1,))]
+    """The whole group of perm_universe(label), closed from its generators,
+    in byte order."""
     return sorted(universe_group(label).closure_perms())
 
 
 def rootless_span_at(uni, p):
     def rootless_span(keys):
-        return _rootless(uni.datum, [uni.matrix(k).matrix for k in keys], p)
+        return _rootless(uni.datum, [uni.datum.matrix_of_perm(k).matrix for k in keys], p)
 
     return rootless_span
 
@@ -496,13 +484,13 @@ class TestConjugacySearch:
         *((f"A{m}", p) for m in range(1, 8) for p in (3, 5, 7)), ("E8", 5),
     ])
     def test_matches_whole_good_set_bfs(self, label, p):
-        # for D and E the oracle searches the closed group
-        uni = perm_universe(label) if label.startswith("A") else closed_universe(label)
+        # the oracle searches the closed group
+        uni = closed_universe(label)
         out = classify(uni.datum, p).entries
         want = bfs_classes(uni, p)
         assert len(out) == len(want)
         for entry, (rep, genkeys) in zip(out, want):
-            gens = tuple(uni.matrix(k) for k in genkeys or [uni.identity])
+            gens = tuple(uni.datum.matrix_of_perm(k) for k in genkeys or [uni.identity])
             assert entry.order == len(rep)
             assert entry.generators == gens
             v = verdict(uni.datum, gens, p)
@@ -655,8 +643,9 @@ class TestConjugacyClasses:
     def assert_sample_matches_per_element_verdict(label, p):
         uni = perm_universe(label)
         good = good_elements(uni, p)
+        rootless_span = rootless_span_at(uni, p)
         for x in random.Random(p).sample(group_elements(label), 300):
-            oracle = x == uni.identity or _rootless(uni.datum, [uni.matrix(x).matrix], p)
+            oracle = x == uni.identity or rootless_span([x])
             assert (x in good) == oracle
 
     def test_e6_sample_matches_per_element_verdict(self):
@@ -699,28 +688,30 @@ class TestConjugacyClasses:
 
 
 class TestSignedSymEncoding:
-    """Aut(A_m) as permutations of m+3 points against the closure of
-    aut_group, whose matrices are the isometries of A_m."""
+    """Aut(A_m) = S_{m+1} x {+-1} as root permutations (the m+3-point
+    encoding these tests first checked is gone): the classes of the
+    parabolic Coxeter elements and their negatives, read as matrices,
+    against the isometries of aut_group, and perm_mul against the matrix
+    product."""
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_matrices_are_aut_group(self, m):
-        label = f"A{m}"
-        uni = perm_universe(label)
-        elements = group_elements(label)
-        images = [uni.matrix(x) for x in elements]
-        assert len(set(images)) == len(elements)
-        datum = build(label)
-        assert set(images) == {datum.matrix_of_perm(x)
-                               for x in aut_group(datum).closure_perms()}
+        uni = perm_universe(f"A{m}")
+        elements = set().union(*map(uni.conjugacy_class, uni.reps))
+        images = {uni.datum.matrix_of_perm(x) for x in elements}
+        assert len(images) == len(elements)
+        assert images == {uni.datum.matrix_of_perm(x)
+                          for x in aut_group(uni.datum).closure_perms()}
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_perm_mul_is_the_group_law(self, m):
         uni = perm_universe(f"A{m}")
+        matrix = uni.datum.matrix_of_perm
         elements = group_elements(f"A{m}")
         rng = random.Random(m)
         for _ in range(60):
             a, b = rng.choice(elements), rng.choice(elements)
-            assert uni.matrix(perm_mul(a, b)) == uni.matrix(a) * uni.matrix(b)
+            assert matrix(perm_mul(a, b)) == matrix(a) * matrix(b)
 
 
 def closure(uni, gens, allowed=None, cap=SUBGROUP_ELEMENT_CAP):
@@ -738,16 +729,12 @@ class TestClosure:
         rng = random.Random(f"{label}{count}")
         for _ in range(4):
             gens = rng.sample(group_elements(label), count)
-            grp = IsometryGroup(uni.datum, [uni.matrix(g) for g in gens])
-            got = closure(uni, gens, cap=200000)
-            assert len(got) == len(grp.closure_perms())
-            if not label.startswith("A"):  # root permutations both
-                assert got == grp.closure_perms()
+            grp = IsometryGroup(uni.datum, [uni.datum.matrix_of_perm(g) for g in gens])
+            assert closure(uni, gens, cap=200000) == grp.closure_perms()
 
     def test_leaving_the_allowed_set_gives_none(self):
         uni = perm_universe("A5")
-        g = signed_perm((1, 2, 3, 4, 5, 0), 1)  # the 6-cycle
-        h = signed_perm((1, 0, 2, 3, 4, 5), 1)  # a transposition
+        g, h = uni.conj_gens  # the Coxeter element, a 6-cycle, and s_1
         cyclic = closure(uni, [g])
         assert len(cyclic) == 6 and uni.identity in cyclic
         assert closure(uni, [g, h], allowed=cyclic) is None
@@ -768,7 +755,7 @@ class TestGoodSetWorkCounts:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_a7_decides_44_classes(self, monkeypatch, p):
-        uni = _signed_sym_universe(build("A7"))
+        uni = _symmetric_times_sign_universe(build("A7"))
         rootless_span = rootless_span_at(uni, p)
         calls, orbit_sizes = [], []
         orbit = prootpair._conjugation_orbit
@@ -871,7 +858,7 @@ class TestUniverseCache:
 
     def test_one_sweep_per_datum_over_the_bench_cases(self, fresh_universes, monkeypatch):
         built = []
-        for name in ("_class_sweep", "_signed_sym_universe"):
+        for name in ("_class_sweep", "_symmetric_times_sign_universe"):
             builder = getattr(prootpair, name)
             monkeypatch.setattr(prootpair, name, lambda *args, builder=builder, name=name, **kw:
                                 built.append((name, args[0].label)) or builder(*args, **kw))
@@ -881,8 +868,12 @@ class TestUniverseCache:
         labels = sorted({label for label, _ in PROOT_CLASSIFY_CASES})
         assert sorted(label for _, label in built) == labels
         assert Counter(name for name, _ in built) == {"_class_sweep": 4,
-                                                      "_signed_sym_universe": 7}
+                                                      "_symmetric_times_sign_universe": 7}
         assert _search_universe.cache_info().currsize == len(labels) == 11
+        # one encoding: every representative is a permutation of the roots
+        for label in labels:
+            uni = _search_universe(build(label))
+            assert {len(rep) for rep in uni.reps} == {len(uni.datum.roots)}
 
     def test_spellings_of_a_label_share_one_universe(self, fresh_universes):
         results = [classify(label, 3) for label in ("D4", "d4", " D4", "D(4)")]
@@ -892,11 +883,11 @@ class TestUniverseCache:
 
     def test_universe_holds_nothing_of_p(self, fresh_universes):
         # a copy of the contents, so that a change in place shows as well as a
-        # rebound attribute; the datum and the matrix map are not copied
+        # rebound attribute; the datum is not copied
         uni = _search_universe(build("D4"))
 
         def contents():
-            return {k: v for k, v in vars(uni).items() if k not in ("datum", "matrix")}
+            return {k: v for k, v in vars(uni).items() if k != "datum"}
 
         before = copy.deepcopy(contents())
         for p in (3, 5, 7, 11):
@@ -904,7 +895,7 @@ class TestUniverseCache:
         assert _search_universe(build("D4")) is uni
         assert uni.datum is build("D4")
         assert contents() == before
-        assert sorted(vars(uni)) == ["conj", "conj_gens", "datum", "identity", "matrix", "reps"]
+        assert sorted(vars(uni)) == ["conj", "conj_gens", "datum", "identity", "reps"]
 
 
 def random_generator_sets(datum, rng, count):
