@@ -107,10 +107,7 @@ class FiniteQuadraticForm:
         return FiniteQuadraticForm(tuple(c for c in self.components if c.prime != p))
 
     def group_order(self) -> int:
-        n = 1
-        for c in self.components:
-            n *= c.group_order()
-        return n
+        return math.prod(c.group_order() for c in self.components)
 
     def ell_p(self, p: int) -> int:
         return sum(c.rank for c in self.components if c.prime == p)
@@ -168,13 +165,8 @@ def _two_adic_units(rank: int, sign: int, oddity: int):
 def _odd_unit_numerators(p: int, rank: int, sign: int) -> tuple:
     """Even integers c_i, prime to p, with product Legendre class == sign."""
     chi2 = ex.legendre(2, p)
-    cs = [2] * (rank - 1)
-    target = sign * chi2 ** (rank - 1)
-    if chi2 == target:
-        cs.append(2)
-    else:
-        cs.append(2 * ex.least_nonresidue(p))
-    return tuple(cs)
+    last = 2 if chi2 == sign * chi2 ** (rank - 1) else 2 * ex.least_nonresidue(p)
+    return (2,) * (rank - 1) + (last,)
 
 
 def _two_blocks(comp: JordanComponent):
@@ -479,9 +471,7 @@ def _realize_p_part(q: FiniteQuadraticForm, p: int):
     """
     if p == 2:
         raise ValueError("only odd p is realized diagonally")
-    diag = []
-    moduli = []
-    coeffs = []
+    diag, moduli, coeffs = [], [], []
     for c in q.components:
         if c.prime != p:
             continue
@@ -614,6 +604,14 @@ def _embeddings(p: int, n: int, d: int, j: int, w: int, e: int) -> int:
     return count
 
 
+def _subspaces(p: int, n: int, d: int, j: int, w: int, e: int) -> int:
+    """Sub(tau, V), the subspaces of type tau = (n, d, j) in the
+    nondegenerate space of type (w, e): the injections over the isometries
+    of tau, which act on those with one image as one orbit (README)."""
+    return _embeddings(p, n, d, j, w, e) // (_orthogonal_order(p, n, d) * p ** (n * j)
+                                             * math.prod(p ** j - p ** t for t in range(j)))
+
+
 def _graph_terms(p: int, k: int, v: tuple, w: tuple, r: int):
     """(term, (n, d, j, i)) over the types (n, d, j) of U, n + j = k, and the
     dimension i of the part of U's radical that goes to R: the subspaces of
@@ -623,9 +621,7 @@ def _graph_terms(p: int, k: int, v: tuple, w: tuple, r: int):
     for j in range(k + 1):
         n = k - j
         for d in (1, -1) if n else (1,):
-            isometries = (_orthogonal_order(p, n, d) * p ** (n * j)
-                          * math.prod(p ** j - p ** t for t in range(j)))
-            subs = _embeddings(p, n, d, j, *v) // isometries
+            subs = _subspaces(p, n, d, j, *v)
             for i in range(min(j, r) + 1) if subs else ():
                 kernels = math.prod(p ** (j - t) - 1 for t in range(i)) // math.prod(
                     p ** (t + 1) - 1 for t in range(i))
@@ -735,7 +731,7 @@ def overlattice_candidates(q: FiniteQuadraticForm, p: int, max_order: int,
     if q_d is None and len(p_part) == 1 and p_part[0].scale == 1:
         n, e = p_part[0].rank, p_part[0].sign
         for k in range(1, n // 2 + 1):
-            count = _embeddings(p, 0, 1, k, n, e) // math.prod(p ** k - p ** t for t in range(k))
+            count = _subspaces(p, 0, 1, k, n, e)
             if p ** k > max_order or not count:
                 return
             sign = e * ex.legendre(-1, p) ** k
@@ -788,13 +784,13 @@ def overlattice_forms(q: FiniteQuadraticForm, p: int, max_order: int,
 # Nikulin existence
 
 
-def _det_unit_class_two(q2: FiniteQuadraticForm) -> int:
-    """Determinant unit class mod 8 of the canonical realization of a 2-part.
-
-    Read off the block counts of _two_blocks: a unit block contributes its
-    unit, U a factor 7 and V a factor 3, so no block is listed."""
+def _det_unit_class_two(comps: tuple) -> int:
+    """Determinant unit class mod 8 of the canonical realization of the
+    2-part with these components, read off the block counts of _two_blocks:
+    a unit block contributes its unit, U a factor 7 and V a factor 3, so no
+    block is listed."""
     prod = 1
-    for c in q2.components:
+    for c in comps:
         if c.is_even_type:
             b = 1 if c.sign == -1 else 0
             prod *= pow(7, c.rank // 2 - b, 8) * pow(3, b, 8)
@@ -803,39 +799,15 @@ def _det_unit_class_two(q2: FiniteQuadraticForm) -> int:
     return prod % 8
 
 
-@lru_cache(maxsize=1024)
-def _two_reachable_det_classes(comps: tuple) -> frozenset:
-    """Unit classes mod 8 of dets of minimal-rank 2-adic lattices realizing
-    the 2-part with these components.
-
-    Memoised by the exact component tuple, so no two inputs share an entry
-    unless they are equal as data; every prime of a table row asks for the
-    same 2-part."""
-    if not comps:
-        return frozenset({1})
-    q2 = FiniteQuadraticForm(comps)
-    classes = set()
-    for flips in product((0, 1), repeat=len(comps)):
-        variant = []
-        for c, f in zip(comps, flips):
-            if not f:
-                variant.append(c)
-            elif c.oddity is None:
-                variant.append(JordanComponent(2, c.scale, c.rank, -c.sign, TWO_EVEN))
-            else:
-                variant.append(JordanComponent(2, c.scale, c.rank, -c.sign,
-                                               (c.oddity + 4) % 8))
-        vform = FiniteQuadraticForm(tuple(variant))
-        if vform == q2:
-            classes.add(_det_unit_class_two(vform))
-    return frozenset(classes)
-
-
 def nikulin_exists(sig_plus: int, sig_minus: int, q: FiniteQuadraticForm) -> bool:
     """Does an even lattice with signature (sig_plus, sig_minus) and form q
-    exist?  Nikulin 1980, Thm 1.10.1: the signature class, rank n >= ell_p
-    at every p, and at each p with ell_p = n a condition on the p-adic
-    determinant class."""
+    exist?  Nikulin 1980, Thm 1.10.1: the signature class, n >= ell_p at
+    every p, and one rule at each p with ell_p = n: the p-free part of
+    (-1)^sig_minus |A_q| has the square class of det K(q_p), the p-adic
+    lattice of rank ell_p realizing q's p-part (at odd p a Legendre symbol
+    against the product of the signs, at 2 a unit mod 8).  K(q_2) is unique
+    (Thm 1.9.1) unless q_2 has an odd component of scale 2^1, where the
+    rule is skipped, so _det_unit_class_two gives its one class."""
     if sig_plus < 0 or sig_minus < 0:
         return False
     n = sig_plus + sig_minus
@@ -850,13 +822,14 @@ def nikulin_exists(sig_plus: int, sig_minus: int, q: FiniteQuadraticForm) -> boo
         if ell != n:
             continue
         comps = tuple(c for c in q.components if c.prime == p)
-        if p == 2:
-            if (not any(c.scale == 1 and c.oddity is not None for c in comps)
-                    and _det_unit_mod(q, sig_minus, 2, 8)
-                    not in _two_reachable_det_classes(comps)):
-                return False
-        elif ex.legendre(_det_unit_mod(q, sig_minus, p, p), p) != math.prod(
-                c.sign for c in comps):
+        if p != 2:
+            square = ex.legendre(_det_unit_mod(q, sig_minus, p, p), p)
+            det = math.prod(c.sign for c in comps)
+        elif any(c.scale == 1 and c.oddity is not None for c in comps):
+            continue
+        else:
+            square, det = _det_unit_mod(q, sig_minus, 2, 8), _det_unit_class_two(comps)
+        if square != det:
             return False
     return True
 

@@ -8,16 +8,17 @@ subgroups, which is what makes exhaustive subgroup classification feasible:
 the search only ever grows subgroups all of whose cyclic pieces are already
 pseudo.  Every group element is a root permutation held as bytes and
 composed by perm_mul.  The conjugacy classes of Aut(A_m) are the parabolic
-Coxeter elements and their negatives; those of D4, D5, E6 and the E8 scope
-come from one lazy class sweep, which stops once the class sizes add up to
-the group order, so Aut(R) is never closed.  These classes do not depend on
-p: they are built once per root datum and process, and each classify call
-does only the work that depends on p.  A root lies in a sharp span mod p iff
-every check form of the span's reduced echelon basis vanishes on it.
-Subgroup closures are rootsys.group_closure, and the conjugates of a
-subgroup and the walk of the sweep are rootsys.breadth_first; the class
-orbit of one element and the cyclic extension walk of classify keep loops
-of their own.
+Coxeter elements and their negatives; those of D4, D5 and E6 come from one
+lazy class sweep, which stops once the class sizes add up to the group
+order, so Aut(R) is never closed.  The E8 scope <a, b> is abelian: its 25
+elements are closed and each is a class of its own.  These classes do not
+depend on p: they are built once per root datum and process, and each
+classify call does only the work that depends on p.  A root lies in a sharp
+span mod p iff every check form of the span's reduced echelon basis
+vanishes on it.  Subgroup closures are rootsys.group_closure, and the
+conjugates of a subgroup and the walk of the sweep are
+rootsys.breadth_first; the class orbit of one element and the cyclic
+extension walk of classify keep loops of their own.
 """
 
 from __future__ import annotations
@@ -277,17 +278,16 @@ class _Universe:
         return _conjugation_orbit(rep, self.conj)
 
 
-def _class_sweep(datum, gens, order: int, signed: bool) -> _Universe:
-    """The conjugacy classes of a group of root permutations of known order,
-    conjugating by gens.
+def _class_sweep(datum, gens, order: int) -> _Universe:
+    """The conjugacy classes of <gens, -1>, a group of root permutations of
+    known order, conjugating by gens.
 
-    The group is <gens>, or <gens, -1> when `signed` holds (the root
-    negation -1 is central).  Candidates come from a lazy breadth-first
-    walk of <gens>; each one x such that no class holds x or -x yet adds its
-    orbit, and with `signed` also the negated orbit when -x is not in it.
+    The root negation -1 is central.  Candidates come from a lazy
+    breadth-first walk of <gens>; each one x such that no class holds x or
+    -x yet adds its orbit, and also the negated orbit when -x is not in it.
     The classes are disjoint subsets of the group closed under conjugation
     by gens, so once their sizes add up to `order` they prove that gens
-    (with -1) generate a group of that order and that the classes are
+    with -1 generate a group of that order and that the classes are
     complete.  A walk that runs dry first raises ArithmeticError, an
     internal error.
     """
@@ -297,7 +297,7 @@ def _class_sweep(datum, gens, order: int, signed: bool) -> _Universe:
     reps, covered, size = [], set(), 0  # covered: the orbits, not their negatives
     walk = breadth_first(bytes(range(len(datum.roots))), lambda y: map(y.translate, tables))
     for walked, x in enumerate(walk, 1):
-        minus_x = x.translate(negate) if signed else x
+        minus_x = x.translate(negate)
         if x in covered or minus_x in covered:
             continue
         orbit = _conjugation_orbit(x, conj)
@@ -317,17 +317,6 @@ def _coxeter_pair(datum, reflection: int) -> list:
     """The Coxeter element c = s_1...s_n and s_{reflection + 1} as root perms."""
     refl = simple_reflections(datum)
     return [datum.perm_of(reduce(operator.mul, refl)), datum.perm_of(refl[reflection])]
-
-
-def _weyl_times_sign_universe(datum, reflection: int) -> _Universe:
-    """Aut(R) = W(R) x {+-1}, for E6 and D5 where -1 is not in W.
-
-    W is taken as generated by the Coxeter element c and the simple
-    reflection s = s_{reflection + 1}, which the sweep proves; -1 is
-    central, so conjugation by c and s is conjugation by Aut(R).
-    """
-    return _class_sweep(datum, _coxeter_pair(datum, reflection),
-                        2 * weyl_order(datum.label), signed=True)
 
 
 def _symmetric_times_sign_universe(datum) -> _Universe:
@@ -376,9 +365,9 @@ def classify(datum_or_label, p: int) -> ClassifyResult:
     others come from a lazy walk of the group that stops once the class
     sizes add up to its order: for Aut(E6) and Aut(D5) = W(R) x {+-1} the
     walk is of W(R), and each class of W(R) adds its negative; Aut(D4) is
-    walked itself.  Only the
-    order-25 group <a, b> of the E8 scope is closed, for its order.  The
-    classes are built at the first call for a root datum and kept
+    walked itself.  Only the order-25 group <a, b> of the E8 scope is
+    closed; it is abelian, so its elements are its classes.  The classes
+    are built at the first call for a root datum and kept
     (_search_universe); every call decides the good classes, grows the
     subgroups and names them at its own p.
     """
@@ -403,7 +392,8 @@ def classify(datum_or_label, p: int) -> ClassifyResult:
 @lru_cache(maxsize=None)
 def _search_universe(datum) -> _Universe:
     """The group classify searches, with its conjugacy classes: Aut(R) for
-    A_m (m <= 7), D4, D5 and E6, and the group <a, b> for E8.
+    A_m (m <= 7), D4, D5 and E6, and the 25 singleton classes of the
+    abelian group <a, b> for E8.
 
     Built once per root datum and kept: the classes do not depend on p, and
     build gives one datum per label however it is spelt, so the data build
@@ -412,15 +402,21 @@ def _search_universe(datum) -> _Universe:
     if datum.label.startswith("A"):
         return _symmetric_times_sign_universe(datum)
     if datum.label in _WEYL_PAIR_REFLECTION:
-        return _weyl_times_sign_universe(datum, _WEYL_PAIR_REFLECTION[datum.label])
+        # Aut(R) = W(R) x {+-1} for E6 and D5, where -1 is not in W; W is
+        # generated by the Coxeter element c and one simple reflection s, which
+        # the sweep proves, and conjugation by c and s is conjugation by Aut(R)
+        return _class_sweep(datum, _coxeter_pair(datum, _WEYL_PAIR_REFLECTION[datum.label]),
+                            2 * weyl_order(datum.label))
     if datum.label == "D4":
         # Aut(D4) = W(D4) x S_3, the diagram automorphisms; -1 lies in W(D4)
         return _class_sweep(datum, [datum.perm_of(g) for g in aut_generators(datum)],
-                            6 * weyl_order("D4"), signed=True)
+                            6 * weyl_order("D4"))
+    # <a, b> is abelian (criterion 6 checks ab = ba), so each of its 25
+    # elements is a class of its own
     nm = named_elements(datum)
     grp = IsometryGroup(datum, (nm["a"], nm["b"]))
-    return _class_sweep(datum, [datum.perm_of(g) for g in grp.generators], grp.order,
-                        signed=False)
+    return _Universe(datum, [datum.perm_of(g) for g in grp.generators],
+                     sorted(grp.closure_perms()))
 
 
 def _rootless(datum, gen_mats, p) -> bool:

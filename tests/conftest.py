@@ -8,9 +8,9 @@ of every subspace of F_p^n and the isotropic ones among them (the unglued
 search of an elementary p-part before it counted by type), the glued
 search as a listing of every H and as a walk of A_D's subspaces with a
 backtrack per isometry type of U (with the F_p type of a Gram matrix it
-keys on), and the overlattice search and Nikulin test that set up every
-subgroup walk and read each prime's rank apart, used to cross-check the
-fast paths."""
+keys on), the 2-adic determinant classes of every sign-walk variant, and
+the overlattice search and Nikulin test that set up every subgroup walk
+and read each prime's rank apart, used to cross-check the fast paths."""
 
 from __future__ import annotations
 
@@ -28,13 +28,15 @@ import pytest
 from k3lat import _exact as ex
 from k3lat.fqf import (
     ENUMERATION_CAP,
+    FiniteQuadraticForm,
+    JordanComponent,
+    _det_unit_class_two,
     _bnum,
     _det_unit_mod,
     _isotropic_subgroups,
     _overlattice_gram,
     _qnum,
     _realize_p_part,
-    _two_reachable_det_classes,
     _value_weights,
     direct_sum,
     signature_mod8,
@@ -754,9 +756,27 @@ class GraphWalk:
         return descend(0, levels)
 
 
+def two_reachable_det_classes(comps: tuple) -> set:
+    """Unit classes mod 8 of the dets of the realizations of the 2-part with
+    these components by the sign walk: flip the sign of every subset of the
+    components (adding 4 to an odd one's oddity), and keep the class of each
+    variant isomorphic to the form.  Without an odd component of scale 2^1
+    this is one class (Nikulin 1980, Thm 1.9.1), which the tests check."""
+    q2 = FiniteQuadraticForm(comps)
+    classes = set()
+    for flips in product((0, 1), repeat=len(comps)):
+        variant = tuple(JordanComponent(2, c.scale, c.rank, -c.sign,
+                                        None if c.oddity is None else c.oddity + 4)
+                        if f else c for c, f in zip(comps, flips))
+        if FiniteQuadraticForm(variant) == q2:
+            classes.add(_det_unit_class_two(variant))
+    return classes
+
+
 def nikulin_exists_oracle(sig_plus: int, sig_minus: int, q) -> bool:
     """nikulin_exists with ell(), primes() and ell_p read per prime, and the
-    2-adic determinant classes computed afresh."""
+    2-adic determinant classes of every sign-walk variant, so that it does
+    not rest on the uniqueness of the 2-adic realization."""
     if sig_plus < 0 or sig_minus < 0:
         return False
     n = sig_plus + sig_minus
@@ -782,7 +802,7 @@ def nikulin_exists_oracle(sig_plus: int, sig_minus: int, q) -> bool:
         has_scale1_odd = any(c.scale == 1 and c.oddity is not None
                              for c in two.components)
         if not has_scale1_odd:
-            reachable = _two_reachable_det_classes.__wrapped__(two.components)
+            reachable = two_reachable_det_classes(two.components)
             if _det_unit_mod(q, sig_minus, 2, 8) not in reachable:
                 return False
     return True

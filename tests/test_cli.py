@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 import subprocess
@@ -7,10 +9,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3lat import _exact as ex
 from k3lat import cli
 from k3lat._exact import LimitExceeded
+from k3lat.fqf import signature_mod8
+from k3lat.hmdata import parse_symbol
 from k3lat.intlat import MAX_GRAM_RANK
 
 from conftest import cap_child_memory, child_env, dense_diagonal_gram
@@ -212,6 +217,32 @@ HUGE = str(10 ** 400 + 1)
 EMBEDS_3 = ["embeds", "--qs", "3^+1", "--rank", "2", "--sigma", "1"]
 
 
+@st.composite
+def embeds_argv(draw):
+    """argv of one embeds query: a symbol of rank <= 22 from components at
+    2, 3, 5 and 7 (any sign, any 2-adic oddity, so some are invalid), p a
+    prime that divides |A_S|, sigma <= 10 and rank 0-21.  Half of the ranks
+    are drawn where a lattice may carry q_S (ell(A_S) <= rank <= 24 - ell
+    and -rank = tau(q_S) mod 8), since elsewhere the query is refused."""
+    keys = draw(st.lists(st.tuples(st.sampled_from((2, 3, 5, 7)), st.integers(1, 3)),
+                         min_size=1, max_size=5, unique=True))
+    factors, spare = [], 22 - len(keys)  # ranks above the 1 each component has
+    for prime, scale in sorted(keys):
+        rank = 1 + draw(st.integers(0, spare))
+        spare -= rank - 1
+        oddity = "_" + draw(st.sampled_from(["II", *"01234567"])) if prime == 2 else ""
+        factors.append(f"{prime ** scale}{oddity}^{draw(st.sampled_from('+-'))}{rank}")
+    ranks = st.integers(0, 21)
+    with contextlib.suppress(ValueError):
+        q_s = parse_symbol(" ".join(factors))
+        carried = [r for r in range(q_s.ell(), min(22, 25 - q_s.ell()))
+                   if (r + signature_mod8(q_s)) % 8 == 0]
+        ranks = st.sampled_from(carried) | ranks if carried else ranks
+    return ["embeds", "--qs", " ".join(factors), "--rank", str(draw(ranks)),
+            "--p", str(draw(st.sampled_from(sorted({prime for prime, _ in keys})))),
+            "--sigma", str(draw(st.integers(0, 10)))]
+
+
 class TestHostileInput:
     @pytest.mark.parametrize("argv", [
         EMBEDS_3 + ["--p", HUGE],
@@ -375,6 +406,17 @@ class TestHostileInput:
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr and res.stdout == ""
         assert "no even negative-definite lattice" in res.stderr
+
+    @settings(max_examples=200, deadline=None)
+    @given(embeds_argv())
+    def test_random_embeds_query_ends_with_an_exit_code(self, argv):
+        """Every query, valid or not, ends in main with a verdict (0 or 1), a
+        usage error (2) or a scope error (3); no exception escapes."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
     @pytest.mark.parametrize("bound,code", [
         ("100000000000", 3), (str(cli.MAX_PRIMES_BELOW + 1), 3), ("3", 2), ("-5", 2)])

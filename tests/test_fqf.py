@@ -31,7 +31,6 @@ from k3lat.fqf import (
     _tau_odd_rank1,
     _two_adic_units,
     _two_blocks,
-    _two_reachable_det_classes,
     _value_weights,
     brute_force_tau,
     direct_sum,
@@ -58,6 +57,7 @@ from conftest import (
     induced_form_oracle,
     isotropic_subgroups_oracle,
     nikulin_exists_oracle,
+    two_reachable_det_classes,
     orders_oracle,
     overlattice_candidates_oracle,
     random_even_gram,
@@ -414,8 +414,11 @@ def test_symbol_of_matches_fraction_elimination_on_two_parts():
 class TestCanonicalSymbol:
     def test_exhaustive_against_bruteforce_oracle(self):
         """All valid 2-parts of order <= 2^6: equal canonical keys <=> the
-        brute-force oracle finds the forms isomorphic, and the reachable det
-        classes are those of the sign-flip variants isomorphic to the form."""
+        brute-force oracle finds the forms isomorphic, and the sign-walk
+        oracle's det classes are those of the sign-flip variants the
+        brute-force search finds isomorphic to the form.  Without an odd
+        component of scale 2^1 those variants have one class, the one
+        nikulin_exists reads (Nikulin 1980, Thm 1.9.1)."""
         forms = [F(*comps) for comps in _two_parts(6)]
         assert len(forms) == 549
         data = {q.components: _block_disc_data(q) for q in forms}
@@ -447,8 +450,10 @@ class TestCanonicalSymbol:
                           None if c.oddity is None else c.oddity + 4) if f else c
                         for c, f in zip(q.components, flips)))
                 if oracle_class[v.components] == oracle_class[q.components]:
-                    want.add(_det_unit_class_two(v))
-            assert _two_reachable_det_classes(q.components) == want, render_symbol(q)
+                    want.add(_det_unit_class_two(v.components))
+            assert two_reachable_det_classes(q.components) == want, render_symbol(q)
+            if not any(c.scale == 1 and c.oddity is not None for c in q.components):
+                assert want == {_det_unit_class_two(q.components)}, render_symbol(q)
 
     def test_components_and_rendering_kept_as_constructed(self):
         q1 = F(J(2, 1, 1, 1, 1))
@@ -1383,11 +1388,6 @@ class TestNikulin:
             for k, cls in product(range(1, 5), (1, -1)):
                 for _ in range(2):
                     assert _tau_odd_rank1(p, k, cls) == _tau_odd_rank1.__wrapped__(p, k, cls)
-        for comps in _two_parts(5):
-            for _ in range(2):
-                got = _two_reachable_det_classes(comps)
-                assert isinstance(got, frozenset)
-                assert got == _two_reachable_det_classes.__wrapped__(comps), comps
 
     def test_det_classes_match_the_full_determinant(self, rng):
         # _det_unit_class_two against the product over the listed blocks
@@ -1396,7 +1396,7 @@ class TestNikulin:
             for c in comps:
                 for b in _two_blocks(c):
                     want *= b[2] if b[0] == "unit" else 7 if b[0] == "U" else 3
-            assert _det_unit_class_two(F(*comps)) == want % 8, comps
+            assert _det_unit_class_two(comps) == want % 8, comps
         # _det_unit_mod against the p-free part of the full determinant
         for _ in range(60):
             q = symbol_of(random_even_gram(rng, rng.randint(1, 4), spread=4))
@@ -1406,6 +1406,16 @@ class TestNikulin:
                     m = 8 if p == 2 else p
                     w = det // p ** ex.valuation(det, p)
                     assert _det_unit_mod(q, sig_minus, p, m) == w % m, render_symbol(q)
+
+    def test_two_adic_det_class_is_the_sign_walk_class(self):
+        # Thm 1.9.1 of Nikulin 1980 on every 2-part of order <= 2^10 without
+        # an odd component of scale 2^1: every sign-walk variant isomorphic
+        # to the form has the class of its canonical realization
+        unique = [comps for comps in _two_parts(10)
+                  if not any(c.scale == 1 and c.oddity is not None for c in comps)]
+        assert len(unique) == 1509
+        for comps in unique:
+            assert two_reachable_det_classes(comps) == {_det_unit_class_two(comps)}, comps
 
     def test_accepts_realized_lattices(self, rng):
         for _ in range(150):

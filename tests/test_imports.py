@@ -1,6 +1,7 @@
 """Static checks on the package sources: no module imports a name it never
 uses, and no module-level function, class or constant goes unreferenced;
-and on the tests: no helper of conftest.py is left without a test.
+every cache is bounded or listed, and README.md names each one; and on the
+tests: no helper of conftest.py is left without a test.
 A name listed in a module's __all__ counts as used (a re-export);
 __init__.py is left out of the import check, since all its imports are
 re-exports, and its imports count as references."""
@@ -135,6 +136,15 @@ def test_every_cache_is_bounded_or_listed():
             found[f"{path.stem}.{func}"] = bounded
     assert found, "no cache found: the decorator scan is broken"
     assert sorted(k for k, bounded in found.items() if not bounded) == sorted(UNBOUNDED_CACHES)
+
+
+def test_readme_names_every_cache():
+    # the README's list of process caches names each as `module.function`
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    names = [f"{path.stem}.{func}" for path in sorted(PACKAGE.glob("*.py"))
+             for func, _ in cache_decorators(parse(path))]
+    assert names, "no cache found: the decorator scan is broken"
+    assert [name for name in names if f"`{name}`" not in readme] == []
 
 
 # The functions of math that take and give ints; every other name is real.

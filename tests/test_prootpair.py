@@ -21,8 +21,10 @@ from k3lat.intlat import (
 from k3lat.prootpair import (
     SUBGROUP_ELEMENT_CAP,
     IsometryGroup,
+    _class_sweep,
     _classify_universe,
     _conjugates,
+    _coxeter_pair,
     _cyclic_generators,
     _good_elements,
     _in_sublattice,
@@ -33,7 +35,6 @@ from k3lat.prootpair import (
     _sharp_span_modp,
     _symmetric_times_sign_universe,
     _Universe,
-    _weyl_times_sign_universe,
     classify,
     disc_action_nontrivial,
     fixed_sublattice,
@@ -52,6 +53,7 @@ from k3lat.rootsys import (
     simple_reflections,
     t_sublattice,
     weights,
+    weyl_order,
 )
 
 from conftest import (
@@ -679,11 +681,13 @@ class TestConjugacyClasses:
         # the Coxeter element of D5 and s_1 generate a subgroup of order 384,
         # not W(D5) of order 1920; its classes must not pass for a complete set
         with pytest.raises(ArithmeticError, match="384"):
-            _weyl_times_sign_universe(build("D5"), 0)
+            _class_sweep(build("D5"), _coxeter_pair(build("D5"), 0), 2 * weyl_order("D5"))
 
     def test_e8_scope_has_no_negation(self):
+        # <a, b> is abelian: its 25 elements are its classes, with no sweep
         uni = perm_universe("E8")
         assert root_negation(uni.datum) not in set(group_elements("E8"))
+        assert list(uni.reps) == group_elements("E8") and len(uni.reps) == 25
         assert class_partition(uni) == class_partition(closed_universe("E8"))
 
 
@@ -797,7 +801,7 @@ class TestGoodSetWorkCounts:
         # the sweep ends once its orbits cover W(E6), after 2,428 candidates of
         # the breadth-first walk, long before the walk would list all 51,840
         uni, visited = self.walked_by_sweep(
-            monkeypatch, lambda: _weyl_times_sign_universe(build("E6"), 0))
+            monkeypatch, lambda: _search_universe.__wrapped__(build("E6")))
         assert len(uni.reps) == 50
         assert len(visited) <= 3000
 
@@ -866,8 +870,9 @@ class TestUniverseCache:
         second = [classify(label, p) for label, p in PROOT_CLASSIFY_CASES]
         assert first == second
         labels = sorted({label for label, _ in PROOT_CLASSIFY_CASES})
-        assert sorted(label for _, label in built) == labels
-        assert Counter(name for name, _ in built) == {"_class_sweep": 4,
+        # E8's abelian <a, b> needs no builder: its elements are its classes
+        assert sorted(label for _, label in built) == [lb for lb in labels if lb != "E8"]
+        assert Counter(name for name, _ in built) == {"_class_sweep": 3,
                                                       "_symmetric_times_sign_universe": 7}
         assert _search_universe.cache_info().currsize == len(labels) == 11
         # one encoding: every representative is a permutation of the roots
