@@ -801,13 +801,8 @@ def _det_unit_class_two(comps: tuple) -> int:
 
 def nikulin_exists(sig_plus: int, sig_minus: int, q: FiniteQuadraticForm) -> bool:
     """Does an even lattice with signature (sig_plus, sig_minus) and form q
-    exist?  Nikulin 1980, Thm 1.10.1: the signature class, n >= ell_p at
-    every p, and one rule at each p with ell_p = n: the p-free part of
-    (-1)^sig_minus |A_q| has the square class of det K(q_p), the p-adic
-    lattice of rank ell_p realizing q's p-part (at odd p a Legendre symbol
-    against the product of the signs, at 2 a unit mod 8).  K(q_2) is unique
-    (Thm 1.9.1) unless q_2 has an odd component of scale 2^1, where the
-    rule is skipped, so _det_unit_class_two gives its one class."""
+    exist?  Nikulin 1980, Thm 1.10.1: the signature class, the rank bound
+    n >= ell_p at every p, and det_rule_holds at each p with ell_p = n."""
     if sig_plus < 0 or sig_minus < 0:
         return False
     n = sig_plus + sig_minus
@@ -818,20 +813,25 @@ def nikulin_exists(sig_plus: int, sig_minus: int, q: FiniteQuadraticForm) -> boo
     ranks = q.ranks()
     if n < max(ranks.values(), default=0):
         return False
-    for p, ell in ranks.items():
-        if ell != n:
-            continue
-        comps = tuple(c for c in q.components if c.prime == p)
-        if p != 2:
-            square = ex.legendre(_det_unit_mod(q, sig_minus, p, p), p)
-            det = math.prod(c.sign for c in comps)
-        elif any(c.scale == 1 and c.oddity is not None for c in comps):
-            continue
-        else:
-            square, det = _det_unit_mod(q, sig_minus, 2, 8), _det_unit_class_two(comps)
-        if square != det:
-            return False
-    return True
+    return all(det_rule_holds(q, sig_minus, p) for p, ell in ranks.items() if ell == n)
+
+
+def det_rule_holds(q: FiniteQuadraticForm, sig_minus: int, p: int) -> bool:
+    """Nikulin's determinant rule at a prime p with ell_p = n: the p-free
+    part of (-1)^sig_minus |A_q| has the square class of det K(q_p), the
+    p-adic lattice of rank ell_p realizing q's p-part (at odd p a Legendre
+    symbol against the product of the signs, at 2 a unit mod 8).  K(q_2) is
+    unique (Thm 1.9.1) unless q_2 has an odd component of scale 2^1, where
+    the rule is skipped, so _det_unit_class_two gives its one class.  The
+    other primes enter only through that square class, so a summand whose
+    order is a square prime to p (and to 2) leaves the rule unchanged."""
+    comps = tuple(c for c in q.components if c.prime == p)
+    if p != 2:
+        return ex.legendre(_det_unit_mod(q, sig_minus, p, p), p) == math.prod(
+            c.sign for c in comps)
+    if any(c.scale == 1 and c.oddity is not None for c in comps):
+        return True
+    return _det_unit_mod(q, sig_minus, 2, 8) == _det_unit_class_two(comps)
 
 
 def _det_unit_mod(q: FiniteQuadraticForm, sig_minus: int, p: int, m: int) -> int:

@@ -11,7 +11,7 @@ form with the even-lattice existence criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -19,11 +19,13 @@ from . import _exact as ex
 from .fqf import (
     FiniteQuadraticForm,
     JordanComponent,
+    det_rule_holds,
     direct_sum,
     negate,
     nikulin_exists,
     overlattice_candidates,
     render_symbol,
+    signature_mod8,
     _eta,
 )
 
@@ -63,20 +65,6 @@ def _negated_n_form(p: int, sigma: int) -> FiniteQuadraticForm:
     return negate(n_form(p, sigma).q)
 
 
-@lru_cache(maxsize=1024)
-def _negated_components(comps: tuple) -> FiniteQuadraticForm:
-    """-q_S, memoised by the exact components of q_S (not by its
-    isomorphism class, since certificates render the components); it does
-    not depend on p, and a table row asks for it at every prime."""
-    return negate(FiniteQuadraticForm(comps))
-
-
-def _trivial_h_target(q_s: FiniteQuadraticForm, p: int, sigma: int) -> FiniteQuadraticForm:
-    """The form the trivial H hands to the existence test: the glued form
-    is q_S + (-q_N), so its negation is -q_S + q_N, component for component."""
-    return direct_sum(_negated_components(q_s.components), n_form(p, sigma).q)
-
-
 def anisotropy_check(p: int, sigma: int) -> bool:
     """True iff the N-form has no totally isotropic subgroup of order p^sigma.
 
@@ -93,23 +81,69 @@ class EmbeddingQuery:
     rank_s: int
     p: int
     sigma: int
+    # what q_S and the rank fix at every p and sigma, read from the memo
+    # whose first call checks them
+    row: _QueryRow = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.rank_s < 0 or self.rank_s > 21:
-            raise ValueError("rank must be between 0 and 21")
-        if self.rank_s + self.q_s.ell() > 24:
-            raise ValueError("rank + ell(A) exceeds 24; not a Leech-side lattice")
-        if not _carried_by_a_lattice(self.q_s.components, self.rank_s):
-            raise ValueError(f"no even negative-definite lattice of rank {self.rank_s} "
-                             f"has discriminant form {render_symbol(self.q_s)}")
+        object.__setattr__(self, "row", _query_row(self.q_s.components, self.rank_s))
+
+
+@dataclass(frozen=True)
+class _QueryRow:
+    """What q_S and the rank fix at every p and sigma: -q_S (its components
+    as written, which certificates render), tau(-q_S), ell_l(-q_S) at each
+    prime l of A_S, and whether the rank bound and Nikulin's rule at each such
+    l hold for the trivial H's form -q_S + q_N at signature (1, n - 1),
+    n = 22 - rank.  q_N lives at p with order
+    p^(2 sigma), a square, so at l != p neither sees p; and where -q_S alone
+    has ell_p > n, or ell_p = n and fails the rule, -q_S + q_N fails the rank
+    bound at p all the same (README)."""
+    rank: int
+    neg: FiniteQuadraticForm
+    tau: int
+    ranks: dict
+    away_ok: bool
+
+    def trivial_h_target(self, p: int, sigma: int) -> FiniteQuadraticForm | None:
+        """-q_S + q_N, component for component, when an even lattice of
+        signature (1, 21 - rank) carries it, else None: the row's verdict at
+        the primes of A_S, then the rank bound and the rule at p, and the
+        signature sum (which every checked query meets, since the query check
+        gives tau(-q_S) = rank and n_form's gives tau(q_N) = 4)."""
+        q_n = n_form(p, sigma).q
+        n = 22 - self.rank
+        ell_p = self.ranks.get(p, 0) + 2 * sigma
+        if (not self.away_ok or ell_p > n
+                or (self.tau + signature_mod8(q_n)) % 8 != (2 - n) % 8):
+            return None
+        target = direct_sum(self.neg, q_n)
+        if ell_p == n and not det_rule_holds(target, n - 1, p):
+            return None
+        return target
 
 
 @lru_cache(maxsize=1024)
-def _carried_by_a_lattice(comps: tuple, rank: int) -> bool:
-    """Does an even negative-definite lattice of the rank carry the form?
-    Memoised by the components and the rank: it does not depend on p, and a
-    table row asks at every prime."""
-    return nikulin_exists(0, rank, FiniteQuadraticForm(comps))
+def _query_row(comps: tuple, rank: int) -> _QueryRow:
+    """Check the query's q_S and rank (ValueError unless an even
+    negative-definite lattice of the rank, with rank + ell <= 24, carries
+    q_S), then compute its _QueryRow.  Memoised by the
+    components and the rank: neither depends on p, and a table row asks at
+    every prime."""
+    q_s = FiniteQuadraticForm(comps)
+    if rank < 0 or rank > 21:
+        raise ValueError("rank must be between 0 and 21")
+    if rank + q_s.ell() > 24:
+        raise ValueError("rank + ell(A) exceeds 24; not a Leech-side lattice")
+    if not nikulin_exists(0, rank, q_s):
+        raise ValueError(f"no even negative-definite lattice of rank {rank} "
+                         f"has discriminant form {render_symbol(q_s)}")
+    neg = negate(q_s)
+    n = 22 - rank
+    ranks = neg.ranks()
+    away_ok = all(ell < n or ell == n and det_rule_holds(neg, n - 1, ell_prime)
+                  for ell_prime, ell in ranks.items())
+    return _QueryRow(rank, neg, signature_mod8(neg), ranks, away_ok)
 
 
 @dataclass(frozen=True)
@@ -148,25 +182,32 @@ def primitively_embeds(q_s: FiniteQuadraticForm, rank_s: int, p: int,
                        sigma: int) -> EmbedDecision:
     """Decide a primitive embedding into the (p, sigma) lattice at form level.
 
-    Glues q_S with the negated N-form, runs over admissible isotropic
-    subgroups H of the p-part (|H| <= p^min(ell_p(A_S), 2*sigma), meeting
-    neither block), and accepts as soon as some induced form's negation is
-    realized by an even lattice of signature (1, 21 - rank_S).  |H| fixes
-    the induced form, so the glued search yields one form per order, and
-    every H counts as tried: all H of each order rejected, and the one
-    accepted.  H-perp/H has order |A| / |H|^2, so no two orders share a
-    form.
+    Glues q_S with the negated N-form and accepts as soon as some admissible
+    isotropic subgroup H of the p-part (|H| <= p^min(ell_p(A_S), 2*sigma),
+    meeting neither block) induces a form whose negation is realized by an
+    even lattice of signature (1, 21 - rank_S).  The trivial H is decided
+    from the query's row and the N-form, and builds its forms only to
+    certify an acceptance; the search runs past it only when p | |A_S|.
+    |H| fixes the induced form, so the glued search yields one form per
+    order, and every H counts as tried: all H of each order rejected, and
+    the one accepted.  H-perp/H has order |A| / |H|^2, so no two orders
+    share a form.
     """
     query = EmbeddingQuery(q_s, rank_s, p, sigma)
+    target = query.row.trivial_h_target(p, sigma)
+    if target is not None:
+        cert = Certificate(1, direct_sum(q_s, _negated_n_form(p, sigma)), target)
+        return EmbedDecision(query, True, cert, 1)
     hmax = p ** min(q_s.ell_p(p), 2 * sigma)
-    sig = (1, 21 - rank_s)
-    passed = 0  # the H of the orders rejected so far
-    for h, q_tilde, count in overlattice_candidates(q_s, p, hmax, _negated_n_form(p, sigma)):
-        target = negate(q_tilde) if h > 1 else _trivial_h_target(q_s, p, sigma)
-        if nikulin_exists(sig[0], sig[1], target):
-            cert = Certificate(h, q_tilde, target)
-            return EmbedDecision(query, True, cert, passed + 1)
-        passed += count
+    passed = 1  # the H of the orders rejected so far, the trivial H first
+    if hmax >= p:
+        items = overlattice_candidates(q_s, p, hmax, _negated_n_form(p, sigma))
+        next(items)  # the trivial H, decided above
+        for h, q_tilde, count in items:
+            target = negate(q_tilde)
+            if nikulin_exists(1, 21 - rank_s, target):
+                return EmbedDecision(query, True, Certificate(h, q_tilde, target), passed + 1)
+            passed += count
     return EmbedDecision(query, False, None, passed)
 
 

@@ -103,12 +103,16 @@ class RootDatum:
         self.roots = roots_simple  # tuple of integer tuples, fixed order
         self.rank = len(gram)
         self._root_index = {r: i for i, r in enumerate(self.roots)}
+        self._lattice = None
 
     def __repr__(self):
         return f"RootDatum({self.label!r}, {len(self.roots)} roots)"
 
     def lattice(self) -> IntegralLattice:
-        return IntegralLattice(self.gram)
+        """The lattice of the Gram matrix, built (and checked) on first use."""
+        if self._lattice is None:
+            self._lattice = IntegralLattice(self.gram)
+        return self._lattice
 
     def inner(self, u, v):
         return ex.dot(ex.mat_vec(self.gram, tuple(v)), tuple(u))

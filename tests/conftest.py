@@ -8,9 +8,10 @@ of every subspace of F_p^n and the isotropic ones among them (the unglued
 search of an elementary p-part before it counted by type), the glued
 search as a listing of every H and as a walk of A_D's subspaces with a
 backtrack per isometry type of U (with the F_p type of a Gram matrix it
-keys on), the 2-adic determinant classes of every sign-walk variant, and
-the overlattice search and Nikulin test that set up every subgroup walk
-and read each prime's rank apart, used to cross-check the fast paths."""
+keys on), the 2-adic determinant classes of every sign-walk variant, the
+overlattice search and Nikulin test that set up every subgroup walk and
+read each prime's rank apart, and the embedding decision that tests the
+trivial H like any other, used to cross-check the fast paths."""
 
 from __future__ import annotations
 
@@ -39,10 +40,15 @@ from k3lat.fqf import (
     _realize_p_part,
     _value_weights,
     direct_sum,
+    negate,
+    nikulin_exists,
+    overlattice_candidates,
+    render_symbol,
     signature_mod8,
     symbol_of,
 )
 from k3lat.intlat import IntegralLattice, discriminant_group
+from k3lat.k3class import Certificate, EmbedDecision, EmbeddingQuery, n_form
 from k3lat.rootsys import (
     Isometry,
     IsometryGroup,
@@ -806,6 +812,29 @@ def nikulin_exists_oracle(sig_plus: int, sig_minus: int, q) -> bool:
             if _det_unit_mod(q, sig_minus, 2, 8) not in reachable:
                 return False
     return True
+
+
+def primitively_embeds_oracle(q_s, rank_s: int, p: int, sigma: int):
+    """primitively_embeds with every H, the trivial one included, taken from
+    overlattice_candidates and handed whole to nikulin_exists, and the query
+    checked per call."""
+    if rank_s < 0 or rank_s > 21:
+        raise ValueError("rank must be between 0 and 21")
+    if rank_s + q_s.ell() > 24:
+        raise ValueError("rank + ell(A) exceeds 24; not a Leech-side lattice")
+    if not nikulin_exists(0, rank_s, q_s):
+        raise ValueError(f"no even negative-definite lattice of rank {rank_s} "
+                         f"has discriminant form {render_symbol(q_s)}")
+    query = EmbeddingQuery(q_s, rank_s, p, sigma)
+    hmax = p ** min(q_s.ell_p(p), 2 * sigma)
+    q_n = n_form(p, sigma).q
+    passed = 0
+    for h, q_tilde, count in overlattice_candidates(q_s, p, hmax, negate(q_n)):
+        target = negate(q_tilde) if h > 1 else direct_sum(negate(q_s), q_n)
+        if nikulin_exists(1, 21 - rank_s, target):
+            return EmbedDecision(query, True, Certificate(h, q_tilde, target), passed + 1)
+        passed += count
+    return EmbedDecision(query, False, None, passed)
 
 
 def is_identity(iso) -> bool:

@@ -19,12 +19,13 @@ from conftest import cap_child_memory
 SRC = Path(ex.__file__).resolve().parents[1]
 PERFBENCH = SRC.parent / "perfbench"
 
-# per workload, the exact counts of its traced pass at seed 1; the glued
-# search yields one item per order of H, so table-sigma1 yields 3,084 items
-# for its 4,021 candidates
+# per workload, the exact counts of its traced pass at seed 1; the search is
+# entered only where p divides |A_S| and the trivial H fails, 58 of the
+# 3,015 table-sigma1 decisions, and yields one item per order of H from the
+# trivial one up: 127 items, for 4,021 candidates in all
 EXACT = {
     "table-sigma1": {"k3class.candidates_tried": 4021,
-                     "fqf.overlattice_candidates.yields": 3084},
+                     "fqf.overlattice_candidates.yields": 127},
     "proot-classify": {"rootsys.group_elements": 25, "prootpair.pseudo_classes": 77},
     "lattice-gram": {"intlat.short_vectors.vectors": 2464},
 }

@@ -407,6 +407,14 @@ class TestHostileInput:
         assert "Traceback" not in res.stderr and res.stdout == ""
         assert "no even negative-definite lattice" in res.stderr
 
+    def test_p_zero_with_negative_sigma_is_usage_error(self):
+        """p is checked before p^min(ell_p, 2 sigma) is formed: 0^-2 once
+        escaped main as ZeroDivisionError."""
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(EMBEDS_3[:-2] + ["--sigma", "-1", "--p", "0"])
+        assert code == 2 and "odd prime" in err.getvalue()
+
     @settings(max_examples=200, deadline=None)
     @given(embeds_argv())
     def test_random_embeds_query_ends_with_an_exit_code(self, argv):

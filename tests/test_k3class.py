@@ -2,12 +2,15 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3lat import _exact as ex
 from k3lat.fqf import (
     FiniteQuadraticForm,
+    JordanComponent,
     _eta,
     _odd_unit_numerators,
+    direct_sum,
     isomorphic,
     negate,
     nikulin_exists,
@@ -17,9 +20,8 @@ from k3lat.fqf import (
 from k3lat.hmdata import load_table, parse_symbol
 from k3lat.k3class import (
     EmbeddingQuery,
-    _negated_components,
     _negated_n_form,
-    _trivial_h_target,
+    _query_row,
     allowed_components,
     anisotropy_check,
     n_form,
@@ -30,10 +32,17 @@ from k3lat.k3class import (
     wild_degree_bound,
 )
 
-from conftest import witt_index_oracle
+from conftest import primitively_embeds_oracle, witt_index_oracle
 
 RECORDS = load_table()
 DATA = Path(__file__).parent / "data"
+
+
+# beside the 67 rows: queries whose trivial H meets Nikulin's rule at a
+# prime l of A_S with ell_l = 22 - rank, where the rule fails; no row does
+QUERIES = [(rec.q_s, rec.rank) for rec in RECORDS] + [
+    (parse_symbol(text), rank) for text, rank in (
+        ("3^+1 9^+3", 18), ("9^+2 27^+4", 16), ("2_II^+2 4_II^-4", 16), ("4_1^+1 8_1^-3", 18))]
 
 
 def record(no):
@@ -141,6 +150,45 @@ def test_queries_describe_negative_definite_lattices():
         assert nikulin_exists(0, rank, parse_symbol(text)), (text, rank)
     for text, rank in (("3^+10", 1), ("9^+10", 1), ("3^+6", 8)):
         assert not nikulin_exists(0, rank, parse_symbol(text)), (text, rank)
+
+
+def decide(embeds, *query):
+    """as_dict of the decision, or the type of the error raised."""
+    try:
+        return embeds(*query).as_dict()
+    except Exception as err:
+        return type(err)
+
+
+@st.composite
+def embedding_queries(draw):
+    """(q_S, rank, p, sigma): q_S from components at 2, 3, 5, 7 and 11, a rank
+    at which an even negative-definite lattice carries it when there is one
+    (any rank 0-21 otherwise, which the query check refuses), p an odd prime
+    below 30, often one of A_S, and sigma 1-10."""
+    keys = draw(st.lists(st.tuples(st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 3)),
+                         max_size=4, unique=True))
+    comps = []
+    for prime, scale in keys:
+        rank, sign = draw(st.integers(1, 4)), draw(st.sampled_from((1, -1)))
+        if prime != 2:
+            comps.append(JordanComponent(prime, scale, rank, sign))
+        elif draw(st.booleans()):
+            comps.append(JordanComponent(2, scale, 2 * rank, sign))
+        else:
+            oddity = draw(st.sampled_from([t for t in range(8) if (t - rank) % 2 == 0]))
+            try:
+                comps.append(JordanComponent(2, scale, rank, sign, oddity))
+            except ValueError:  # no unit tuple of that sign: the other sign has one
+                comps.append(JordanComponent(2, scale, rank, -sign, oddity))
+    q_s = FiniteQuadraticForm(comps)
+    carried = [r for r in range(q_s.ell(), min(22, 25 - q_s.ell()))
+               if nikulin_exists(0, r, q_s)]
+    rank = draw(st.sampled_from(carried) if carried else st.integers(0, 21))
+    odd_s = sorted({c.prime for c in comps if c.prime != 2})
+    primes = st.sampled_from(odd_primes_below(30))
+    p = draw(st.sampled_from(odd_s) | primes if odd_s else primes)
+    return q_s, rank, p, draw(st.integers(1, 10))
 
 
 class TestEmbeds:
@@ -269,19 +317,34 @@ class TestEmbeds:
                 for rec in RECORDS:
                     h, q_tilde, _ = next(overlattice_candidates(rec.q_s, p, 1, q_d))
                     assert h == 1
-                    target = _trivial_h_target(rec.q_s, p, sigma)
-                    assert target.components == negate(q_tilde).components, (rec.number, p)
+                    target = _query_row(rec.q_s.components, rec.rank).trivial_h_target(p, sigma)
+                    if target is not None:
+                        assert target.components == negate(q_tilde).components, (rec.number, p)
 
-    def test_negated_components_memo_matches_wrapped(self):
+    def test_query_row_verdicts_match_nikulin_exists(self):
+        # the row's p-free half read with the rule at p decides the trivial H
+        # as the whole test on -q_S + q_N does, at every cell of the table
+        for q_s, rank in QUERIES:
+            row = _query_row(q_s.components, rank)
+            for p in odd_primes_below(200):
+                for sigma in range(1, 11):
+                    whole = direct_sum(negate(q_s), n_form(p, sigma).q)
+                    want = nikulin_exists(1, 21 - rank, whole)
+                    assert (row.trivial_h_target(p, sigma) is not None) == want, (
+                        render_symbol(q_s), rank, p, sigma)
+
+    def test_query_row_memo_matches_wrapped(self):
         # keyed by the components as written: 2_1^+1 and 2_5^-1 are one form
         # but keep their own components
-        forms = [rec.q_s for rec in RECORDS] + [parse_symbol("2_1^+1"), parse_symbol("2_5^-1")]
-        for q in forms:
-            want = _negated_components.__wrapped__(q.components)
+        queries = [(rec.q_s, rec.rank) for rec in RECORDS]
+        queries += [(parse_symbol(t), 7) for t in ("2_1^+1", "2_5^-1")]
+        for q, rank in queries:
+            want = _query_row.__wrapped__(q.components, rank)
             for _ in range(2):
-                got = _negated_components(q.components)
-                assert got.components == want.components == negate(q).components
-        a, b = (_negated_components(parse_symbol(t).components) for t in ("2_1^+1", "2_5^-1"))
+                got = _query_row(q.components, rank)
+                assert got.neg.components == want.neg.components == negate(q).components
+                assert (got.tau, got.ranks, got.away_ok) == (want.tau, want.ranks, want.away_ok)
+        a, b = (_query_row(parse_symbol(t).components, 7).neg for t in ("2_1^+1", "2_5^-1"))
         assert a == b and a.components != b.components
 
     def test_query_validation(self):
@@ -290,6 +353,22 @@ class TestEmbeds:
         with pytest.raises(ValueError):
             # rank + ell > 24
             EmbeddingQuery(parse_symbol("3^+6"), 19, 3, 1)
+
+    def test_table_cells_match_the_oracle(self):
+        # every row at every odd prime below 200 and sigma = 1-10: the same
+        # decision, candidate count and certificate as the search that hands
+        # the trivial H whole to the existence test, or the same error
+        for query in QUERIES:
+            for p in odd_primes_below(200):
+                for sigma in range(1, 11):
+                    cell = (*query, p, sigma)
+                    assert decide(primitively_embeds, *cell) == decide(
+                        primitively_embeds_oracle, *cell), (render_symbol(query[0]), *cell[1:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(embedding_queries())
+    def test_random_queries_match_the_oracle(self, query):
+        assert decide(primitively_embeds, *query) == decide(primitively_embeds_oracle, *query)
 
     def test_observed_sigma_monotonicity_on_samples(self):
         # reported, not asserted globally: on these rows embeddability at a
