@@ -333,19 +333,27 @@ class TestEmbeds:
                     assert (row.trivial_h_target(p, sigma) is not None) == want, (
                         render_symbol(q_s), rank, p, sigma)
 
-    def test_query_row_memo_matches_wrapped(self):
-        # keyed by the components as written: 2_1^+1 and 2_5^-1 are one form
-        # but keep their own components
-        queries = [(rec.q_s, rec.rank) for rec in RECORDS]
-        queries += [(parse_symbol(t), 7) for t in ("2_1^+1", "2_5^-1")]
-        for q, rank in queries:
+    MEMO_QUERIES = [(rec.q_s, rec.rank) for rec in RECORDS] + [
+        (parse_symbol(t), 7) for t in ("2_1^+1", "2_5^-1")]
+
+    def test_negated_components_memo_matches_wrapped(self):
+        # -q_S as the row memo holds it, keyed by the components as written:
+        # 2_1^+1 and 2_5^-1 are one form but keep their own components
+        for q, rank in self.MEMO_QUERIES:
             want = _query_row.__wrapped__(q.components, rank)
             for _ in range(2):
                 got = _query_row(q.components, rank)
                 assert got.neg.components == want.neg.components == negate(q).components
-                assert (got.tau, got.ranks, got.away_ok) == (want.tau, want.ranks, want.away_ok)
         a, b = (_query_row(parse_symbol(t).components, 7).neg for t in ("2_1^+1", "2_5^-1"))
         assert a == b and a.components != b.components
+
+    def test_query_row_memo_matches_wrapped(self):
+        # the rest of the row: tau(-q_S), ell at the primes of A_S, the verdict there
+        for q, rank in self.MEMO_QUERIES:
+            want = _query_row.__wrapped__(q.components, rank)
+            for _ in range(2):
+                got = _query_row(q.components, rank)
+                assert (got.tau, got.ranks, got.away_ok) == (want.tau, want.ranks, want.away_ok)
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
