@@ -13,7 +13,7 @@ canonical symbol of the 2-part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -24,13 +24,18 @@ from .intlat import IntegralLattice
 TWO_EVEN = None  # oddity marker for even-type 2-adic components
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JordanComponent:
     prime: int
     scale: int
     rank: int
     sign: int
     oddity: int | None = None
+    # hashed once, from ints only (an oddity is reduced mod 8, so 8 marks
+    # even type): hash(None) differs between processes, and a pickle
+    # carries this value into the process that loads it.  Slots, since a
+    # sixth attribute would give each instance a __dict__ of its own
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scale < 1 or self.rank < 1:
@@ -51,6 +56,12 @@ class JordanComponent:
         else:
             if self.oddity is not None:
                 raise ValueError("oddity only applies at the prime 2")
+        object.__setattr__(self, "_hash", hash((
+            self.prime, self.scale, self.rank, self.sign,
+            8 if self.oddity is None else self.oddity)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_even_type(self) -> bool:
@@ -101,10 +112,10 @@ class FiniteQuadraticForm:
         return tuple(sorted({c.prime for c in self.components}))
 
     def p_part(self, p: int) -> "FiniteQuadraticForm":
-        return FiniteQuadraticForm(tuple(c for c in self.components if c.prime == p))
+        return _from_sorted(tuple(c for c in self.components if c.prime == p))
 
     def away_part(self, p: int) -> "FiniteQuadraticForm":
-        return FiniteQuadraticForm(tuple(c for c in self.components if c.prime != p))
+        return _from_sorted(tuple(c for c in self.components if c.prime != p))
 
     def group_order(self) -> int:
         return math.prod(c.group_order() for c in self.components)
@@ -121,6 +132,17 @@ class FiniteQuadraticForm:
 
     def ell(self) -> int:
         return max(self.ranks().values(), default=0)
+
+
+def _from_sorted(comps: tuple) -> FiniteQuadraticForm:
+    """The form with these components, sorted by (prime, scale) with each
+    key once, as those of the forms this module derives from other forms
+    are: __init__'s sort and duplicate check are skipped.  Outside input
+    goes through __init__."""
+    q = FiniteQuadraticForm.__new__(FiniteQuadraticForm)
+    q.components = comps
+    q._key = None
+    return q
 
 
 def render_symbol(q: FiniteQuadraticForm) -> str:
@@ -354,23 +376,35 @@ def symbol_of(lat: IntegralLattice, primes=None) -> FiniteQuadraticForm:
 
 
 def direct_sum(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) -> FiniteQuadraticForm:
-    merged: dict[tuple, JordanComponent] = {(c.prime, c.scale): c for c in q1.components}
-    for c in q2.components:
-        key = (c.prime, c.scale)
-        if key not in merged:
-            merged[key] = c
-            continue
-        old = merged[key]
-        rank = old.rank + c.rank
-        sign = old.sign * c.sign
-        if c.prime != 2:
-            merged[key] = JordanComponent(c.prime, c.scale, rank, sign)
-        elif old.oddity is None and c.oddity is None:
-            merged[key] = JordanComponent(2, c.scale, rank, sign, TWO_EVEN)
+    """q1 + q2 by one merge of the two sorted component tuples; the two
+    components of a shared (prime, scale) join into a new, checked one."""
+    a, b = q1.components, q2.components
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        x, y = a[i], b[j]
+        if x.prime == y.prime and x.scale == y.scale:
+            out.append(_joined(x, y))
+            i += 1
+            j += 1
+        elif x.prime < y.prime or x.prime == y.prime and x.scale < y.scale:
+            out.append(x)
+            i += 1
         else:
-            t = ((old.oddity or 0) + (c.oddity or 0)) % 8
-            merged[key] = JordanComponent(2, c.scale, rank, sign, t)
-    return FiniteQuadraticForm(tuple(merged.values()))
+            out.append(y)
+            j += 1
+    return _from_sorted((*out, *a[i:], *b[j:]))
+
+
+def _joined(x: JordanComponent, y: JordanComponent) -> JordanComponent:
+    """The component x + y of one (prime, scale): ranks add, signs multiply,
+    and at 2 the oddities add (an even-type part adds 0), unless both are even."""
+    rank, sign = x.rank + y.rank, x.sign * y.sign
+    if x.prime != 2:
+        return JordanComponent(x.prime, x.scale, rank, sign)
+    if x.oddity is None and y.oddity is None:
+        return JordanComponent(2, x.scale, rank, sign, TWO_EVEN)
+    return JordanComponent(2, x.scale, rank, sign, ((x.oddity or 0) + (y.oddity or 0)) % 8)
 
 
 def negate(q: FiniteQuadraticForm) -> FiniteQuadraticForm:
@@ -382,7 +416,7 @@ def negate(q: FiniteQuadraticForm) -> FiniteQuadraticForm:
         else:
             sign = c.sign * ex.legendre(-1, c.prime) ** c.rank
             out.append(JordanComponent(c.prime, c.scale, c.rank, sign))
-    return FiniteQuadraticForm(tuple(out))
+    return _from_sorted(tuple(out))
 
 
 @lru_cache(maxsize=4096)

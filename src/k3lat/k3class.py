@@ -37,6 +37,7 @@ class SupersingularForm:
     p: int
     sigma: int
     q: FiniteQuadraticForm
+    tau: int  # tau(q), the signature class n_form's existence test checks
 
     @property
     def signature(self) -> tuple:
@@ -56,7 +57,7 @@ def n_form(p: int, sigma: int) -> SupersingularForm:
     q = FiniteQuadraticForm((JordanComponent(p, 1, 2 * sigma, sign),))
     if not nikulin_exists(*SIGNATURE, q):
         raise ArithmeticError("internal: candidate form fails the existence test")
-    return SupersingularForm(p, sigma, q)
+    return SupersingularForm(p, sigma, q, (SIGNATURE[0] - SIGNATURE[1]) % 8)
 
 
 @lru_cache(maxsize=1024)
@@ -111,13 +112,13 @@ class _QueryRow:
         the primes of A_S, then the rank bound and the rule at p, and the
         signature sum (which every checked query meets, since the query check
         gives tau(-q_S) = rank and n_form's gives tau(q_N) = 4)."""
-        q_n = n_form(p, sigma).q
+        n_sigma = n_form(p, sigma)
         n = 22 - self.rank
         ell_p = self.ranks.get(p, 0) + 2 * sigma
         if (not self.away_ok or ell_p > n
-                or (self.tau + signature_mod8(q_n)) % 8 != (2 - n) % 8):
+                or (self.tau + n_sigma.tau) % 8 != (2 - n) % 8):
             return None
-        target = direct_sum(self.neg, q_n)
+        target = direct_sum(self.neg, n_sigma.q)
         if ell_p == n and not det_rule_holds(target, n - 1, p):
             return None
         return target

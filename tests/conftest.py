@@ -10,8 +10,9 @@ search as a listing of every H and as a walk of A_D's subspaces with a
 backtrack per isometry type of U (with the F_p type of a Gram matrix it
 keys on), the 2-adic determinant classes of every sign-walk variant, the
 overlattice search and Nikulin test that set up every subgroup walk and
-read each prime's rank apart, and the embedding decision that tests the
-trivial H like any other, used to cross-check the fast paths."""
+read each prime's rank apart, the embedding decision that tests the
+trivial H like any other, and the direct sum that re-sorts and re-checks
+its components, used to cross-check the fast paths."""
 
 from __future__ import annotations
 
@@ -835,6 +836,29 @@ def primitively_embeds_oracle(q_s, rank_s: int, p: int, sigma: int):
             return EmbedDecision(query, True, Certificate(h, q_tilde, target), passed + 1)
         passed += count
     return EmbedDecision(query, False, None, passed)
+
+
+def direct_sum_oracle(q1, q2):
+    """direct_sum by a dict keyed by (prime, scale), the components of a
+    shared key joined as they come, then sorted and checked by the public
+    constructor."""
+    merged = {(c.prime, c.scale): c for c in q1.components}
+    for c in q2.components:
+        key = (c.prime, c.scale)
+        if key not in merged:
+            merged[key] = c
+            continue
+        old = merged[key]
+        rank = old.rank + c.rank
+        sign = old.sign * c.sign
+        if c.prime != 2:
+            merged[key] = JordanComponent(c.prime, c.scale, rank, sign)
+        elif old.oddity is None and c.oddity is None:
+            merged[key] = JordanComponent(2, c.scale, rank, sign, None)
+        else:
+            t = ((old.oddity or 0) + (c.oddity or 0)) % 8
+            merged[key] = JordanComponent(2, c.scale, rank, sign, t)
+    return FiniteQuadraticForm(tuple(merged.values()))
 
 
 def is_identity(iso) -> bool:

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import random
 import subprocess
 import sys
@@ -51,6 +52,7 @@ from conftest import (
     GraphWalk,
     cap_child_memory,
     child_env,
+    direct_sum_oracle,
     discriminant_form_values,
     forms_isomorphic_bruteforce,
     graph_isotropic_subgroups,
@@ -236,6 +238,30 @@ def test_symbol_of_at_given_primes():
             assert symbol_of(lat, ()).is_trivial()
 
 
+@st.composite
+def components_at(draw, prime: int, scale: int):
+    """A component of rank at most 4 at (prime, scale); at 2 of either type."""
+    rank, sign = draw(st.integers(1, 4)), draw(st.sampled_from((1, -1)))
+    if prime != 2:
+        return J(prime, scale, rank, sign)
+    if draw(st.booleans()):
+        return J(2, scale, 2 * rank, sign)
+    oddity = draw(st.sampled_from([t for t in range(8) if (t - rank) % 2 == 0]))
+    try:
+        return J(2, scale, rank, sign, oddity)
+    except ValueError:  # no unit tuple of that sign: the other sign has one
+        return J(2, scale, rank, -sign, oddity)
+
+
+def small_forms():
+    """Forms on some of six keys (prime 2, 3 or 5, scale 1 or 2), so that two
+    draws often share a key."""
+    keys = st.lists(st.tuples(st.sampled_from((2, 3, 5)), st.integers(1, 2)),
+                    max_size=4, unique=True)
+    return keys.flatmap(lambda ks: st.tuples(*(components_at(*k) for k in ks))).map(
+        lambda comps: F(*comps))
+
+
 class TestArithmetic:
     def test_direct_sum_worked_example(self):
         q = parse_symbol("4_3^-1 3^-1 7^-1")
@@ -263,6 +289,44 @@ class TestArithmetic:
         for text in ("2_II^+8", "4_1^+5", "2_7^-3 8_II^-2", "3^+4 9^-1", "5^+3"):
             q = parse_symbol(text)
             assert negate(negate(q)).components == q.components
+
+    @settings(max_examples=300, deadline=None)
+    @example(F(), F())
+    @example(F(), parse_symbol("5^-2"))  # q_N at p = 5, sigma = 1
+    @example(parse_symbol("2_II^-2 4_II^-2 3^+2"), parse_symbol("3^+2"))  # -q_N at p = 3
+    @example(parse_symbol("2_II^-2 4_II^-2 3^+2"), parse_symbol("13^-2"))
+    @given(small_forms(), small_forms())
+    def test_direct_sum_matches_oracle(self, q1, q2):
+        # the merge gives the very components, in order, of the dict-and-sort sum
+        assert direct_sum(q1, q2).components == direct_sum_oracle(q1, q2).components
+
+    def test_direct_sum_joins_every_kind_of_shared_key(self):
+        # every pair of components of rank <= 3 at (3, 1), (2, 1) and (2, 2):
+        # at 2 even + even, odd + even, even + odd and odd + odd, beside a
+        # key only one side has
+        for prime, scale in ((3, 1), (2, 1), (2, 2)):
+            comps = []
+            for rank, sign in product(range(1, 4), (1, -1)):
+                for oddity in (None, *range(8)) if prime == 2 else (None,):
+                    try:
+                        comps.append(J(prime, scale, rank, sign, oddity))
+                    except ValueError:
+                        pass
+            kinds = Counter()
+            for x, y in product(comps, repeat=2):
+                q1, q2 = F(x, J(5, 1, 1, 1)), F(y)
+                assert direct_sum(q1, q2).components == direct_sum_oracle(q1, q2).components
+                assert direct_sum(q2, q1).components == direct_sum_oracle(q2, q1).components
+                kinds[x.oddity is None, y.oddity is None] += 1
+            assert len(kinds) == (4 if prime == 2 else 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_forms(), st.sampled_from((2, 3, 5, 7)))
+    def test_derived_forms_rebuild_unchanged(self, q, p):
+        # the forms fqf derives without the sort and duplicate check are
+        # ones the check passes and leaves as they are
+        for derived in (negate(q), q.p_part(p), q.away_part(p)):
+            assert FiniteQuadraticForm(derived.components).components == derived.components
 
 
 class TestSignature:
@@ -1476,6 +1540,31 @@ class TestNikulin:
             assert nikulin_exists(2, 0, q) == want2, render_symbol(q)
             want1 = order in realized1 and isomorphic(q, realized1[order])
             assert nikulin_exists(1, 0, q) == want1, render_symbol(q)
+
+
+class TestComponentHash:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((2, 3, 5)).flatmap(lambda p: components_at(p, 1)))
+    def test_equal_components_hash_alike(self, c):
+        twin = J(c.prime, c.scale, c.rank, c.sign,
+                 None if c.oddity is None else c.oddity + 8)
+        assert twin == c and hash(twin) == hash(c)
+
+    def test_hash_survives_a_pickle_into_another_process(self):
+        # hash(None) differs between processes: a hash cached from it would
+        # go stale in the process that loads the pickle
+        comps = [J(2, 1, 2, 1, None), J(2, 1, 1, 1, 1)]  # 2_II^+2, 2_1^+1
+        code = ("import pickle, sys\n"
+                "from k3lat.fqf import JordanComponent as J\n"
+                "got = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+                "fresh = [J(2, 1, 2, 1, None), J(2, 1, 1, 1, 1)]\n"
+                "print(got == fresh, [hash(g) == hash(f) for g, f in zip(got, fresh)],\n"
+                "      len(set(got) | set(fresh)))\n")
+        res = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(comps).hex(),
+                             env=child_env(), capture_output=True, text=True, timeout=30,
+                             preexec_fn=cap_child_memory)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "True [True, True] 2"
 
 
 class TestValidation:

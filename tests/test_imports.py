@@ -1,7 +1,8 @@
 """Static checks on the package sources: no module imports a name it never
 uses, and no module-level function, class or constant goes unreferenced;
-every cache is bounded or listed, and README.md names each one; and on the
-tests: no helper of conftest.py is left without a test.
+every cache is bounded or listed, and README.md names each one; no form is
+built past FiniteQuadraticForm's checks outside fqf.py; and on the tests:
+no helper of conftest.py is left without a test.
 A name listed in a module's __all__ counts as used (a re-export);
 __init__.py is left out of the import check, since all its imports are
 re-exports, and its imports count as references."""
@@ -95,6 +96,38 @@ def test_every_conftest_helper_is_used():
         used.update(a.arg for node in ast.walk(tree) if isinstance(node, ast.arguments)
                     for a in node.args + node.kwonlyargs)
     assert sorted(defined_names(conftest) - used) == []
+
+
+def unchecked_form_uses(tree):
+    """Line numbers of every use of fqf._from_sorted (by name, attribute or
+    import) and of every FiniteQuadraticForm.__new__ or __new__ call with
+    FiniteQuadraticForm as its first argument."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "_from_sorted" or (
+                isinstance(node, ast.Attribute) and node.attr == "_from_sorted"):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and any(
+                a.name == "_from_sorted" for a in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "__new__" and (
+                getattr(node.value, "id", None) == "FiniteQuadraticForm"
+                or getattr(node.value, "attr", None) == "FiniteQuadraticForm"):
+            yield node.lineno
+        elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__"
+              and node.args and getattr(node.args[0], "id", None) == "FiniteQuadraticForm"):
+            yield node.lineno
+
+
+def test_unchecked_forms_only_inside_fqf():
+    # fqf builds forms from components it keeps sorted and unique without
+    # the sort and duplicate check; every other module and test goes
+    # through FiniteQuadraticForm(...), which checks outside input
+    tests = Path(__file__).resolve().parent
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(tests.glob("*.py"))
+    found = {f"{path.parent.name}/{path.name}": list(unchecked_form_uses(parse(path)))
+             for path in paths}
+    assert found.pop("k3lat/fqf.py"), "no use found in fqf.py: the scan is broken"
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 # Caches that may grow without a maxsize, each with why its keys are few.
